@@ -26,7 +26,7 @@ from extweyl.weyl import (
     default_brute_modulus,
     orbit_bruteforce,
     orbit_of,
-    slice_residues_mod,
+    slice_residues_by_class,
 )
 
 EXIT_OK = 0
@@ -158,27 +158,31 @@ def cmd_orbits(args) -> int:
     except (OSError, KeyError, ValueError) as exc:
         print(f"error: cannot load system: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    if not ers.delta.rs_type.is_reduced():
+        print(
+            f"error: orbits needs a reduced type, got {ers.delta.rs_type}; trim first",
+            file=sys.stderr,
+        )
+        return EXIT_USAGE
     rep = validate(ers)
     if not rep.ok:
         first = rep.failed()[0]
         print(f"error: system invalid: {first.name} {first.witness}", file=sys.stderr)
         return EXIT_USAGE
-    from extweyl.intlinalg import hermite_rows, vec_scale
-
     m = default_brute_modulus(ers)
     rs = ers.delta
-    mod_h = hermite_rows(
-        [vec_scale(m, ers.group.basis_vector(i)) for i in range(ers.n)]
-    )
+    residues = slice_residues_by_class(ers, m)
+    # the orbit class of (d, beta) depends on beta only through its length
+    # class, so the first root of each class finds every representative
     classes = {}
-    for beta in range(len(rs.roots)):
-        for d in sorted(slice_residues_mod(ers, rs.lengths[beta], mod_h)):
+    for cls, ds in residues.items():
+        beta = rs.lengths.index(cls)
+        for d in ds:
             oc = orbit_of(ers, d, beta)
-            key = (oc.length_class, oc.coset)
-            classes.setdefault(key, [list(d), beta])
+            classes.setdefault((oc.length_class, oc.coset), [list(d), beta])
     agree = True
     for key, rep0 in classes.items():
-        closure = orbit_bruteforce(ers, tuple(rep0[0]), rep0[1], m)
+        closure = orbit_bruteforce(ers, tuple(rep0[0]), rep0[1], m, residues)
         for h, b in closure:
             oc = orbit_of(ers, h, b)
             if (oc.length_class, oc.coset) != key:
@@ -205,6 +209,12 @@ def cmd_word(args) -> int:
         with open(args.word) as fh:
             data = json.load(fh)
         letters = data["word"] if isinstance(data, dict) else data
+        n_roots = len(ers.delta.roots)
+        for item in letters:
+            if not 0 <= int(item["alpha"]) < n_roots:
+                raise ExtRootError(
+                    f"letter {item}: alpha must be a root index in 0..{n_roots - 1}"
+                )
         word = [
             ReflectionLabel.make(ers, tuple(item["g"]), int(item["alpha"]))
             for item in letters

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from math import prod
 
 from extweyl.intlinalg import (
     Matrix,
@@ -359,6 +360,11 @@ def validate(ers: ExtRootSystem) -> ValidationReport:
     of G by the common refinement of all slice moduli; simple roots
     suffice on the reflecting side because every reflection label is a
     conjugate of one over a simple root by zero-section elements.
+
+    The modulus constraint k^2*G <= H is evaluated before that quotient
+    is built: a slice modulus that fails it can make the quotient
+    arbitrarily large.  When it fails, reflection stability and the
+    chains are neither checked nor reported.
     """
     rep = ValidationReport()
     delta = ers.delta
@@ -383,74 +389,108 @@ def validate(ers: ExtRootSystem) -> ValidationReport:
         ok = ers.s_sets[cls].contains(zero)
         rep.add(f"R2' (0 in S_{cls})", ok, "" if ok else f"0 not in S_{cls}")
 
-    refined = ers.refined_s_sets()
-    hstar = next(iter(refined.values())).h_basis
-    coset_sets = {c: set(s.cosets) for c, s in refined.items()}
-    ok, witness = True, ""
-    for k in range(delta.rank):
-        alpha = delta.basis[k]
-        cls_a = delta.lengths[alpha]
-        for beta in range(len(delta.roots)):
-            cls_b = delta.lengths[beta]
-            m = delta.pairing(alpha, delta.roots[beta])
-            for cb in coset_sets[cls_b]:
-                for da in coset_sets[cls_a]:
-                    img = lattice_reduce(
-                        hstar, tuple(cb[i] - m * da[i] for i in range(n))
-                    )
-                    if img not in coset_sets[cls_b]:
-                        ok = False
-                        witness = (
-                            f"S_{cls_b} - ({m})*S_{cls_a} leaves S_{cls_b}: "
-                            f"{cb} - {m}*{da} = {img}"
-                        )
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    rep.add("R3' (reflection stability)", ok, witness)
-
-    if not delta.rs_type.is_single_length():
-        k = k_delta(delta.rs_type)
-        chains = []
-        if SHORT in refined and LONG in refined:
-            chains.append((SHORT, LONG, k))
-        if LONG in refined and EXTRALONG in refined:
-            chains.append((LONG, EXTRALONG, k))
-        if SHORT in refined and EXTRALONG in refined:
-            chains.append((SHORT, EXTRALONG, k * k))
-        for lower, upper, mult in chains:
-            up, lo = refined[upper], refined[lower]
-            sub_ok = set(up.cosets) <= set(lo.cosets)
-            scaled = lo.scale(mult)
-            common = lattice_intersection(scaled.h_basis, up.h_basis)
-            mult_ok = set(scaled.rebase(common).cosets) <= set(
-                up.rebase(common).cosets
-            )
-            rep.add(
-                f"chain {mult}*S_{lower} <= S_{upper} <= S_{lower}",
-                sub_ok and mult_ok,
-                "" if (sub_ok and mult_ok) else f"containment fails ({upper},{lower})",
-            )
-
     # single-length types have no lacing number; 2 is the modulus scale
     # relevant to their orbit structure
     kk = 4 if delta.rs_type.is_single_length() else k_delta(delta.rs_type) ** 2
-    for cls in ers.classes():
-        s = ers.s_sets[cls]
-        ok = all(
-            lattice_contains(s.h_basis, vec_scale(kk, ers.group.basis_vector(i)))
+    modulus_ok = {
+        cls: all(
+            lattice_contains(
+                ers.s_sets[cls].h_basis, vec_scale(kk, ers.group.basis_vector(i))
+            )
             for i in range(n)
         )
+        for cls in ers.classes()
+    }
+
+    if all(modulus_ok.values()):
+        refined = ers.refined_s_sets()
+        rep.add("R3' (reflection stability)", *_reflection_stability(delta, refined))
+        if not delta.rs_type.is_single_length():
+            k = k_delta(delta.rs_type)
+            chains = []
+            if SHORT in refined and LONG in refined:
+                chains.append((SHORT, LONG, k))
+            if LONG in refined and EXTRALONG in refined:
+                chains.append((LONG, EXTRALONG, k))
+            if SHORT in refined and EXTRALONG in refined:
+                chains.append((SHORT, EXTRALONG, k * k))
+            for lower, upper, mult in chains:
+                up, lo = refined[upper], refined[lower]
+                sub_ok = set(up.cosets) <= set(lo.cosets)
+                scaled = lo.scale(mult)
+                common = lattice_intersection(scaled.h_basis, up.h_basis)
+                mult_ok = set(scaled.rebase(common).cosets) <= set(
+                    up.rebase(common).cosets
+                )
+                ok = sub_ok and mult_ok
+                rep.add(
+                    f"chain {mult}*S_{lower} <= S_{upper} <= S_{lower}",
+                    ok,
+                    "" if ok else f"containment fails ({upper},{lower})",
+                )
+
+    for cls, ok in modulus_ok.items():
         rep.add(
             f"modulus constraint k^2*G <= H ({cls})",
             ok,
             "" if ok else f"H too coarse for {cls}",
         )
     return rep
+
+
+def _reflection_stability(
+    delta: FiniteRootSystem, refined: dict[str, SSet]
+) -> tuple[bool, str]:
+    """R3': S_beta - <alpha^vee, beta> * S_alpha <= S_beta for simple alpha.
+
+    The condition depends only on the triple (class of alpha, class of
+    beta, m = <alpha^vee, beta>), and for a triple it says that S_beta is
+    stable under subtracting each residue x of m * S_alpha.  Each triple
+    is decided once (m = 0 holds trivially), each (class, x) once.  On
+    failure the witness is the first one met by scanning every simple
+    alpha, every root beta, then the cosets of S_beta and S_alpha.
+    """
+    hstar = next(iter(refined.values())).h_basis
+    coset_sets = {c: set(s.cosets) for c, s in refined.items()}
+    lengths, table = delta.lengths, delta.pairing_table
+    n = len(hstar)
+    order = abs(prod(next(x for x in row if x) for row in hstar))  # |G/H*|
+
+    def shifted(c: Vector, x: Vector) -> Vector:
+        return lattice_reduce(hstar, tuple(c[i] - x[i] for i in range(n)))
+
+    stable: dict[tuple[str, Vector], bool] = {}
+
+    def keeps(cls_b: str, x: Vector) -> bool:
+        key = (cls_b, x)
+        if key not in stable:
+            sb = coset_sets[cls_b]
+            # all of G/H* is stable under every translation
+            stable[key] = len(sb) == order or all(shifted(cb, x) in sb for cb in sb)
+        return stable[key]
+
+    holds: dict[tuple[str, str, int], bool] = {}
+    for alpha in delta.basis:
+        cls_a = lengths[alpha]
+        for beta, m in enumerate(table[alpha]):
+            cls_b = lengths[beta]
+            triple = (cls_a, cls_b, m)
+            if triple not in holds:
+                holds[triple] = m == 0 or all(
+                    keeps(cls_b, lattice_reduce(hstar, vec_scale(m, da)))
+                    for da in coset_sets[cls_a]
+                )
+            if holds[triple]:
+                continue
+            for cb in coset_sets[cls_b]:
+                for da in coset_sets[cls_a]:
+                    img = shifted(cb, vec_scale(m, da))
+                    if img not in coset_sets[cls_b]:
+                        return False, (
+                            f"S_{cls_b} - ({m})*S_{cls_a} leaves S_{cls_b}: "
+                            f"{cb} - {m}*{da} = {img}"
+                        )
+    return True, ""
 
 
 # ---------------------------------------------------------------------------
@@ -759,8 +799,8 @@ def _match_root_systems(old: FiniteRootSystem, new: FiniteRootSystem) -> dict[in
     # sanity: the seeded simple systems must carry the same Cartan data
     for i in range(l):
         for j in range(l):
-            a = _trimmed_pairing(old, seed_old[i], seed_old[j])
-            b = new.pairing(seed_new[i], new.roots[seed_new[j]])
+            a = old.pairing_table[old.index_of(seed_old[i])][old.index_of(seed_old[j])]
+            b = new.pairing_table[seed_new[i]][seed_new[j]]
             if a != b:
                 raise ExtRootError(
                     f"trim basis mismatch at ({i},{j}): {a} != {b}"
@@ -775,9 +815,9 @@ def _match_root_systems(old: FiniteRootSystem, new: FiniteRootSystem) -> dict[in
         ov = queue.pop()
         oi = reps[ov]
         for pos in range(l):
-            oi2 = old.reflect_root_index(refl_old[pos], oi)
+            oi2 = old.reflection_table[refl_old[pos]][oi]
             ov2 = trimmed[oi2]
-            ni2 = new.reflect_root_index(seed_new[pos], assignment[ov])
+            ni2 = new.reflection_table[seed_new[pos]][assignment[ov]]
             if ov2 in assignment:
                 if assignment[ov2] != ni2:
                     raise ExtRootError("trim closure is inconsistent")
@@ -787,13 +827,6 @@ def _match_root_systems(old: FiniteRootSystem, new: FiniteRootSystem) -> dict[in
     if len(assignment) != len(buckets):
         raise ExtRootError("trim closure did not reach every root")
     return {i: assignment[v] for v, idxs in buckets.items() for i in idxs}
-
-
-def _trimmed_pairing(old: FiniteRootSystem, x: Vector, y: Vector) -> int:
-    """<x_vee, y> inside the trimmed system, computed in the source lattice."""
-    i = old.index_of(x)
-    c = old.pairing(i, y)
-    return c
 
 
 @dataclass

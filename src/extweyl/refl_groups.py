@@ -87,19 +87,11 @@ def reflection_sym_system(rs: FiniteRootSystem) -> tuple[SymSystem, list[int]]:
     Returns the system together with one representative root index per
     reflection (proportional roots share a reflection).
     """
-    reps: list[int] = []
-    rep_of: dict[int, int] = {}
-    for i in range(len(rs.roots)):
-        for j in reps:
-            if rs.same_reflection(i, j):
-                rep_of[i] = j
-                break
-        else:
-            reps.append(i)
-            rep_of[i] = i
+    ids = rs.reflection_ids
+    reps = sorted(set(ids))
     index = {r: k for k, r in enumerate(reps)}
     table = [
-        [index[rep_of[rs.reflect_root_index(a, b)]] for b in reps] for a in reps
+        [index[ids[rs.reflection_table[a][b]]] for b in reps] for a in reps
     ]
     return SymSystem(len(reps), table), reps
 
@@ -270,8 +262,8 @@ def conj_reflect(
 ) -> ReflectionLabel:
     """t1.t2 = r_(h - <alpha^vee, beta> g, r_alpha(beta)), canonicalized."""
     rs = ers.delta
-    m = rs.pairing(t1.root, rs.roots[t2.root])
-    new_root = rs.reflect_root_index(t1.root, t2.root)
+    m = rs.pairing_table[t1.root][t2.root]
+    new_root = rs.reflection_table[t1.root][t2.root]
     new_g = tuple(h - m * g for h, g in zip(t2.g, t1.g))
     return ReflectionLabel.make(ers, new_g, new_root)
 

@@ -18,7 +18,7 @@ Conventions:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd
 
 from extweyl.intlinalg import (
@@ -342,11 +342,56 @@ class FiniteRootSystem:
         return dot(x, mat_vec(self._gram, x))
 
     # -- pairing and reflections ------------------------------------------
+    #
+    # The tables below are built on first use, never in __init__, so that
+    # constructing a system costs nothing extra.  W acts faithfully on the
+    # roots (Humphreys, Reflection Groups and Coxeter Groups, 1.14), so
+    # root-against-root questions are answered by lookups.
+
+    @cached_property
+    def _coroot_rows(self) -> tuple[Vector, ...]:
+        """Row i is the linear form <alpha_i^vee, .> on root coordinates."""
+        pt = transpose(self.pairing_matrix)
+        return tuple(mat_vec(pt, y) for y in self.coroots)
+
+    @cached_property
+    def pairing_table(self) -> tuple[tuple[int, ...], ...]:
+        """pairing_table[i][j] = <alpha_i^vee, alpha_j> over all roots."""
+        return tuple(
+            tuple(dot(row, r) for r in self.roots) for row in self._coroot_rows
+        )
+
+    @cached_property
+    def reflection_table(self) -> tuple[tuple[int, ...], ...]:
+        """reflection_table[i][j] = index of r_i(alpha_j)."""
+        index = self._index
+        return tuple(
+            tuple(
+                index[tuple(b - c * a for a, b in zip(ai, bj))]
+                for bj, c in zip(self.roots, prow)
+            )
+            for ai, prow in zip(self.roots, self.pairing_table)
+        )
+
+    @cached_property
+    def reflection_ids(self) -> tuple[int, ...]:
+        """One id per reflection: the first index of a root on the same line.
+
+        Proportional roots (alpha, -alpha and, for BC, +-2 alpha) share
+        their reflection and nothing else does.
+        """
+        first: dict[Vector, int] = {}
+        ids = []
+        for i, r in enumerate(self.roots):
+            g = gcd(*r)
+            if next(x for x in r if x) < 0:
+                g = -g
+            ids.append(first.setdefault(tuple(x // g for x in r), i))
+        return tuple(ids)
 
     def pairing(self, coroot_of: int, at: Vector) -> int:
         """<alpha^vee, lam> for alpha = roots[coroot_of] and lam in the root lattice."""
-        y = self.coroots[coroot_of]
-        return dot(mat_vec(transpose(self.pairing_matrix), y), at)
+        return dot(self._coroot_rows[coroot_of], at)
 
     def copairing(self, mu: Vector, root_of: int) -> int:
         """<mu, alpha> for mu in coroot coordinates and alpha = roots[root_of]."""
@@ -361,11 +406,11 @@ class FiniteRootSystem:
         return vec_sub(mu, tuple(c * x for x in self.coroots[alpha]))
 
     def reflect_root_index(self, alpha: int, beta: int) -> int:
-        return self.index_of(self.reflect(alpha, self.roots[beta]))
+        return self.reflection_table[alpha][beta]
 
     def reflection_matrix(self, i: int) -> Matrix:
         x = self.roots[i]
-        row = mat_vec(transpose(self.pairing_matrix), self.coroots[i])
+        row = self._coroot_rows[i]
         n = self.rank
         return freeze(
             [[int(r == c) - x[r] * row[c] for c in range(n)] for r in range(n)]
@@ -379,29 +424,27 @@ class FiniteRootSystem:
             [[int(r == c) - y[r] * col[c] for c in range(n)] for r in range(n)]
         )
 
+    @cached_property
+    def _weyl_generators(self) -> dict[int, "WeylElement"]:
+        return {}
+
     def weyl_generator(self, i: int) -> "WeylElement":
-        cache = getattr(self, "_gen_cache", None)
-        if cache is None:
-            cache = {}
-            object.__setattr__(self, "_gen_cache", cache)
-        w = cache.get(i)
+        w = self._weyl_generators.get(i)
         if w is None:
             w = WeylElement(self.reflection_matrix(i), self.coreflection_matrix(i))
-            cache[i] = w
+            self._weyl_generators[i] = w
         return w
 
     def perpendicular(self, i: int, j: int) -> bool:
-        """Distinct commuting reflections: r_i != r_j and <alpha_i^vee, alpha_j> = 0."""
-        if self.same_reflection(i, j):
-            return False
-        return self.pairing(i, self.roots[j]) == 0
+        """Distinct commuting reflections: r_i != r_j and <alpha_i^vee, alpha_j> = 0.
+
+        Proportional roots pair to a nonzero value, so a zero pairing
+        already implies distinct reflections.
+        """
+        return self.pairing_table[i][j] == 0
 
     def same_reflection(self, i: int, j: int) -> bool:
-        ri, rj = self.roots[i], self.roots[j]
-        for mult in ((1, 1), (1, -1), (1, 2), (2, 1), (1, -2), (2, -1)):
-            if tuple(mult[0] * x for x in ri) == tuple(mult[1] * x for x in rj):
-                return True
-        return False
+        return self.reflection_ids[i] == self.reflection_ids[j]
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"FiniteRootSystem({self.rs_type}, {len(self.roots)} roots)"
@@ -563,10 +606,8 @@ def pairing_value_sets(rs: FiniteRootSystem) -> dict[tuple[str, str], frozenset[
     is long, and vice versa).
     """
     out: dict[tuple[str, str], set[int]] = {}
-    n = len(rs.roots)
-    for b in range(n):
+    for b, row in enumerate(rs.pairing_table):
         cx = rs.coroot_length_class(b)
-        for g in range(n):
-            key = (cx, rs.lengths[g])
-            out.setdefault(key, set()).add(rs.pairing(b, rs.roots[g]))
+        for g, value in enumerate(row):
+            out.setdefault((cx, rs.lengths[g]), set()).add(value)
     return {k: frozenset(v) for k, v in out.items()}

@@ -242,45 +242,49 @@ def slice_residues_mod(ers: ExtRootSystem, cls: str, mod_h) -> set[Vector]:
     return residues
 
 
-def _slice_residues(ers: ExtRootSystem, cls: str, m: int) -> set[Vector]:
+def slice_residues_by_class(ers: ExtRootSystem, m: int) -> dict[str, list[Vector]]:
+    """The sorted image of every slice in G/mG, keyed by length class."""
     n = ers.n
     mod_h = hermite_rows([vec_scale(m, ers.group.basis_vector(i)) for i in range(n)])
-    return slice_residues_mod(ers, cls, mod_h)
+    return {cls: sorted(slice_residues_mod(ers, cls, mod_h)) for cls in ers.classes()}
 
 
 def orbit_bruteforce(
-    ers: ExtRootSystem, g, root_idx: int, modulus: int | None = None
+    ers: ExtRootSystem,
+    g,
+    root_idx: int,
+    modulus: int | None = None,
+    residues: dict[str, list[Vector]] | None = None,
 ) -> set[tuple[Vector, int]]:
     """Closure of one extended root under all generator reflections,
     computed in the finite quotient G/mG.
 
     This is the independent oracle for orbit_of: the closure collects
     exactly the orbit as long as m*G sits inside the orbit subgroup.
+    `residues` is slice_residues_by_class(ers, m); a caller closing
+    several starts of one system passes it to build the letters once.
     """
     if not ers.delta.rs_type.is_reduced():
         raise ExtRootError("orbit closure needs a reduced type; trim first")
     m = modulus if modulus is not None else default_brute_modulus(ers)
+    if residues is None:
+        residues = slice_residues_by_class(ers, m)
     rs = ers.delta
-    n = ers.n
-    mod_h = hermite_rows([vec_scale(m, ers.group.basis_vector(i)) for i in range(n)])
-    letters = []
-    for k in range(rs.rank):
-        alpha = rs.basis[k]
-        cls = rs.lengths[alpha]
-        for d in _slice_residues(ers, cls, m):
-            letters.append((alpha, d))
-    start = (lattice_reduce(mod_h, tuple(g)), root_idx)
+    letters = [
+        (rs.pairing_table[alpha], rs.reflection_table[alpha], d)
+        for alpha in rs.basis
+        for d in residues[rs.lengths[alpha]]
+    ]
+    # the canonical residue modulo m*Z^n is the coordinatewise one
+    start = (tuple(x % m for x in g), root_idx)
     seen = {start}
     frontier = [start]
     while frontier:
         nxt = []
         for h, beta in frontier:
-            for alpha, d in letters:
-                c = rs.pairing(alpha, rs.roots[beta])
-                h2 = lattice_reduce(
-                    mod_h, tuple(x - c * y for x, y in zip(h, d))
-                )
-                state = (h2, rs.reflect_root_index(alpha, beta))
+            for pairs, images, d in letters:
+                c = pairs[beta]
+                state = (tuple((x - c * y) % m for x, y in zip(h, d)), images[beta])
                 if state not in seen:
                     seen.add(state)
                     nxt.append(state)
@@ -293,17 +297,17 @@ def orbit_partitions_agree(ers: ExtRootSystem, modulus: int | None = None) -> bo
     quotient grid of valid extended roots."""
     m = modulus if modulus is not None else default_brute_modulus(ers)
     rs = ers.delta
-    states = []
-    for beta in range(len(rs.roots)):
-        for d in _slice_residues(ers, rs.lengths[beta], m):
-            states.append((d, beta))
+    residues = slice_residues_by_class(ers, m)
+    states = [
+        (d, beta) for beta in range(len(rs.roots)) for d in residues[rs.lengths[beta]]
+    ]
     by_class: dict[OrbitClass, set] = {}
     for d, beta in states:
         by_class.setdefault(orbit_of(ers, d, beta), set()).add((d, beta))
     remaining = set(states)
     while remaining:
         d, beta = next(iter(remaining))
-        closure = orbit_bruteforce(ers, d, beta, m)
+        closure = orbit_bruteforce(ers, d, beta, m, residues)
         if closure != by_class[orbit_of(ers, d, beta)]:
             return False
         remaining -= closure

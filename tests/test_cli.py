@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -77,6 +78,38 @@ def test_orbits_invalid_system(capsys, tmp_path):
     sys_data["s_sets"]["lg"]["cosets"] = [[1]]  # drops 0: violates R2'
     p.write_text(json.dumps(sys_data))
     assert main(["orbits", str(p)]) == 2
+
+
+def test_orbits_over_coarse_modulus_fails_fast(capsys, tmp_path):
+    # 1000*Z^2 and 999*Z^2 violate k^2*G <= H; their common refinement
+    # has index 999000^2 and must never be enumerated
+    p = tmp_path / "coarse.json"
+    sys_data = span_extended("B", 2, n=2).to_json()
+    sys_data["s_sets"]["sh"]["H"] = [[1000, 0], [0, 1000]]
+    sys_data["s_sets"]["lg"]["H"] = [[999, 0], [0, 999]]
+    p.write_text(json.dumps(sys_data))
+    start = time.perf_counter()
+    assert main(["orbits", str(p)]) == 2
+    assert time.perf_counter() - start < 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "modulus constraint" in err
+
+
+def test_orbits_untrimmed_bc_system(capsys, tmp_path):
+    p = tmp_path / "bc1.json"
+    p.write_text(json.dumps(fully_extended("BC", 1, n=1).to_json()))
+    assert main(["orbits", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "trim first" in err
+
+
+def test_word_alpha_out_of_range(capsys, a1_file, tmp_path):
+    for alpha in (-1, 2):
+        w = tmp_path / f"w{alpha}.json"
+        w.write_text(json.dumps([{"g": [0], "alpha": alpha}]))
+        assert main(["word", a1_file, str(w)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "alpha" in err
 
 
 def test_word_trivial_and_nontrivial(capsys, a1_file, tmp_path):

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -15,9 +16,17 @@ from extweyl.ext_root import (
     trim,
     validate,
 )
-from extweyl.intlinalg import hermite_rows, identity
+from extweyl.intlinalg import (
+    dot,
+    hermite_rows,
+    identity,
+    lattice_reduce,
+    mat_vec,
+    transpose,
+)
 from extweyl.refl_groups import AElement, ReflectionLabel, act_on_root
-from extweyl.root_core import LONG, SHORT, RootSystemType, build
+from extweyl.root_core import LONG, SHORT, RootSystemType, build, k_delta
+from extweyl.verify import orbit_configurations
 
 
 def long_index(ers):
@@ -326,3 +335,75 @@ def test_sset_rebase_preserves_set(cosets, refine):
     assert finer.same_set(s)
     for c in cosets:
         assert finer.contains(tuple(c)) == s.contains(tuple(c))
+
+
+def _r3_exhaustive(ers):
+    """Reference for validate's R3': scan every simple alpha, every root
+    beta and every pair of cosets of S_beta and S_alpha."""
+    delta, n = ers.delta, ers.n
+    refined = ers.refined_s_sets()
+    hstar = next(iter(refined.values())).h_basis
+    coset_sets = {c: set(s.cosets) for c, s in refined.items()}
+    pt = transpose(delta.pairing_matrix)
+    for alpha in delta.basis:
+        cls_a = delta.lengths[alpha]
+        for beta in range(len(delta.roots)):
+            cls_b = delta.lengths[beta]
+            m = dot(mat_vec(pt, delta.coroots[alpha]), delta.roots[beta])
+            for cb in coset_sets[cls_b]:
+                for da in coset_sets[cls_a]:
+                    img = lattice_reduce(
+                        hstar, tuple(cb[i] - m * da[i] for i in range(n))
+                    )
+                    if img not in coset_sets[cls_b]:
+                        return False, (
+                            f"S_{cls_b} - ({m})*S_{cls_a} leaves S_{cls_b}: "
+                            f"{cb} - {m}*{da} = {img}"
+                        )
+    return True, ""
+
+
+def _refined_to_k_squared(ers):
+    """The same slices written over k^2 * Z^n, the finest modulus validate accepts."""
+    t = ers.delta.rs_type
+    kk = 4 if t.is_single_length() else k_delta(t) ** 2
+    fine = [[kk * (i == j) for j in range(ers.n)] for i in range(ers.n)]
+    return ExtRootSystem(
+        ers.delta, ers.group, {c: s.rebase(fine) for c, s in ers.s_sets.items()}
+    )
+
+
+def _broken_variants(ers):
+    """Each slice with one coset dropped, and with one missing coset added;
+    the slice moduli must be diagonal."""
+    out = []
+    for cls, s in ers.s_sets.items():
+        if len(s.cosets) > 1:
+            out.append((cls, s.cosets[:-1]))
+        grid = itertools.product(*(range(row[i]) for i, row in enumerate(s.h_basis)))
+        missing = sorted(set(grid) - set(s.cosets))
+        if missing:
+            out.append((cls, s.cosets + (missing[len(missing) // 2],)))
+    return [
+        ExtRootSystem(
+            ers.delta,
+            ers.group,
+            {**ers.s_sets, cls: SSet(ers.s_sets[cls].h_basis, cosets)},
+        )
+        for cls, cosets in out
+    ]
+
+
+def test_r3_matches_exhaustive_scan():
+    coarse = [ers for _, ers in orbit_configurations()]
+    fine = [_refined_to_k_squared(ers) for ers in coarse]
+    broken = [b for ers in fine for b in _broken_variants(ers)]
+    failures = 0
+    for ers in coarse + fine + broken:
+        rep = validate(ers)
+        r3 = [c for c in rep.checks if c.name.startswith("R3'")]
+        assert len(r3) == 1
+        assert (r3[0].passed, r3[0].witness) == _r3_exhaustive(ers)
+        failures += not r3[0].passed
+    assert all(validate(ers).ok for ers in coarse + fine)
+    assert failures == len(broken) > 0

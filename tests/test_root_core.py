@@ -1,10 +1,11 @@
 import pytest
 
-from extweyl.intlinalg import dot, mat_mul, mat_vec
+from extweyl.intlinalg import dot, mat_mul, mat_vec, transpose
 from extweyl.root_core import (
     EXTRALONG,
     LONG,
     SHORT,
+    FiniteRootSystem,
     RootSystemError,
     RootSystemType,
     build,
@@ -15,6 +16,7 @@ from extweyl.root_core import (
     l_eff_quotient,
     pairing_value_sets,
 )
+from extweyl.verify import sweep_types
 
 ROOT_COUNTS = {
     ("A", 1): 2,
@@ -308,3 +310,43 @@ def test_coroot_effective_quotient_is_dual():
         rs = build(fam, rk)
         fp = FPAbelianGroup(rs.rank, coroot_l_eff_lattice(rs))
         assert fp.descriptor() == want, (fam, rk)
+
+
+# every admissible type up to rank 8, E7 and E8 included
+TABLE_TYPES = sorted(set(sweep_types(8)) | {("E", 7), ("E", 8)})
+
+
+def _pairing_oracle(rs, i, v):
+    """<alpha_i^vee, v> straight from the pairing matrix."""
+    return dot(mat_vec(transpose(rs.pairing_matrix), rs.coroots[i]), v)
+
+
+def _same_reflection_oracle(rs, i, j):
+    """Proportional roots, by comparing against every possible ratio."""
+    ri, rj = rs.roots[i], rs.roots[j]
+    return any(
+        tuple(a * x for x in ri) == tuple(b * x for x in rj)
+        for a, b in ((1, 1), (1, -1), (1, 2), (2, 1), (1, -2), (2, -1))
+    )
+
+
+@pytest.mark.parametrize("fam,rank", TABLE_TYPES)
+def test_root_tables_match_slow_paths(fam, rank):
+    rs = build(fam, rank)
+    for i, ai in enumerate(rs.roots):
+        for j, aj in enumerate(rs.roots):
+            c = _pairing_oracle(rs, i, aj)
+            assert rs.pairing_table[i][j] == c == rs.pairing(i, aj)
+            image = tuple(y - c * x for x, y in zip(ai, aj))
+            assert rs.reflection_table[i][j] == rs.index_of(image)
+            same = _same_reflection_oracle(rs, i, j)
+            assert rs.same_reflection(i, j) == same
+            assert rs.perpendicular(i, j) == (not same and c == 0)
+
+
+def test_root_tables_are_lazy():
+    rs = FiniteRootSystem(RootSystemType("E", 7))
+    lazy = {"_coroot_rows", "pairing_table", "reflection_table", "reflection_ids"}
+    assert not lazy & set(vars(rs))
+    assert rs.reflect_root_index(0, 1) == rs.reflection_table[0][1]
+    assert "reflection_table" in vars(rs)
