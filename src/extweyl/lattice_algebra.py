@@ -9,7 +9,11 @@ the bilinear form that powers the Weyl-group cocycle.
 
 Presentations use the simple reflections only: they generate the Weyl
 group, and the relation subgroup they span is the full one because it
-is closed under the group action.
+is closed under the group action.  For the same reason the perpendicular
+relations are imposed for one left root per length class only: W is
+transitive on each class, so every other perpendicular pair is a
+W-translate of one of these, and its tensor differs from the
+translate's by a coinvariant relation.
 """
 
 from __future__ import annotations
@@ -101,6 +105,11 @@ def _perp_relation_pairs(rs: FiniteRootSystem, left: str, right: str):
 
     Same-side quotients kill short perpendicular pairs (short on the
     side in question); the mixed quotient kills all perpendicular pairs.
+    Only the first pool root of each length class is taken as the left
+    root.  That loses nothing: W is transitive on the roots of one length
+    (Humphreys, Lie Algebras, 10.4 Lemma C), so a pair (w a, b) is
+    w (a, w^-1 b), the pool is W-stable, and the coinvariant relations
+    already identify the tensor of w (a, c) with that of (a, c).
     """
     n = len(rs.roots)
     if left == right:
@@ -110,7 +119,10 @@ def _perp_relation_pairs(rs: FiniteRootSystem, left: str, right: str):
             pool = [i for i in range(n) if rs.coroot_length_class(i) == SHORT]
     else:
         pool = list(range(n))
+    reps: dict[str, int] = {}
     for i in pool:
+        reps.setdefault(rs.lengths[i], i)
+    for i in reps.values():
         for j in pool:
             if rs.perpendicular(i, j):
                 yield i, j
@@ -309,4 +321,3 @@ def expected_tensor_descriptor(rs_type, left: str, right: str) -> str:
 
 # smith_normal_form and FPAbelianGroup are part of this module's
 # surface; they live in intlinalg and are re-exported by the import above.
-IntMatrix = Matrix

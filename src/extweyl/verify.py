@@ -126,6 +126,8 @@ PAIRING_CHECK_TYPES = [
     ("A", 4),
     ("D", 4),
     ("E", 6),
+    ("E", 7),
+    ("E", 8),
 ]
 
 
@@ -155,9 +157,12 @@ def sweep_types(cap_rank: int = 6):
         out.append(("C", l))
     for l in range(4, cap_rank + 1):
         out.append(("D", l))
-    if cap_rank >= 6:
-        out.append(("E", 6))
-    out += [("F", 4), ("G", 2)]
+    for l in range(6, min(cap_rank, 8) + 1):
+        out.append(("E", l))
+    if cap_rank >= 4:
+        out.append(("F", 4))
+    if cap_rank >= 2:
+        out.append(("G", 2))
     for l in range(1, cap_rank + 1):
         out.append(("BC", l))
     return out

@@ -83,7 +83,8 @@ def test_c01_rank2_table():
 # --- criterion 2: pairing value sets -------------------------------------------
 
 # Independent oracle: the classical ambient realizations over exact
-# rationals, nothing shared with the basis-coordinate implementation.
+# rationals (E7 and E8 in doubled integer coordinates), nothing shared
+# with the basis-coordinate implementation.
 
 
 def _ambient_roots(fam: str, l: int):
@@ -148,6 +149,19 @@ def _ambient_roots(fam: str, l: int):
                 w = tuple(v + tail)
                 roots.append(w)
                 roots.append(tuple(-x for x in w))
+    elif fam == "E" and l in (7, 8):
+        # doubled coordinates: D8 roots, then (+-1/2)^8 with an even
+        # number of minus signs; E7 is orthogonal to the E8 root e7 + e8
+        for i in range(8):
+            for j in range(i + 1, 8):
+                for si in (2, -2):
+                    for sj in (2, -2):
+                        roots.append(tuple(si * (k == i) + sj * (k == j) for k in range(8)))
+        for signs in range(256):
+            if bin(signs).count("1") % 2 == 0:
+                roots.append(tuple(-1 if (signs >> k) & 1 else 1 for k in range(8)))
+        if l == 7:
+            roots = [r for r in roots if r[6] + r[7] == 0]
     else:
         raise AssertionError(fam)
     return roots
@@ -169,7 +183,7 @@ def _oracle_value_sets(fam: str, l: int):
         for g in roots:
             ng = dot(g, g)
             cy = SHORT if (len(norms) == 1 or ng == norms[0]) else LONG
-            val = 2 * dot(b, g) / nb
+            val = Fraction(2 * dot(b, g), nb)
             assert val.denominator == 1
             out.setdefault((cx, cy), set()).add(int(val))
     return {k: frozenset(v) for k, v in out.items()}

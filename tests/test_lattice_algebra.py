@@ -1,17 +1,21 @@
 import json
 import pathlib
 
+from extweyl import lattice_algebra
 from extweyl.intlinalg import lattice_contains, hermite_rows
 from extweyl.lattice_algebra import (
+    BoxForm,
     box_quotient,
     boxtimes_form,
     coinvariants,
     inclusion_indices,
     lattice_embedding_matrix,
+    mixed_box_form,
     root_box_form,
     _tensor_of,
 )
 from extweyl.root_core import LONG, SHORT, build, k_delta
+from extweyl.verify import sweep_types
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "tensor_types.json"
 
@@ -85,22 +89,79 @@ def test_generating_set_claim():
             assert lattice_contains(h, tuple(int(t == j) for t in range(width)))
 
 
+SIDES = (("root", "root"), ("root", "coroot"), ("coroot", "coroot"))
+EXTRA_TYPES = [("E", 7), ("E", 8), ("F", 4), ("G", 2), ("C", 4), ("BC", 3)]
+
+
 def test_box_quotients_are_z():
-    for fam, rk in [("A", 1), ("B", 2), ("C", 3), ("G", 2), ("BC", 2), ("D", 4)]:
+    for fam, rk in [("A", 1), ("B", 2), ("C", 3), ("G", 2), ("BC", 2), ("D", 4)] + EXTRA_TYPES:
         rs = build(fam, rk)
-        for pair in (("root", "root"), ("root", "coroot"), ("coroot", "coroot")):
+        for pair in SIDES:
             assert box_quotient(rs, *pair).descriptor() == "Z", (fam, rk, pair)
 
 
 def test_box_form_kills_perpendicular_pairs():
-    # includes long pairs, which are not imposed as relations
-    for fam, rk in [("D", 4), ("B", 3), ("A", 3)]:
+    # every perpendicular pair, including those never imposed as
+    # relations: long pairs on a same-side form, and all pairs whose
+    # left root is not its length class's representative
+    for fam, rk in [("D", 4), ("B", 3), ("A", 3)] + EXTRA_TYPES:
         rs = build(fam, rk)
-        f = root_box_form(rs)
-        for i in range(len(rs.roots)):
-            for j in range(len(rs.roots)):
-                if rs.perpendicular(i, j):
-                    assert f.value_roots(i, j) == 0
+        for f in (root_box_form(rs), mixed_box_form(rs), boxtimes_form(rs)):
+            for i in range(len(rs.roots)):
+                for j in range(len(rs.roots)):
+                    if rs.perpendicular(i, j):
+                        assert f.value_roots(i, j) == 0, (fam, rk, f.left, f.right, i, j)
+
+
+def _all_perp_pairs(rs, left, right):
+    """Every perpendicular pair of the pool, each left root included."""
+    n = len(rs.roots)
+    if left != right:
+        pool = range(n)
+    elif left == "root":
+        pool = [i for i in range(n) if rs.lengths[i] == SHORT]
+    else:
+        pool = [i for i in range(n) if rs.coroot_length_class(i) == SHORT]
+    return [(i, j) for i in pool for j in pool if rs.pairing(i, rs.roots[j]) == 0]
+
+
+def test_class_representative_pairs_match_all_pairs(monkeypatch):
+    # the full relation set is the oracle: one left root per length
+    # class must span the same relation lattice and give the same form
+    for fam, rk in sweep_types(7):
+        rs = build(fam, rk)
+        for left, right in SIDES:
+            with monkeypatch.context() as m:
+                m.setattr(lattice_algebra, "_perp_relation_pairs", _all_perp_pairs)
+                oracle = BoxForm(rs, left, right)
+            # relations are the Hermite normal form of the relation rows
+            got = box_quotient(rs, left, right).relations
+            assert got == oracle.fp.relations, (fam, rk, left, right)
+            assert BoxForm(rs, left, right).gram == oracle.gram, (fam, rk, left, right)
+
+
+def test_sweep_types_lists_each_admissible_type_once():
+    for cap in range(1, 9):
+        got = sweep_types(cap)
+        want = (
+            {("A", l) for l in range(1, cap + 1)}
+            | {("B", l) for l in range(2, cap + 1)}
+            | {("C", l) for l in range(3, cap + 1)}
+            | {("D", l) for l in range(4, cap + 1)}
+            | {("E", l) for l in (6, 7, 8) if l <= cap}
+            | {t for t in (("F", 4), ("G", 2)) if t[1] <= cap}
+            | {("BC", l) for l in range(1, cap + 1)}
+        )
+        assert len(got) == len(set(got)) and set(got) == want, cap
+    # the default sweep and the benchmark inputs built from it
+    assert sweep_types(6) == [
+        ("A", 1), ("A", 2), ("A", 3), ("A", 4), ("A", 5), ("A", 6),
+        ("B", 2), ("B", 3), ("B", 4), ("B", 5), ("B", 6),
+        ("C", 3), ("C", 4), ("C", 5), ("C", 6),
+        ("D", 4), ("D", 5), ("D", 6),
+        ("E", 6), ("F", 4), ("G", 2),
+        ("BC", 1), ("BC", 2), ("BC", 3), ("BC", 4), ("BC", 5), ("BC", 6),
+    ]
 
 
 def test_box_form_invariance():
