@@ -9,10 +9,11 @@ byte-stable for a fixed input and seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
-from extweyl.ext_root import Config, ExtRootError, ExtRootSystem, validate
+from extweyl.ext_root import ExtRootError, ExtRootSystem, validate
 from extweyl.lattice_algebra import (
     box_quotient,
     coinvariants,
@@ -146,15 +147,9 @@ def cmd_tensor_type(args) -> int:
     return EXIT_OK
 
 
-def _load_system(path: str) -> ExtRootSystem:
-    with open(path) as fh:
-        data = json.load(fh)
-    return ExtRootSystem.from_json(data)
-
-
 def cmd_orbits(args) -> int:
     try:
-        ers = _load_system(args.system)
+        ers = ExtRootSystem.load(args.system)
     except (OSError, KeyError, ValueError) as exc:
         print(f"error: cannot load system: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -205,7 +200,7 @@ def cmd_orbits(args) -> int:
 
 def cmd_word(args) -> int:
     try:
-        ers = _load_system(args.system)
+        ers = ExtRootSystem.load(args.system)
         with open(args.word) as fh:
             data = json.load(fh)
         letters = data["word"] if isinstance(data, dict) else data
@@ -291,7 +286,9 @@ def _common_flags(defaults: bool) -> argparse.ArgumentParser:
     return c
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; parse_args keeps no state."""
     p = argparse.ArgumentParser(
         prog="extweyl",
         description="Exact computations with root systems extended by free abelian groups",
@@ -326,16 +323,10 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
-    try:
-        cfg = Config(
-            output_format=args.format, seed=args.seed, cap_rank=args.cap_rank
-        )
-    except ExtRootError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    args = make_parser().parse_args(argv)
+    if args.cap_rank <= 0:
+        print("error: rank cap must be positive", file=sys.stderr)
         return EXIT_USAGE
-    del cfg
     handler = {
         "info": cmd_info,
         "tensor-type": cmd_tensor_type,

@@ -210,6 +210,8 @@ class ExtRootSystem:
                 raise ExtRootError("S-set rank does not match the group rank")
         self.s_sets = dict(s_sets)
         self._refined: dict[str, SSet] | None = None
+        # orbit row lattice per length class, filled lazily by weyl.orbit_of
+        self.orbit_rows: dict[str, list[Vector]] = {}
 
     # -- basic queries ------------------------------------------------------
 
@@ -341,11 +343,6 @@ def span_extended(
             [(0,) * n],
         )
     return ExtRootSystem(delta, grp, s_sets)
-
-
-def membership(ers: "ExtRootSystem", g, root_idx: int) -> bool:
-    """Whether (g, root) is an extended root of the system."""
-    return ers.membership(g, root_idx)
 
 
 # ---------------------------------------------------------------------------
@@ -828,19 +825,3 @@ def _match_root_systems(old: FiniteRootSystem, new: FiniteRootSystem) -> dict[in
         raise ExtRootError("trim closure did not reach every root")
     return {i: assignment[v] for v, idxs in buckets.items() for i in idxs}
 
-
-@dataclass
-class Config:
-    """Run configuration shared by the CLI commands."""
-
-    input_path: str | None = None
-    output_format: str = "text"
-    seed: int = 0
-    cap_rank: int = 6
-    out_path: str | None = None
-
-    def __post_init__(self):
-        if self.cap_rank <= 0:
-            raise ExtRootError("rank cap must be positive")
-        if self.output_format not in ("text", "json"):
-            raise ExtRootError(f"unknown output format {self.output_format!r}")

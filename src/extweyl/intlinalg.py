@@ -314,13 +314,14 @@ def hermite_rows(rows: Sequence[Sequence[int]]) -> list[Vector]:
 
 def lattice_reduce(hnf: Sequence[Sequence[int]], v: Sequence[int]) -> Vector:
     """Canonical representative of v modulo the lattice spanned by hnf rows."""
-    out = list(v)
+    out = v
     for row in hnf:
-        pcol = next(k for k in range(len(row)) if row[k] != 0)
-        f = out[pcol] // row[pcol]
+        for pcol, p in enumerate(row):
+            if p:
+                break
+        f = out[pcol] // p
         if f:
-            for k in range(len(out)):
-                out[k] -= f * row[k]
+            out = [x - f * y for x, y in zip(out, row)]
     return tuple(out)
 
 

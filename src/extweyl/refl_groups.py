@@ -253,10 +253,6 @@ def label_k_part(ers: ExtRootSystem, t: ReflectionLabel) -> Matrix:
     return outer(t.g, ers.delta.coroots[t.root])
 
 
-def k_part(ers: ExtRootSystem, t: ReflectionLabel) -> Matrix:
-    return label_k_part(ers, t)
-
-
 def conj_reflect(
     ers: ExtRootSystem, t1: ReflectionLabel, t2: ReflectionLabel
 ) -> ReflectionLabel:
@@ -317,14 +313,6 @@ class AElement:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"AElement(k={self.k}, v={self.v.matrix})"
-
-
-def a_mul(a: AElement, b: AElement) -> AElement:
-    return a * b
-
-
-def a_inv(a: AElement) -> AElement:
-    return a.inv()
 
 
 def act_on_root(

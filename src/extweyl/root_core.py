@@ -513,18 +513,6 @@ def build(rs_type: RootSystemType | str, rank: int | None = None) -> FiniteRootS
     return _build_cached(rs_type.family, rs_type.rank)
 
 
-def pairing(rs: FiniteRootSystem, coroot_of: int, at: Vector) -> int:
-    return rs.pairing(coroot_of, at)
-
-
-def reflect(rs: FiniteRootSystem, alpha: int, lam: Vector) -> Vector:
-    return rs.reflect(alpha, lam)
-
-
-def reflect_coroot(rs: FiniteRootSystem, alpha: int, mu: Vector) -> Vector:
-    return rs.reflect_coroot(alpha, mu)
-
-
 def coxeter_evaluate(rs: FiniteRootSystem, word: list[int]) -> WeylElement:
     """Product of the reflections named by root indices; [] gives the identity."""
     out = WeylElement.identity(rs.rank)

@@ -29,6 +29,7 @@ from extweyl.intlinalg import (
     freeze,
     hermite_rows,
     is_zero_mat,
+    lattice_contains,
     lattice_reduce,
     mat_mul,
     solve_integer,
@@ -134,14 +135,6 @@ def w_generator(ers: ExtRootSystem, t: ReflectionLabel) -> WElement:
     )
 
 
-def w_mul(a: WElement, b: WElement) -> WElement:
-    return a * b
-
-
-def w_inv(a: WElement) -> WElement:
-    return a.inv()
-
-
 def evaluate_word_in_w(ers: ExtRootSystem, word) -> WElement:
     out = WElement.identity(ers)
     for t in word:
@@ -186,18 +179,6 @@ def orbit_row_lattice(ers: ExtRootSystem, cls: str) -> list[Vector]:
     return hermite_rows(full)
 
 
-def _orbit_row_cached(ers: ExtRootSystem, cls: str):
-    cache = getattr(ers, "_orbit_rows", None)
-    if cache is None:
-        cache = {}
-        ers._orbit_rows = cache
-    row = cache.get(cls)
-    if row is None:
-        row = orbit_row_lattice(ers, cls)
-        cache[cls] = row
-    return row
-
-
 def orbit_of(ers: ExtRootSystem, g, root_idx: int) -> OrbitClass:
     """The orbit class of an extended root (g, beta) under the full group.
 
@@ -210,7 +191,10 @@ def orbit_of(ers: ExtRootSystem, g, root_idx: int) -> OrbitClass:
     if not ers.membership(g, root_idx):
         raise ExtRootError(f"({g}, root {root_idx}) is not in the extended system")
     cls = ers.delta.lengths[root_idx]
-    return OrbitClass(cls, lattice_reduce(_orbit_row_cached(ers, cls), g))
+    rows = ers.orbit_rows.get(cls)
+    if rows is None:
+        rows = ers.orbit_rows[cls] = orbit_row_lattice(ers, cls)
+    return OrbitClass(cls, lattice_reduce(rows, g))
 
 
 _BRUTE_MODULUS = {"A": 2, "B": 2, "C": 2, "D": 2, "E": 2, "F": 2, "G": 6}
@@ -596,7 +580,7 @@ def build_uab_kernel_word(ers: ExtRootSystem, max_subset: int = 8):
     for size in range(2, min(len(reps), max_subset) + 1, 2):
         for combo in combinations(reps, size):
             total = tuple(sum(c[i] for c in combo) for i in range(n))
-            if not _in_lattice(row_h, total):
+            if not lattice_contains(row_h, total):
                 continue
             wedge_sum = [[0] * n for _ in range(n)]
             for x in range(size):
@@ -613,12 +597,6 @@ def build_uab_kernel_word(ers: ExtRootSystem, max_subset: int = 8):
             if word is not None:
                 return word
     return None
-
-
-def _in_lattice(hnf, v) -> bool:
-    from extweyl.intlinalg import lattice_contains
-
-    return lattice_contains(hnf, v)
 
 
 def _assemble_kernel_word(ers: ExtRootSystem, root: int, reps: list[Vector], row_h):

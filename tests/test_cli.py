@@ -1,8 +1,13 @@
+import gc
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
 
+import extweyl
 from extweyl.cli import main
 from extweyl.ext_root import fully_extended, span_extended
 
@@ -188,3 +193,55 @@ def test_word_uab_kernel_witness(capsys, tmp_path):
 
 def test_bad_cap_rank_rejected(capsys):
     assert main(["verify", "tables", "--cap-rank", "-1"]) == 2
+
+
+def _fresh_process(argv):
+    src = os.path.dirname(os.path.dirname(extweyl.__file__))
+    env = dict(os.environ, PYTHONPATH=src, COLUMNS="80")
+    proc = subprocess.run(
+        [sys.executable, "-m", "extweyl", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def _in_process(argv, capsys):
+    try:
+        rc = main(argv)
+    except SystemExit as exc:  # argparse rejects the command line
+        rc = exc.code
+    captured = capsys.readouterr()
+    return rc, captured.out, captured.err
+
+
+def test_parser_reuse_matches_fresh_processes(capsys, monkeypatch, b2_file):
+    # usage lines wrap at the terminal width; pin it for both sides
+    monkeypatch.setenv("COLUMNS", "80")
+    calls = [
+        ["verify", "tables", "--seed", "5", "--format", "json"],
+        ["verify", "tables", "--format", "json"],  # seed back to 0
+        ["verify", "tables", "--cap-rank", "-1"],
+        ["verify", "tables"],
+        ["orbits", b2_file, "--format", "json"],
+        ["tensor-type", "B", "2", "root,root", "--seed", "3"],
+        ["tensor-type", "B", "2", "nope"],
+        ["--format", "json", "info", "G", "2"],
+        ["info", "A", "2"],
+    ]
+    for argv in calls:
+        assert _in_process(argv, capsys) == _fresh_process(argv), argv
+
+
+def test_orbits_leaves_little_cyclic_garbage(capsys, b2_file):
+    argv = ["orbits", b2_file, "--format", "json"]
+    assert main(argv) == 0  # builds the parser and the root tables
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(20):
+            assert main(argv) == 0
+        garbage = gc.collect()
+    finally:
+        gc.enable()
+    capsys.readouterr()
+    assert garbage <= 1000

@@ -100,6 +100,52 @@ def test_lattice_reduce_canonical():
     assert not lattice_contains(h, (1, 0))
 
 
+def _lattice_reduce_oracle(hnf, v):
+    """The generator-and-index implementation lattice_reduce replaced."""
+    out = list(v)
+    for row in hnf:
+        pcol = next(k for k in range(len(row)) if row[k] != 0)
+        f = out[pcol] // row[pcol]
+        if f:
+            for k in range(len(out)):
+                out[k] -= f * row[k]
+    return tuple(out)
+
+
+def _full_rank_lattice(n, diagonal):
+    if diagonal:
+        rows = st.lists(st.integers(1, 9), min_size=n, max_size=n).map(
+            lambda d: [[d[i] * (i == j) for j in range(n)] for i in range(n)]
+        )
+    else:
+        rows = st.lists(
+            st.lists(st.integers(-9, 9), min_size=n, max_size=n), min_size=n, max_size=n
+        ).filter(lambda r: determinant(freeze(r)) != 0)
+    return rows.map(hermite_rows)
+
+
+lattice_and_vector = st.integers(1, 4).flatmap(
+    lambda n: st.tuples(
+        st.booleans().flatmap(lambda diag: _full_rank_lattice(n, diag)),
+        st.lists(st.integers(-60, 60), min_size=n, max_size=n).map(tuple),
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lattice_and_vector)
+def test_lattice_reduce_matches_generator_oracle(case):
+    hnf, v = case
+    got = lattice_reduce(hnf, v)
+    assert got == _lattice_reduce_oracle(hnf, v)
+    assert type(got) is tuple
+    # a canonical representative: v - got lies in the lattice, and
+    # reducing twice or from a list changes nothing
+    assert lattice_contains(hnf, tuple(x - y for x, y in zip(v, got)))
+    assert lattice_reduce(hnf, got) == got
+    assert lattice_reduce(hnf, list(v)) == got
+
+
 def test_lattice_intersection():
     a = hermite_rows([[2, 0], [0, 1]])
     b = hermite_rows([[1, 0], [0, 3]])
