@@ -14,6 +14,7 @@ import json
 import sys
 
 from extweyl.ext_root import ExtRootError, ExtRootSystem, validate
+from extweyl.intlinalg import QuotientTooLarge
 from extweyl.lattice_algebra import (
     box_quotient,
     coinvariants,
@@ -147,6 +148,16 @@ def cmd_tensor_type(args) -> int:
     return EXIT_OK
 
 
+def _reject_invalid(ers: ExtRootSystem) -> bool:
+    """Print the first failed axiom of an invalid system; True if it failed."""
+    rep = validate(ers)
+    if rep.ok:
+        return False
+    first = rep.failed()[0]
+    print(f"error: system invalid: {first.name} {first.witness}", file=sys.stderr)
+    return True
+
+
 def cmd_orbits(args) -> int:
     try:
         ers = ExtRootSystem.load(args.system)
@@ -159,10 +170,7 @@ def cmd_orbits(args) -> int:
             file=sys.stderr,
         )
         return EXIT_USAGE
-    rep = validate(ers)
-    if not rep.ok:
-        first = rep.failed()[0]
-        print(f"error: system invalid: {first.name} {first.witness}", file=sys.stderr)
+    if _reject_invalid(ers):
         return EXIT_USAGE
     m = default_brute_modulus(ers)
     rs = ers.delta
@@ -201,6 +209,12 @@ def cmd_orbits(args) -> int:
 def cmd_word(args) -> int:
     try:
         ers = ExtRootSystem.load(args.system)
+    except (OSError, KeyError, TypeError, ValueError, IndexError) as exc:
+        print(f"error: bad input: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    if _reject_invalid(ers):
+        return EXIT_USAGE
+    try:
         with open(args.word) as fh:
             data = json.load(fh)
         letters = data["word"] if isinstance(data, dict) else data
@@ -334,7 +348,11 @@ def main(argv=None) -> int:
         "word": cmd_word,
         "verify": cmd_verify,
     }[args.command]
-    return handler(args)
+    try:
+        return handler(args)
+    except QuotientTooLarge as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -17,6 +17,7 @@ from math import prod
 from extweyl.intlinalg import (
     Matrix,
     Vector,
+    coset_residues,
     freeze,
     hermite_rows,
     identity,
@@ -112,13 +113,7 @@ class SSet:
         fine = hermite_rows(h_basis)
         if not lattice_subset(fine, self.h_basis):
             raise ExtRootError("new modulus must refine the old one")
-        shifts = _sublattice_quotient_reps(self.h_basis, fine)
-        cosets = [
-            lattice_reduce(fine, tuple(x + y for x, y in zip(c, s)))
-            for c in self.cosets
-            for s in shifts
-        ]
-        return SSet(fine, cosets)
+        return SSet(fine, coset_residues(fine, self.cosets, self.h_basis))
 
     def scale(self, m: int) -> "SSet":
         """The set m*S over the modulus m*H."""
@@ -139,30 +134,6 @@ class SSet:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"SSet(H={self.h_basis}, cosets={self.cosets})"
-
-
-def _subgroup_mod(hnf, generators) -> set[Vector]:
-    """All residues of the subgroup generated by `generators`, modulo hnf."""
-    n = len(hnf)
-    zero = (0,) * n
-    seen = {zero}
-    frontier = [zero]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for g in generators:
-                for sgn in (1, -1):
-                    w = lattice_reduce(hnf, tuple(x + sgn * y for x, y in zip(v, g)))
-                    if w not in seen:
-                        seen.add(w)
-                        nxt.append(w)
-        frontier = nxt
-    return seen
-
-
-def _sublattice_quotient_reps(coarse, fine) -> list[Vector]:
-    """Representatives of (coarse lattice) / (fine lattice)."""
-    return sorted(_subgroup_mod(fine, list(coarse)))
 
 
 @dataclass
@@ -275,6 +246,8 @@ class ExtRootSystem:
 
     @staticmethod
     def from_json(data: dict) -> "ExtRootSystem":
+        if "schema" in data and data["schema"] != 1:
+            raise ExtRootError(f"unsupported schema {data['schema']!r}; expected 1")
         key = {"sh": SHORT, "lg": LONG, "ex": EXTRALONG}
         rst = RootSystemType(data["delta"]["family"], data["delta"]["rank"])
         grp = FreeAbelianGroup(
@@ -413,13 +386,14 @@ def validate(ers: ExtRootSystem) -> ValidationReport:
                 chains.append((SHORT, EXTRALONG, k * k))
             for lower, upper, mult in chains:
                 up, lo = refined[upper], refined[lower]
-                sub_ok = set(up.cosets) <= set(lo.cosets)
-                scaled = lo.scale(mult)
-                common = lattice_intersection(scaled.h_basis, up.h_basis)
-                mult_ok = set(scaled.rebase(common).cosets) <= set(
-                    up.rebase(common).cosets
+                # both slices live over H*, so mult*S_lower <= S_upper is
+                # decided in G/H*, not over mult*H*
+                scaled = coset_residues(
+                    up.h_basis,
+                    [vec_scale(mult, c) for c in lo.cosets],
+                    [vec_scale(mult, h) for h in lo.h_basis],
                 )
-                ok = sub_ok and mult_ok
+                ok = set(up.cosets) <= set(lo.cosets) and scaled <= set(up.cosets)
                 rep.add(
                     f"chain {mult}*S_{lower} <= S_{upper} <= S_{lower}",
                     ok,
@@ -493,12 +467,6 @@ def _reflection_stability(
 # ---------------------------------------------------------------------------
 # Twist decompositions
 # ---------------------------------------------------------------------------
-
-
-def _sumset(hnf, a: set[Vector], b) -> set[Vector]:
-    return {
-        lattice_reduce(hnf, tuple(x + y for x, y in zip(u, v))) for u in a for v in b
-    }
 
 
 def _solve_combination(rows, target) -> Vector | None:
@@ -593,26 +561,22 @@ def check_twist(ers: ExtRootSystem) -> ValidationReport:
 
     set_eq(
         "T1: S_sh = (S_sh cap G1) + <S_lg cap G2>",
-        _sumset(hstar, sh_cap_g1, _subgroup_mod(hstar, span_lg_cap_g2)),
+        coset_residues(hstar, sh_cap_g1, span_lg_cap_g2),
         sh,
     )
     set_eq(
         "T2: S_lg = k*<S_sh cap G1> + (S_lg cap G2)",
-        _sumset(
-            hstar,
-            _subgroup_mod(hstar, [vec_scale(k, v) for v in span_sh_cap_g1]),
-            lg_cap_g2,
-        ),
+        coset_residues(hstar, lg_cap_g2, [vec_scale(k, v) for v in span_sh_cap_g1]),
         lg,
     )
     set_eq(
         "(i) S_sh = (S_sh cap G1) + G2",
-        _sumset(hstar, sh_cap_g1, _subgroup_mod(hstar, g2_gens)),
+        coset_residues(hstar, sh_cap_g1, g2_gens),
         sh,
     )
     set_eq(
         "(ii) S_lg = k*G1 + (S_lg cap G2)",
-        _sumset(hstar, _subgroup_mod(hstar, k_g1), lg_cap_g2),
+        coset_residues(hstar, lg_cap_g2, k_g1),
         lg,
     )
     rep.add(

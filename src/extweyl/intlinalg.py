@@ -9,6 +9,7 @@ package works with (matrices of a few hundred rows).
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 from typing import Sequence
 
 Vector = tuple[int, ...]
@@ -352,28 +353,55 @@ def lattice_intersection(
     return hermite_rows(gens)
 
 
-def quotient_reps(hnf: Sequence[Sequence[int]]) -> list[Vector]:
-    """All canonical representatives of Z^n modulo a full-rank lattice.
+MAX_QUOTIENT_INDEX = 4096
 
-    `hnf` must be a full-rank hermite_rows output (n rows, n columns).
+
+class QuotientTooLarge(ValueError):
+    """A finite quotient of Z^n that is too large to enumerate."""
+
+
+def coset_residues(
+    hnf: Sequence[Sequence[int]],
+    cosets: Sequence[Sequence[int]],
+    gens: Sequence[Sequence[int]] = (),
+) -> set[Vector]:
+    """Canonical residues of cosets + <gens> modulo the full-rank lattice hnf.
+
+    `hnf` must be a full-rank hermite_rows output, so it is triangular
+    with the pivots on the diagonal, and so is L = hermite_rows(hnf +
+    gens), which contains it.  L/hnf then has exactly the representatives
+    sum t_i * L_i with 0 <= t_i < hnf_ii / L_ii (Cohen, A Course in
+    Computational Algebraic Number Theory, 2.4).  Cosets that agree
+    modulo L give the same residues, so each residue is reduced once.
+    The index |Z^n / hnf| is checked against MAX_QUOTIENT_INDEX before
+    anything is enumerated.
     """
     n = len(hnf)
-    assert n == 0 or len(hnf[0]) == n, "full-rank square lattice required"
-    diag = []
-    for row in hnf:
-        pcol = next(k for k in range(n) if row[k] != 0)
-        diag.append((pcol, row[pcol]))
-    diag.sort()
-    reps = set()
-    stack = [()]
-    for _, d in diag:
-        stack = [t + (r,) for t in stack for r in range(d)]
-    for t in stack:
-        v = [0] * n
-        for (pcol, _), x in zip(diag, t):
-            v[pcol] = x
-        reps.add(lattice_reduce(hnf, v))
-    return sorted(reps)
+    if any(len(row) != n for row in hnf):
+        raise ValueError("coset residues need a full-rank modulus")
+    index = prod(hnf[i][i] for i in range(n))
+    if index > MAX_QUOTIENT_INDEX:
+        raise QuotientTooLarge(
+            f"finite quotient of index {index} exceeds the cap {MAX_QUOTIENT_INDEX}"
+        )
+    # generators inside hnf add nothing; with none left, L is hnf itself
+    gens = [r for r in (lattice_reduce(hnf, g) for g in gens) if any(r)]
+    if not gens:
+        return {lattice_reduce(hnf, c) for c in cosets}
+    big = hermite_rows([*hnf, *gens])
+    offsets = [(0,) * n]
+    for i, row in enumerate(big):
+        offsets = [
+            tuple(x + t * y for x, y in zip(o, row))
+            for o in offsets
+            for t in range(hnf[i][i] // row[i])
+        ]
+    starts = {lattice_reduce(big, c) for c in cosets}
+    return {
+        lattice_reduce(hnf, tuple(x + y for x, y in zip(c, o)))
+        for c in starts
+        for o in offsets
+    }
 
 
 class FPAbelianGroup:

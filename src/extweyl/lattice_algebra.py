@@ -28,7 +28,6 @@ from extweyl.intlinalg import (
     dot,
     freeze,
     mat_vec,
-    smith_normal_form,
     transpose,
 )
 from extweyl.root_core import (
@@ -318,6 +317,3 @@ def expected_tensor_descriptor(rs_type, left: str, right: str) -> str:
     eff = fam if left == ROOT else _dual_family(fam, l)
     return "Z x Z2" if (eff in ("B", "BC") and l >= 2) else "Z"
 
-
-# smith_normal_form and FPAbelianGroup are part of this module's
-# surface; they live in intlinalg and are re-exported by the import above.

@@ -26,6 +26,7 @@ from extweyl.intlinalg import (
     FPAbelianGroup,
     Matrix,
     Vector,
+    coset_residues,
     freeze,
     hermite_rows,
     is_zero_mat,
@@ -206,31 +207,15 @@ def default_brute_modulus(ers: ExtRootSystem) -> int:
     return _BRUTE_MODULUS[ers.delta.rs_type.family]
 
 
-def slice_residues_mod(ers: ExtRootSystem, cls: str, mod_h) -> set[Vector]:
-    """Image of the slice S_cls in the finite quotient by a sublattice."""
-    s = ers.s_sets[cls]
-    residues = {lattice_reduce(mod_h, v) for v in s.cosets}
-    frontier = list(residues)
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for hrow in s.h_basis:
-                for sgn in (1, -1):
-                    w = lattice_reduce(
-                        mod_h, tuple(x + sgn * y for x, y in zip(v, hrow))
-                    )
-                    if w not in residues:
-                        residues.add(w)
-                        nxt.append(w)
-        frontier = nxt
-    return residues
-
-
 def slice_residues_by_class(ers: ExtRootSystem, m: int) -> dict[str, list[Vector]]:
     """The sorted image of every slice in G/mG, keyed by length class."""
     n = ers.n
     mod_h = hermite_rows([vec_scale(m, ers.group.basis_vector(i)) for i in range(n)])
-    return {cls: sorted(slice_residues_mod(ers, cls, mod_h)) for cls in ers.classes()}
+    out = {}
+    for cls in ers.classes():
+        s = ers.s_sets[cls]
+        out[cls] = sorted(coset_residues(mod_h, s.cosets, s.h_basis))
+    return out
 
 
 def orbit_bruteforce(
@@ -415,8 +400,8 @@ def ab_a_properness(ers: ExtRootSystem) -> bool:
             i for i in range(len(ers.delta.roots)) if ers.delta.lengths[i] == cls
         )
         row_h = hermite_rows(orbit_row_lattice(ers, cls))
-        reps = sorted(slice_residues_mod(ers, cls, row_h))
-        for rep in reps:
+        s = ers.s_sets[cls]
+        for rep in sorted(coset_residues(row_h, s.cosets, s.h_basis)):
             t = ReflectionLabel.make(ers, rep, root)
             image = (cls, abk.project_k(label_k_part(ers, t)))
             oc = orbit_of(ers, rep, root)
@@ -570,7 +555,8 @@ def build_uab_kernel_word(ers: ExtRootSystem, max_subset: int = 8):
     row_h = hermite_rows(orbit_row_lattice(ers, cls))
     if len(row_h) < ers.n:
         return None
-    reps = sorted(slice_residues_mod(ers, cls, row_h))
+    s = ers.s_sets[cls]
+    reps = sorted(coset_residues(row_h, s.cosets, s.h_basis))
     if len(reps) < 2:
         return None
 

@@ -100,12 +100,54 @@ def test_orbits_over_coarse_modulus_fails_fast(capsys, tmp_path):
     assert err.count("\n") == 1 and "modulus constraint" in err
 
 
+@pytest.mark.parametrize("n", [13, 20])
+def test_orbits_quotient_index_cap(capsys, tmp_path, n):
+    # a valid B2 system whose slice moduli meet in 2*Z^n: G/2G has index
+    # 2^n, past MAX_QUOTIENT_INDEX = 2^12, and must never be enumerated
+    p = tmp_path / "big.json"
+    p.write_text(json.dumps(span_extended("B", 2, n=n, g1=tuple(range(n))).to_json()))
+    start = time.perf_counter()
+    assert main(["orbits", str(p)]) == 2
+    assert time.perf_counter() - start < 2
+    err = capsys.readouterr().err
+    assert err == f"error: finite quotient of index {2 ** n} exceeds the cap 4096\n"
+
+
+def test_schema_other_than_one_rejected(capsys, tmp_path, a1_file):
+    data = fully_extended("A", 1, n=1).to_json()
+    w = tmp_path / "w.json"
+    w.write_text(json.dumps([{"g": [0], "alpha": 0}]))
+    for schema, rc in ((2, 2), ("1", 2), (None, 0)):
+        p = tmp_path / f"s{schema}.json"
+        if schema is None:
+            data.pop("schema")
+        else:
+            data["schema"] = schema
+        p.write_text(json.dumps(data))
+        for argv in (["orbits", str(p)], ["word", str(p), str(w)]):
+            assert main(argv) == rc, (schema, argv)
+            err = capsys.readouterr().err
+            assert err.count("\n") == (rc == 2) and ("schema" in err) == (rc == 2)
+
+
 def test_orbits_untrimmed_bc_system(capsys, tmp_path):
     p = tmp_path / "bc1.json"
     p.write_text(json.dumps(fully_extended("BC", 1, n=1).to_json()))
     assert main(["orbits", str(p)]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "trim first" in err
+
+
+def test_word_invalid_system(capsys, tmp_path):
+    p = tmp_path / "bad.json"
+    sys_data = span_extended("B", 2, n=1, g1=(0,)).to_json()
+    sys_data["s_sets"]["lg"]["cosets"] = [[1]]  # drops 0: violates R2'
+    p.write_text(json.dumps(sys_data))
+    w = tmp_path / "w.json"
+    w.write_text(json.dumps([{"g": [0], "alpha": 0}]))
+    assert main(["word", str(p), str(w)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: system invalid: R2' (0 in S_long) 0 not in S_long\n"
 
 
 def test_word_alpha_out_of_range(capsys, a1_file, tmp_path):

@@ -20,12 +20,13 @@ from extweyl.intlinalg import (
     dot,
     hermite_rows,
     identity,
+    lattice_intersection,
     lattice_reduce,
     mat_vec,
     transpose,
 )
 from extweyl.refl_groups import AElement, ReflectionLabel, act_on_root
-from extweyl.root_core import LONG, SHORT, RootSystemType, build, k_delta
+from extweyl.root_core import EXTRALONG, LONG, SHORT, RootSystemType, build, k_delta
 from extweyl.verify import orbit_configurations
 
 
@@ -407,3 +408,44 @@ def test_r3_matches_exhaustive_scan():
         failures += not r3[0].passed
     assert all(validate(ers).ok for ers in coarse + fine)
     assert failures == len(broken) > 0
+
+
+def _chains_oracle(ers):
+    """The chain check validate replaced: mult*S_lower written over mult*H*,
+    then it and S_upper rebased onto the intersection of their moduli."""
+    refined = ers.refined_s_sets()
+    if ers.delta.rs_type.is_single_length():
+        return []
+    k = k_delta(ers.delta.rs_type)
+    out = []
+    for lower, upper, mult in ((SHORT, LONG, k), (LONG, EXTRALONG, k), (SHORT, EXTRALONG, k * k)):
+        if lower not in refined or upper not in refined:
+            continue
+        up, lo = refined[upper], refined[lower]
+        sub_ok = set(up.cosets) <= set(lo.cosets)
+        scaled = lo.scale(mult)
+        common = lattice_intersection(scaled.h_basis, up.h_basis)
+        mult_ok = set(scaled.rebase(common).cosets) <= set(up.rebase(common).cosets)
+        ok = sub_ok and mult_ok
+        out.append((
+            f"chain {mult}*S_{lower} <= S_{upper} <= S_{lower}",
+            ok,
+            "" if ok else f"containment fails ({upper},{lower})",
+        ))
+    return out
+
+
+def test_chains_match_rebased_oracle():
+    coarse = [ers for _, ers in orbit_configurations()]
+    fine = [_refined_to_k_squared(ers) for ers in coarse]
+    broken = [b for ers in fine for b in _broken_variants(ers)]
+    failures = 0
+    for ers in coarse + fine + broken:
+        got = [
+            (c.name, c.passed, c.witness)
+            for c in validate(ers).checks
+            if c.name.startswith("chain")
+        ]
+        assert got == _chains_oracle(ers)
+        failures += sum(not ok for _, ok, _ in got)
+    assert failures > 0

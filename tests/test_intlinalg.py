@@ -2,7 +2,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from extweyl.intlinalg import (
+    MAX_QUOTIENT_INDEX,
     FPAbelianGroup,
+    QuotientTooLarge,
+    coset_residues,
     determinant,
     dims,
     freeze,
@@ -15,7 +18,6 @@ from extweyl.intlinalg import (
     mat_inv,
     mat_mul,
     mat_vec,
-    quotient_reps,
     smith_normal_form,
     solve_integer,
     transpose,
@@ -155,10 +157,66 @@ def test_lattice_intersection():
 
 def test_quotient_reps():
     h = hermite_rows([[2, 0], [0, 2]])
-    reps = quotient_reps(h)
-    assert len(reps) == 4
+    reps = coset_residues(h, [(0, 0)], identity(2))
+    assert sorted(reps) == [(0, 0), (0, 1), (1, 0), (1, 1)]
     h2 = hermite_rows([[1, 1], [0, 2]])
-    assert len(quotient_reps(h2)) == 2
+    assert len(coset_residues(h2, [(0, 0)], identity(2))) == 2
+
+
+def _coset_residues_bfs(hnf, cosets, gens):
+    """The breadth-first search coset_residues replaced: close the reduced
+    cosets under adding and subtracting each generator."""
+    seen = {lattice_reduce(hnf, c) for c in cosets}
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for g in gens:
+                for sgn in (1, -1):
+                    w = lattice_reduce(hnf, tuple(x + sgn * y for x, y in zip(v, g)))
+                    if w not in seen:
+                        seen.add(w)
+                        nxt.append(w)
+        frontier = nxt
+    return seen
+
+
+def _vectors(n, lo, hi, max_size):
+    return st.lists(
+        st.lists(st.integers(lo, hi), min_size=n, max_size=n).map(tuple),
+        max_size=max_size,
+    )
+
+
+quotient_case = st.integers(0, 4).flatmap(
+    lambda n: st.tuples(
+        st.booleans()
+        .flatmap(lambda diag: _full_rank_lattice(n, diag))
+        .filter(lambda h: determinant(freeze(h)) <= 2000),
+        _vectors(n, -20, 20, 4),
+        _vectors(n, -9, 9, 3),
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(quotient_case)
+def test_coset_residues_matches_bfs(case):
+    hnf, cosets, gens = case
+    got = coset_residues(hnf, cosets, gens)
+    assert got == _coset_residues_bfs(hnf, cosets, gens)
+    assert all(lattice_reduce(hnf, v) == v for v in got)
+
+
+def test_coset_residues_index_cap():
+    assert MAX_QUOTIENT_INDEX == 2 ** 12
+    at_cap = hermite_rows([[2 ** 12, 0], [0, 1]])
+    assert len(coset_residues(at_cap, [(0, 0)], identity(2))) == 2 ** 12
+    over = hermite_rows([[2 * (i == j) for j in range(13)] for i in range(13)])
+    with pytest.raises(QuotientTooLarge, match="index 8192 exceeds the cap 4096"):
+        coset_residues(over, [])
+    with pytest.raises(ValueError, match="full-rank"):
+        coset_residues(hermite_rows([[2, 0]]), [(0, 0)])
 
 
 def test_kernel_basis():
