@@ -9,7 +9,7 @@ floats, no real vector spaces, only arbitrary-precision integers.
 
 from extweyl.root_core import RootSystemType, FiniteRootSystem, WeylElement, build
 from extweyl.ext_root import FreeAbelianGroup, SSet, ExtRootSystem
-from extweyl.refl_groups import ReflectionLabel, AElement
+from extweyl.refl_groups import ReflectionLabel
 from extweyl.weyl import WElement, decide_word
 
 __all__ = [
@@ -21,7 +21,6 @@ __all__ = [
     "SSet",
     "ExtRootSystem",
     "ReflectionLabel",
-    "AElement",
     "WElement",
     "decide_word",
 ]

@@ -35,6 +35,9 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 
+# what reading a malformed system or word file raises
+INPUT_ERRORS = (OSError, KeyError, TypeError, ValueError, IndexError)
+
 PAIRS = {
     "root,root": ("root", "root"),
     "root,coroot": ("root", "coroot"),
@@ -161,7 +164,7 @@ def _reject_invalid(ers: ExtRootSystem) -> bool:
 def cmd_orbits(args) -> int:
     try:
         ers = ExtRootSystem.load(args.system)
-    except (OSError, KeyError, ValueError) as exc:
+    except INPUT_ERRORS as exc:
         print(f"error: cannot load system: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if not ers.delta.rs_type.is_reduced():
@@ -209,7 +212,7 @@ def cmd_orbits(args) -> int:
 def cmd_word(args) -> int:
     try:
         ers = ExtRootSystem.load(args.system)
-    except (OSError, KeyError, TypeError, ValueError, IndexError) as exc:
+    except INPUT_ERRORS as exc:
         print(f"error: bad input: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if _reject_invalid(ers):
@@ -231,7 +234,7 @@ def cmd_word(args) -> int:
         for item, t in zip(letters, word):
             if not ers.membership(tuple(item["g"]), int(item["alpha"])):
                 raise ExtRootError(f"letter {item} is not an extended root")
-    except (OSError, KeyError, TypeError, ValueError, IndexError) as exc:
+    except INPUT_ERRORS as exc:
         print(f"error: bad input: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:

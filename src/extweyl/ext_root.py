@@ -65,9 +65,6 @@ class FreeAbelianGroup:
         if joint != list(range(self.rank)):
             raise ExtRootError("g1 and g2 must partition the basis indices")
 
-    def zero(self) -> Vector:
-        return (0,) * self.rank
-
     def basis_vector(self, i: int) -> Vector:
         return tuple(int(j == i) for j in range(self.rank))
 
@@ -212,13 +209,6 @@ class ExtRootSystem:
                 )
             self._refined = {c: s.rebase(common) for c, s in self.s_sets.items()}
         return self._refined
-
-    def is_tame(self) -> bool:
-        if self.delta.rs_type.is_single_length():
-            return True
-        if not self.delta.rs_type.is_reduced():
-            raise ExtRootError("tameness is assessed after trimming a BC system")
-        return check_twist(self).ok
 
     def span_s(self, cls: str) -> list[Vector]:
         return self.s_sets[cls].span()
@@ -622,14 +612,6 @@ class TrimResult:
         if sol is None:
             raise ExtRootError(f"{tuple(g_old)} is not in the trimmed group")
         return sol
-
-    def unmap_group(self, g_new) -> Vector:
-        n = len(self.g_matrix[0]) if self.g_matrix else 0
-        out = [0] * n
-        for c, row in zip(g_new, self.g_matrix):
-            for i in range(n):
-                out[i] += c * row[i]
-        return tuple(out)
 
     def map_extended_root(self, g_old, root_idx: int) -> tuple[Vector, int]:
         g_old = tuple(g_old)

@@ -181,11 +181,6 @@ class BoxForm:
     def value(self, x: Vector, y: Vector) -> int:
         return dot(x, mat_vec(self.gram, y))
 
-    def value_roots(self, i: int, j: int) -> int:
-        vecs_l, _ = _side_data(self.rs, self.left)
-        vecs_r, _ = _side_data(self.rs, self.right)
-        return self.value(vecs_l[i], vecs_r[j])
-
 
 @lru_cache(maxsize=None)
 def _box_form_cached(family: str, rank: int, left: str, right: str) -> BoxForm:

@@ -3,8 +3,10 @@
 Covers three layers: the axioms for an abstract symmetric system and
 for a group acting on it by reflections; generic permutation-closure
 machinery for small finite systems (the terminal group); and the
-concrete faithful realization of the reflections of an extended root
-system inside Hom(L, G) x Aut(L), with exact element arithmetic.
+canonical labels of the reflections of an extended root system, with
+their translation parts and conjugation.  Group elements, of the
+extended Weyl group and of its quotient by the centre alike, are
+`weyl.WElement`s.
 """
 
 from __future__ import annotations
@@ -12,17 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from extweyl.ext_root import ExtRootSystem, ValidationReport
-from extweyl.intlinalg import (
-    Matrix,
-    Vector,
-    is_zero_mat,
-    mat_mul,
-    mat_vec,
-    outer,
-    transpose,
-    zeros,
-)
-from extweyl.root_core import FiniteRootSystem, WeylElement
+from extweyl.intlinalg import Matrix, Vector, outer
+from extweyl.root_core import FiniteRootSystem
 
 
 class ClosureCapError(RuntimeError):
@@ -48,9 +41,6 @@ class SymSystem:
     @staticmethod
     def trivial(size: int) -> "SymSystem":
         return SymSystem(size, [[t for t in range(size)] for _ in range(size)])
-
-    def perp(self, s: int, t: int) -> bool:
-        return s != t and self.mul(s, t) == t and self.mul(t, s) == s
 
 
 def check_sym_axioms(s: SymSystem) -> ValidationReport:
@@ -262,88 +252,3 @@ def conj_reflect(
     new_root = rs.reflection_table[t1.root][t2.root]
     new_g = tuple(h - m * g for h, g in zip(t2.g, t1.g))
     return ReflectionLabel.make(ers, new_g, new_root)
-
-
-class AElement:
-    """An element (k, v) of the terminal reflection group K x| V.
-
-    k is an n x l integer matrix over (group basis) x (coroot basis),
-    acting on L through the pairing; v acts on k from the left through
-    the coroot matrices.
-    """
-
-    __slots__ = ("k", "v")
-
-    def __init__(self, k: Matrix, v: WeylElement):
-        self.k = k
-        self.v = v
-
-    @staticmethod
-    def identity(ers: ExtRootSystem) -> "AElement":
-        return AElement(
-            zeros(ers.n, ers.delta.rank), WeylElement.identity(ers.delta.rank)
-        )
-
-    @staticmethod
-    def generator(ers: ExtRootSystem, t: ReflectionLabel) -> "AElement":
-        return AElement(label_k_part(ers, t), ers.delta.weyl_generator(t.root))
-
-    def __mul__(self, other: "AElement") -> "AElement":
-        moved = mat_mul(other.k, transpose(self.v.comatrix))
-        k = tuple(
-            tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(self.k, moved)
-        )
-        return AElement(k, self.v * other.v)
-
-    def inv(self) -> "AElement":
-        vi = self.v.inv()
-        moved = mat_mul(self.k, transpose(vi.comatrix))
-        return AElement(tuple(tuple(-x for x in row) for row in moved), vi)
-
-    def is_identity(self) -> bool:
-        return is_zero_mat(self.k) and self.v.is_identity()
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, AElement) and self.k == other.k and self.v == other.v
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.k, self.v))
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"AElement(k={self.k}, v={self.v.matrix})"
-
-
-def act_on_root(
-    ers: ExtRootSystem, a: AElement, h, root_idx: int
-) -> tuple[Vector, int]:
-    """The action (h, beta) -> (h + k(v.beta), v.beta)."""
-    rs = ers.delta
-    new_vec = a.v.apply(rs.roots[root_idx])
-    shift = mat_vec(a.k, mat_vec(rs.pairing_matrix, new_vec))
-    return tuple(x + y for x, y in zip(h, shift)), rs.index_of(new_vec)
-
-
-def evaluate_word_in_a(ers: ExtRootSystem, word) -> AElement:
-    out = AElement.identity(ers)
-    for t in word:
-        out = out * AElement.generator(ers, t)
-    return out
-
-
-def k_in_twist_decomposition(ers: ExtRootSystem, k: Matrix) -> bool:
-    """Whether a K-matrix lies in (G1 (x) L) + (G2 (x) Lv).
-
-    The root lattice sits inside the coroot lattice through the scaled
-    embedding, so rows indexed by G1 must lie in that sublattice.
-    """
-    from extweyl.intlinalg import hermite_rows, lattice_contains
-    from extweyl.lattice_algebra import lattice_embedding_matrix
-
-    phi = lattice_embedding_matrix(ers.delta)
-    image = hermite_rows(list(transpose(phi)))
-    for i in ers.group.g1:
-        if not lattice_contains(image, k[i]):
-            return False
-    return True

@@ -33,6 +33,7 @@ from extweyl.intlinalg import (
     hermite_rows,
     lattice_contains,
     transpose,
+    vec_mat,
     vec_sub,
 )
 
@@ -174,6 +175,24 @@ _ROOT_COUNT = {
 }
 
 
+def reflection_pair(
+    pairing_matrix: Matrix, root: Vector, coroot: Vector
+) -> tuple[Matrix, Matrix]:
+    """The reflection in a root as matrices on root and on coroot coordinates.
+
+    x -> x - <alpha^vee, x> alpha and y -> y - <y, alpha> alpha^vee, with
+    <y, x> = y . pairing_matrix . x; the two act in lockstep, so the
+    pairing stays invariant.
+    """
+    row = vec_mat(coroot, pairing_matrix)
+    col = mat_vec(pairing_matrix, root)
+    n = len(root)
+    return (
+        freeze([[int(r == c) - root[r] * row[c] for c in range(n)] for r in range(n)]),
+        freeze([[int(r == c) - coroot[r] * col[c] for c in range(n)] for r in range(n)]),
+    )
+
+
 class FiniteRootSystem:
     """A finite irreducible root system with explicit coroots.
 
@@ -194,7 +213,6 @@ class FiniteRootSystem:
         l = rs_type.rank
         cartan, sym = _cartan_and_symmetrizer(rs_type.family, l)
         self.cartan = cartan
-        self._symmetrizer = sym
         # Gram matrix of the invariant form on root coordinates (one
         # global integer scale, normalized later by invariant_form()).
         self._gram = freeze(
@@ -212,39 +230,15 @@ class FiniteRootSystem:
         else:
             self.pairing_matrix = cartan
             basis_coroot_coords = [tuple(int(i == j) for j in range(l)) for i in range(l)]
-        self._basis_coroot_coords = tuple(basis_coroot_coords)
-
-        refl, corefl = [], []
-        for k in range(l):
-            qk = basis_coroot_coords[k]
-            row = tuple(
-                sum(qk[i] * self.pairing_matrix[i][j] for i in range(l))
-                for j in range(l)
-            )
-            refl.append(
-                freeze(
-                    [
-                        [int(i == j) - (1 if i == k else 0) * row[j] for j in range(l)]
-                        for i in range(l)
-                    ]
-                )
-            )
-            col = tuple(self.pairing_matrix[i][k] for i in range(l))
-            corefl.append(
-                freeze(
-                    [
-                        [int(i == j) - qk[i] * col[j] for j in range(l)]
-                        for i in range(l)
-                    ]
-                )
-            )
-        self._basis_reflections = tuple(refl)
-        self._basis_coreflections = tuple(corefl)
 
         seeds = [
             (tuple(int(i == k) for i in range(l)), basis_coroot_coords[k])
             for k in range(l)
         ]
+        simple = [reflection_pair(self.pairing_matrix, *seed) for seed in seeds]
+        self._basis_reflections = tuple(m for m, _ in simple)
+        self._basis_coreflections = tuple(c for _, c in simple)
+
         if rs_type.family == "BC":
             # the divisible root 2*alpha_l, whose coroot is half of the
             # short simple coroot
@@ -258,10 +252,10 @@ class FiniteRootSystem:
             if root in seen:
                 continue
             seen[root] = coroot
-            for k in range(l):
-                nr = mat_vec(refl[k], root)
+            for m, c in simple:
+                nr = mat_vec(m, root)
                 if nr not in seen:
-                    queue.append((nr, mat_vec(corefl[k], coroot)))
+                    queue.append((nr, mat_vec(c, coroot)))
         pairs = sorted(seen.items())
         self.roots: tuple[Vector, ...] = tuple(r for r, _ in pairs)
         self.coroots: tuple[Vector, ...] = tuple(c for _, c in pairs)
@@ -393,36 +387,12 @@ class FiniteRootSystem:
         """<alpha^vee, lam> for alpha = roots[coroot_of] and lam in the root lattice."""
         return dot(self._coroot_rows[coroot_of], at)
 
-    def copairing(self, mu: Vector, root_of: int) -> int:
-        """<mu, alpha> for mu in coroot coordinates and alpha = roots[root_of]."""
-        return dot(mat_vec(self.pairing_matrix, self.roots[root_of]), mu)
-
     def reflect(self, alpha: int, lam: Vector) -> Vector:
         c = self.pairing(alpha, lam)
         return vec_sub(lam, tuple(c * x for x in self.roots[alpha]))
 
-    def reflect_coroot(self, alpha: int, mu: Vector) -> Vector:
-        c = self.copairing(mu, alpha)
-        return vec_sub(mu, tuple(c * x for x in self.coroots[alpha]))
-
     def reflect_root_index(self, alpha: int, beta: int) -> int:
         return self.reflection_table[alpha][beta]
-
-    def reflection_matrix(self, i: int) -> Matrix:
-        x = self.roots[i]
-        row = self._coroot_rows[i]
-        n = self.rank
-        return freeze(
-            [[int(r == c) - x[r] * row[c] for c in range(n)] for r in range(n)]
-        )
-
-    def coreflection_matrix(self, i: int) -> Matrix:
-        y = self.coroots[i]
-        col = mat_vec(self.pairing_matrix, self.roots[i])
-        n = self.rank
-        return freeze(
-            [[int(r == c) - y[r] * col[c] for c in range(n)] for r in range(n)]
-        )
 
     @cached_property
     def _weyl_generators(self) -> dict[int, "WeylElement"]:
@@ -431,7 +401,9 @@ class FiniteRootSystem:
     def weyl_generator(self, i: int) -> "WeylElement":
         w = self._weyl_generators.get(i)
         if w is None:
-            w = WeylElement(self.reflection_matrix(i), self.coreflection_matrix(i))
+            w = WeylElement(
+                *reflection_pair(self.pairing_matrix, self.roots[i], self.coroots[i])
+            )
             self._weyl_generators[i] = w
         return w
 
@@ -478,16 +450,8 @@ class WeylElement:
     def apply(self, x: Vector) -> Vector:
         return mat_vec(self.matrix, x)
 
-    def coapply(self, y: Vector) -> Vector:
-        return mat_vec(self.comatrix, y)
-
     def is_identity(self) -> bool:
         return self.matrix == identity(len(self.matrix))
-
-    def det(self) -> int:
-        from extweyl.intlinalg import determinant
-
-        return determinant(self.matrix)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, WeylElement) and self.matrix == other.matrix
@@ -521,6 +485,20 @@ def coxeter_evaluate(rs: FiniteRootSystem, word: list[int]) -> WeylElement:
     return out
 
 
+def _moved_basis_vectors(mats: tuple[Matrix, ...]) -> list[Vector]:
+    """v.e_j - e_j for each matrix v and basis vector e_j.
+
+    Over the simple reflections these span the sublattice of all
+    v.x - x, v in the Weyl group.
+    """
+    gens = []
+    for m in mats:
+        l = len(m)
+        for j in range(l):
+            gens.append(tuple(m[i][j] - int(i == j) for i in range(l)))
+    return gens
+
+
 def l_eff_quotient(rs: FiniteRootSystem):
     """The quotient of the root lattice by the span of all v.l - l.
 
@@ -529,38 +507,19 @@ def l_eff_quotient(rs: FiniteRootSystem):
     """
     from extweyl.intlinalg import FPAbelianGroup
 
-    l = rs.rank
-    rels = []
-    for k in range(l):
-        m = rs._basis_reflections[k]
-        for j in range(l):
-            col = tuple(m[i][j] - int(i == j) for i in range(l))
-            rels.append(col)
-    fp = FPAbelianGroup(l, rels)
+    fp = FPAbelianGroup(rs.rank, _moved_basis_vectors(rs._basis_reflections))
     images = {i: fp.project(rs.roots[i])[1] for i in range(len(rs.roots))}
     return fp, images
 
 
 def l_eff_lattice(rs: FiniteRootSystem) -> list[Vector]:
     """Hermite basis of the sublattice spanned by v.l - l in root coordinates."""
-    l = rs.rank
-    gens = []
-    for k in range(l):
-        m = rs._basis_reflections[k]
-        for j in range(l):
-            gens.append(tuple(m[i][j] - int(i == j) for i in range(l)))
-    return hermite_rows(gens)
+    return hermite_rows(_moved_basis_vectors(rs._basis_reflections))
 
 
 def coroot_l_eff_lattice(rs: FiniteRootSystem) -> list[Vector]:
     """Same as l_eff_lattice but on the coroot lattice."""
-    l = rs.rank
-    gens = []
-    for k in range(l):
-        m = rs._basis_coreflections[k]
-        for j in range(l):
-            gens.append(tuple(m[i][j] - int(i == j) for i in range(l)))
-    return hermite_rows(gens)
+    return hermite_rows(_moved_basis_vectors(rs._basis_coreflections))
 
 
 def invariant_form(rs: FiniteRootSystem) -> Matrix:

@@ -35,14 +35,15 @@ from extweyl.root_core import (
     RootSystemType,
     WeylElement,
     build,
+    coxeter_evaluate,
     l_eff_quotient,
     pairing_value_sets,
 )
 from extweyl.weyl import (
+    AbKGroup,
     WElement,
     cross_check_remark,
     ab_a_properness,
-    ab_k,
     build_uab_kernel_word,
     cocycle,
     conjugated_relator_product,
@@ -358,10 +359,10 @@ def _random_k(ers: ExtRootSystem, rng) -> tuple:
 
 
 def _random_weyl(ers: ExtRootSystem, rng):
-    w = WeylElement.identity(ers.delta.rank)
-    for _ in range(rng.randint(0, 4)):
-        w = w * ers.delta.weyl_generator(rng.randrange(len(ers.delta.roots)))
-    return w
+    n_roots = len(ers.delta.roots)
+    return coxeter_evaluate(
+        ers.delta, [rng.randrange(n_roots) for _ in range(rng.randint(0, 4))]
+    )
 
 
 def suite_cocycle(seed: int = 0, cases: int = 10000) -> SuiteReport:
@@ -534,7 +535,7 @@ def suite_words(seed: int = 0, cases: int = 10000) -> SuiteReport:
         )
 
     for name, ers in systems[:10]:
-        got = ab_k(ers).descriptor()
+        got = AbKGroup(ers).descriptor()
         want = expected_ab_k_descriptor(ers)
         rep.add(f"K/K_eff {name}", got == want, f"{got} (expected {want})")
 

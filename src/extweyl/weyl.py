@@ -33,23 +33,18 @@ from extweyl.intlinalg import (
     lattice_contains,
     lattice_reduce,
     mat_mul,
+    mat_vec,
     solve_integer,
     transpose,
     vec_scale,
     zeros,
 )
 from extweyl.lattice_algebra import boxtimes_form
-from extweyl.refl_groups import (
-    AElement,
-    ReflectionLabel,
-    label_k_part,
-)
-from extweyl.root_core import SHORT, WeylElement
-
-ZPart = Matrix  # antisymmetric n x n integer matrix
+from extweyl.refl_groups import ReflectionLabel, label_k_part
+from extweyl.root_core import SHORT, WeylElement, coxeter_evaluate
 
 
-def cocycle(ers: ExtRootSystem, k1: Matrix, k2: Matrix) -> ZPart:
+def cocycle(ers: ExtRootSystem, k1: Matrix, k2: Matrix) -> Matrix:
     """c(k1, k2) as an antisymmetric matrix over the group basis.
 
     Expanding k = sum_a e_a (x) mu_a, the value is the antisymmetric
@@ -65,16 +60,17 @@ def cocycle(ers: ExtRootSystem, k1: Matrix, k2: Matrix) -> ZPart:
     )
 
 
-def _zero_z(n: int) -> ZPart:
-    return zeros(n, n)
-
-
 class WElement:
-    """An element (z, k, v) of the cocycle-extended Weyl group."""
+    """An element (z, k, v) of the cocycle-extended Weyl group.
+
+    z is an antisymmetric n x n integer matrix.  Dropping it gives the
+    element (k, v) of the terminal reflection group, the quotient by
+    the centre; checks at that level compare (k, v) only.
+    """
 
     __slots__ = ("z", "k", "v", "_ers")
 
-    def __init__(self, ers: ExtRootSystem, z: ZPart, k: Matrix, v: WeylElement):
+    def __init__(self, ers: ExtRootSystem, z: Matrix, k: Matrix, v: WeylElement):
         self._ers = ers
         self.z = z
         self.k = k
@@ -84,7 +80,7 @@ class WElement:
     def identity(ers: ExtRootSystem) -> "WElement":
         return WElement(
             ers,
-            _zero_z(ers.n),
+            zeros(ers.n, ers.n),
             zeros(ers.n, ers.delta.rank),
             WeylElement.identity(ers.delta.rank),
         )
@@ -112,9 +108,6 @@ class WElement:
     def is_identity(self) -> bool:
         return is_zero_mat(self.z) and is_zero_mat(self.k) and self.v.is_identity()
 
-    def a_part(self) -> AElement:
-        return AElement(self.k, self.v)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, WElement)
@@ -132,7 +125,7 @@ class WElement:
 
 def w_generator(ers: ExtRootSystem, t: ReflectionLabel) -> WElement:
     return WElement(
-        ers, _zero_z(ers.n), label_k_part(ers, t), ers.delta.weyl_generator(t.root)
+        ers, zeros(ers.n, ers.n), label_k_part(ers, t), ers.delta.weyl_generator(t.root)
     )
 
 
@@ -141,6 +134,14 @@ def evaluate_word_in_w(ers: ExtRootSystem, word) -> WElement:
     for t in word:
         out = out * w_generator(ers, t)
     return out
+
+
+def act_on_root(ers: ExtRootSystem, w: WElement, h, root_idx: int) -> tuple[Vector, int]:
+    """The action (h, beta) -> (h + k(v.beta), v.beta); z acts trivially."""
+    rs = ers.delta
+    new_vec = w.v.apply(rs.roots[root_idx])
+    shift = mat_vec(w.k, mat_vec(rs.pairing_matrix, new_vec))
+    return tuple(x + y for x, y in zip(h, shift)), rs.index_of(new_vec)
 
 
 # ---------------------------------------------------------------------------
@@ -360,10 +361,6 @@ class AbKGroup:
         return self.fp.descriptor()
 
 
-def ab_k(ers: ExtRootSystem) -> AbKGroup:
-    return AbKGroup(ers)
-
-
 def expected_ab_k_descriptor(ers: ExtRootSystem) -> str:
     """Closed form for K / K_eff of the standard tame systems."""
     fam = ers.delta.rs_type.family
@@ -393,7 +390,7 @@ def ab_a_properness(ers: ExtRootSystem) -> bool:
     of g (x) alpha^vee separates the cosets within each class, and that
     it is constant on each class.
     """
-    abk = ab_k(ers)
+    abk = AbKGroup(ers)
     by_image: dict = {}
     for cls in ers.classes():
         root = next(
@@ -484,13 +481,10 @@ def remark_conditions(ers: ExtRootSystem, word) -> tuple[bool, bool, bool]:
     never trusted as the decider.
     """
     _require_decidable(ers)
-    v = WeylElement.identity(ers.delta.rank)
-    for t in word:
-        v = v * ers.delta.weyl_generator(t.root)
-    c1 = v.is_identity()
+    c1 = coxeter_evaluate(ers.delta, [t.root for t in word]).is_identity()
     n, l = ers.n, ers.delta.rank
     total_k = zeros(n, l)
-    total_z = _zero_z(n)
+    total_z = zeros(n, n)
     for t in word:
         kp = label_k_part(ers, t)
         zc = cocycle(ers, total_k, kp)

@@ -1,6 +1,7 @@
 import gc
 import json
 import os
+import pathlib
 import subprocess
 import sys
 import time
@@ -10,6 +11,9 @@ import pytest
 import extweyl
 from extweyl.cli import main
 from extweyl.ext_root import fully_extended, span_extended
+from extweyl.verify import suite_cocycle
+
+GOLDEN = pathlib.Path(__file__).parent / "golden" / "verify_small.json"
 
 
 @pytest.fixture
@@ -183,6 +187,36 @@ def test_word_malformed(capsys, a1_file, tmp_path):
     badw = tmp_path / "badw.json"
     badw.write_text(json.dumps([{"g": [0, 0], "alpha": 0}]))  # wrong rank
     assert main(["word", a1_file, str(badw)]) == 2
+
+
+@pytest.mark.parametrize("command", ["orbits", "word"])
+@pytest.mark.parametrize(
+    "text", ["[1,2]", '"x"', '{"delta": 5, "g": {"rank": 1}, "s_sets": {}}']
+)
+def test_malformed_system_file_exits_2(capsys, tmp_path, command, text):
+    p = tmp_path / "system.json"
+    p.write_text(text)
+    w = tmp_path / "w.json"
+    w.write_text(json.dumps([{"g": [0], "alpha": 0}]))
+    argv = ["orbits", str(p)] if command == "orbits" else ["word", str(p), str(w)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    prefix = "error: cannot load system: " if command == "orbits" else "error: bad input: "
+    assert err.count("\n") == 1 and err.startswith(prefix) and "Traceback" not in err
+
+
+def test_verify_small_matches_golden(capsys):
+    # the suites that run through Weyl elements, reflection matrices and
+    # coxeter_evaluate, pinned so that reworking those paths cannot move them
+    golden = json.loads(GOLDEN.read_text())
+    for suite in ("tables", "tensor", "orbits"):
+        assert main(["verify", suite, "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out) == golden[f"verify {suite}"]
+    cases = [
+        {"name": c.name, "ok": c.ok, "detail": c.detail}
+        for c in suite_cocycle(seed=0, cases=200).cases
+    ]
+    assert cases == golden["suite_cocycle(seed=0, cases=200)"]
 
 
 def test_verify_tables(capsys):

@@ -25,9 +25,10 @@ from extweyl.intlinalg import (
     mat_vec,
     transpose,
 )
-from extweyl.refl_groups import AElement, ReflectionLabel, act_on_root
+from extweyl.refl_groups import ReflectionLabel
 from extweyl.root_core import EXTRALONG, LONG, SHORT, RootSystemType, build, k_delta
 from extweyl.verify import orbit_configurations
+from extweyl.weyl import act_on_root, w_generator
 
 
 def long_index(ers):
@@ -187,12 +188,12 @@ def test_trim_reflection_preservation():
         h = (rng.randint(-2, 2), rng.randint(-2, 2))
         beta = rng.randrange(len(ers.delta.roots))
         t = ReflectionLabel.make(ers, g, root)
-        a = AElement.generator(ers, t)
+        a = w_generator(ers, t)
         h2, b2 = act_on_root(ers, a, h, beta)
         # same action computed in the trimmed system
         g_new, root_new = tr.map_extended_root(g, root)
         t_new = ReflectionLabel.make(tr.system, g_new, root_new)
-        a_new = AElement.generator(tr.system, t_new)
+        a_new = w_generator(tr.system, t_new)
         hh, bb = tr.map_extended_root(h, beta)
         h3, b3 = act_on_root(tr.system, a_new, hh, bb)
         assert (h3, b3) == tr.map_extended_root(h2, b2)
@@ -214,7 +215,7 @@ def test_trim_validates_and_is_tame():
     for l, n in [(1, 2), (2, 2), (3, 2)]:
         tr = trim(fully_extended("BC", l, n=n))
         assert validate(tr.system).ok
-        assert tr.system.is_tame()
+        assert check_twist(tr.system).ok
 
 
 def test_membership_invariant_under_action():
@@ -234,7 +235,7 @@ def test_membership_invariant_under_action():
             sa = ers.s_of_root(alpha)
             g = sa.cosets[rng.randrange(len(sa.cosets))]
             t = ReflectionLabel.make(ers, g, alpha)
-            a = AElement.generator(ers, t)
+            a = w_generator(ers, t)
             h2, b2 = act_on_root(ers, a, tuple(h), beta)
             assert ers.membership(h2, b2)
 

@@ -35,3 +35,81 @@ def test_every_top_level_import_is_used():
 def test_unused_import_is_reported():
     tree = ast.parse("import os\nimport sys\nfrom math import gcd, prod\nprod(sys.argv)\n")
     assert _unused_imports(tree) == ["os (line 1)", "gcd (line 3)"]
+
+
+# Definitions that nothing in the package calls, each kept for the tests
+# or the benchmark workload named here.
+ORACLES = {
+    "intlinalg.determinant": "test_intlinalg; the det functor in test_weyl and test_root_core",
+    "refl_groups.check_sym_axioms": "the paper's symmetric-system axioms (test_refl_groups)",
+    "refl_groups.reflection_sym_system": "the symmetric-system layer (test_refl_groups, test_ext_root)",
+    "refl_groups.terminal_group": "the symmetric-system layer (test_refl_groups, test_ext_root)",
+    "refl_groups.check_reflection_group": "the reflection-group axioms (test_refl_groups)",
+    "weyl.act_on_root": "the action on extended roots (test_refl_groups, test_ext_root)",
+    "root_core.FiniteRootSystem.reflect_root_index": "traced by perfbench/tracing.py; test_root_core",
+    "root_core.FiniteRootSystem.same_reflection": "traced by perfbench/tracing.py; test_root_core",
+    "root_core.coroot_l_eff_lattice": "test_root_core.test_coroot_effective_quotient_is_dual",
+    "root_core.invariant_form": "test_root_core.test_invariant_form_*",
+    "root_core.doubled_lattice_inside_l_eff": "test_root_core.test_doubled_lattice_inside_l_eff",
+    "ext_root.SSet.same_set": "slice equality in test_ext_root",
+    "ext_root.TrimResult.map_extended_root": "the trim identifications in test_ext_root",
+}
+
+
+def _unreferenced(trees: dict[str, ast.Module]) -> list[str]:
+    """Top-level functions and classes, and non-dunder methods, that no
+    ast.Name or ast.Attribute outside their own definition mentions.
+
+    `trees` maps module names to syntax trees; `__init__` only re-exports,
+    so its mentions do not count.
+    """
+    defs = []
+    for mod, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs.append((f"{mod}.{node.name}", node))
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not (
+                        item.name.startswith("__") and item.name.endswith("__")
+                    ):
+                        defs.append((f"{mod}.{node.name}.{item.name}", item))
+    mentions: dict[str, list[ast.AST]] = {}
+    for mod, tree in trees.items():
+        if mod == "__init__":
+            continue
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name):
+                mentions.setdefault(n.id, []).append(n)
+            elif isinstance(n, ast.Attribute):
+                mentions.setdefault(n.attr, []).append(n)
+    out = []
+    for qualname, node in defs:
+        own = {id(n) for n in ast.walk(node)}
+        if all(id(n) in own for n in mentions.get(node.name, [])):
+            out.append(qualname)
+    return out
+
+
+def test_every_definition_is_referenced_or_an_oracle():
+    trees = {
+        path.stem: ast.parse(path.read_text(), filename=str(path))
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+    assert sorted(_unreferenced(trees)) == sorted(ORACLES)
+
+
+def test_unreferenced_definition_is_reported():
+    trees = {
+        "a": ast.parse(
+            "def used():\n    pass\n"
+            "def recursive():\n    recursive()\n"
+            "class C:\n"
+            "    def m(self):\n        pass\n"
+            "    def n(self):\n        return self.m()\n"
+            "    def __repr__(self):\n        return ''\n"
+        ),
+        "b": ast.parse("from a import used, recursive\nused()\n"),
+        "__init__": ast.parse("from a import C\n__all__ = ['C']\nC.n\n"),
+    }
+    assert _unreferenced(trees) == ["a.recursive", "a.C", "a.C.n"]

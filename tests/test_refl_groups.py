@@ -3,24 +3,30 @@ import random
 import pytest
 
 from extweyl.ext_root import fully_extended, span_extended
-from extweyl.intlinalg import is_zero_mat, outer
+from extweyl.intlinalg import hermite_rows, is_zero_mat, lattice_contains, outer, transpose
+from extweyl.lattice_algebra import lattice_embedding_matrix
 from extweyl.refl_groups import (
-    AElement,
     ClosureCapError,
     ReflectionLabel,
     SymSystem,
-    act_on_root,
     check_reflection_group,
     check_sym_axioms,
     conj_reflect,
-    evaluate_word_in_a,
-    k_in_twist_decomposition,
     label_k_part,
     reflection_sym_system,
     terminal_group,
 )
 from extweyl.root_core import build
-from extweyl.weyl import random_label
+from extweyl.weyl import WElement, act_on_root, evaluate_word_in_w, random_label, w_generator
+
+
+def a_part(w):
+    """The image (k, v) of w in the terminal group: w with z dropped."""
+    return w.k, w.v
+
+
+def a_is_identity(w):
+    return is_zero_mat(w.k) and w.v.is_identity()
 
 
 def test_sym_axioms_trivial():
@@ -153,6 +159,17 @@ def test_label_k_part():
     assert label_k_part(ers, t2) == outer(t2.g, ers.delta.coroots[t2.root])
 
 
+def k_in_twist_decomposition(ers, k):
+    """Whether a K-matrix lies in (G1 (x) L) + (G2 (x) Lv).
+
+    The root lattice sits inside the coroot lattice through the scaled
+    embedding, so rows indexed by G1 must lie in that sublattice.
+    """
+    phi = lattice_embedding_matrix(ers.delta)
+    image = hermite_rows(list(transpose(phi)))
+    return all(lattice_contains(image, k[i]) for i in ers.group.g1)
+
+
 def test_k_part_twist_decomposition():
     rng = random.Random(3)
     for ers in [
@@ -168,16 +185,16 @@ def test_k_part_twist_decomposition():
 def test_a_element_group_axioms():
     ers = span_extended("B", 2, n=2, g1=(0,))
     rng = random.Random(0)
-    ident = AElement.identity(ers)
+    ident = WElement.identity(ers)
     for _ in range(50):
         t = random_label(ers, rng)
-        a = AElement.generator(ers, t)
-        assert (a * a).is_identity()
-        assert (a * a.inv()).is_identity()
-        b = AElement.generator(ers, random_label(ers, rng))
-        c = AElement.generator(ers, random_label(ers, rng))
-        assert (a * b) * c == a * (b * c)
-        assert ident * a == a
+        a = w_generator(ers, t)
+        assert a_is_identity(a * a)
+        assert a_is_identity(a * a.inv())
+        b = w_generator(ers, random_label(ers, rng))
+        c = w_generator(ers, random_label(ers, rng))
+        assert a_part((a * b) * c) == a_part(a * (b * c))
+        assert a_part(ident * a) == a_part(a)
 
 
 def test_a_conjugation_matches_labels():
@@ -185,8 +202,8 @@ def test_a_conjugation_matches_labels():
     rng = random.Random(1)
     for _ in range(200):
         t1, t2 = random_label(ers, rng), random_label(ers, rng)
-        a1, a2 = AElement.generator(ers, t1), AElement.generator(ers, t2)
-        assert a1 * a2 * a1.inv() == AElement.generator(ers, conj_reflect(ers, t1, t2))
+        a1, a2 = w_generator(ers, t1), w_generator(ers, t2)
+        assert a_part(a1 * a2 * a1.inv()) == a_part(w_generator(ers, conj_reflect(ers, t1, t2)))
 
 
 def test_conj_reflect_examples():
@@ -215,13 +232,13 @@ def test_conj_reflect_examples():
 def test_act_on_root():
     ers = span_extended("B", 2, n=2, g1=(0,))
     rng = random.Random(2)
-    ident = AElement.identity(ers)
+    ident = WElement.identity(ers)
     for _ in range(100):
         beta = rng.randrange(len(ers.delta.roots))
         h = (rng.randint(-3, 3), rng.randint(-3, 3))
         assert act_on_root(ers, ident, h, beta) == (h, beta)
         t = random_label(ers, rng)
-        a = AElement.generator(ers, t)
+        a = w_generator(ers, t)
         h2, b2 = act_on_root(ers, a, h, beta)
         m = ers.delta.pairing(t.root, ers.delta.roots[beta])
         assert h2 == tuple(x - m * g for x, g in zip(h, t.g))
@@ -231,22 +248,22 @@ def test_act_on_root():
 def test_center_trivial():
     ers = span_extended("B", 2, n=2, g1=(0,))
     rng = random.Random(4)
-    gens = [AElement.generator(ers, random_label(ers, rng)) for _ in range(12)]
+    gens = [w_generator(ers, random_label(ers, rng)) for _ in range(12)]
     count = 0
     while count < 500:
         word = [random_label(ers, rng) for _ in range(rng.randint(1, 6))]
-        x = evaluate_word_in_a(ers, word)
-        if x.is_identity():
+        x = evaluate_word_in_w(ers, word)
+        if a_is_identity(x):
             continue
         count += 1
-        assert any(x * g != g * x for g in gens)
+        assert any(a_part(x * g) != a_part(g * x) for g in gens)
 
 
 def test_k_fix_trivial():
     # nonzero K-elements are moved by some simple generator
     rng = random.Random(5)
     ers = span_extended("B", 2, n=2, g1=(0,))
-    from extweyl.intlinalg import mat_mul, transpose
+    from extweyl.intlinalg import mat_mul
 
     moved = 0
     for _ in range(100):
@@ -273,4 +290,4 @@ def test_separates_reflections():
         t1, t2 = random_label(ers, rng), random_label(ers, rng)
         if t1 == t2:
             continue
-        assert AElement.generator(ers, t1) != AElement.generator(ers, t2)
+        assert a_part(w_generator(ers, t1)) != a_part(w_generator(ers, t2))
