@@ -21,9 +21,10 @@ from extweyl.lattice_algebra import (
     expected_tensor_descriptor,
 )
 from extweyl.refl_groups import ReflectionLabel
-from extweyl.root_core import RootSystemError, build, k_delta
+from extweyl.root_core import MAX_RANK, RootSystemError, build, k_delta
 from extweyl.verify import SUITES, run_suites
 from extweyl.weyl import (
+    closure_letters,
     decide_word,
     default_brute_modulus,
     orbit_bruteforce,
@@ -162,6 +163,15 @@ def _reject_invalid(ers: ExtRootSystem) -> bool:
 
 
 def cmd_orbits(args) -> int:
+    """Orbit classes of a reduced system, each checked by a closure in G/mG.
+
+    The closure runs under closure_letters: per simple root alpha, the
+    reflections r_(alpha,d) for d a coset representative of S_alpha or
+    that representative plus a basis row of H_alpha.  Those generate
+    every r_(alpha,d), d in S_alpha, because r_(alpha,c) r_(alpha,c+h) is
+    a translation by h that does not depend on c; so each closure is the
+    whole orbit, at a cost linear in the letters and not in the residues.
+    """
     try:
         ers = ExtRootSystem.load(args.system)
     except INPUT_ERRORS as exc:
@@ -177,22 +187,29 @@ def cmd_orbits(args) -> int:
         return EXIT_USAGE
     m = default_brute_modulus(ers)
     rs = ers.delta
-    residues = slice_residues_by_class(ers, m)
-    # the orbit class of (d, beta) depends on beta only through its length
-    # class, so the first root of each class finds every representative
+    # orbit_of depends on beta only through its length class, so it is
+    # asked once per (class, residue) of the grid, with the first root of
+    # the class; each closure state is looked up there, and one off the
+    # grid has left the system
+    class_of = {}
     classes = {}
-    for cls, ds in residues.items():
+    grid_states = {}
+    for cls, ds in slice_residues_by_class(ers, m).items():
         beta = rs.lengths.index(cls)
+        n_roots = rs.lengths.count(cls)
         for d in ds:
             oc = orbit_of(ers, d, beta)
-            classes.setdefault((oc.length_class, oc.coset), [list(d), beta])
+            class_of[cls, d] = key = (oc.length_class, oc.coset)
+            classes.setdefault(key, [list(d), beta])
+            grid_states[key] = grid_states.get(key, 0) + n_roots
+    letters = closure_letters(ers, m)
     agree = True
     for key, rep0 in classes.items():
-        closure = orbit_bruteforce(ers, tuple(rep0[0]), rep0[1], m, residues)
-        for h, b in closure:
-            oc = orbit_of(ers, h, b)
-            if (oc.length_class, oc.coset) != key:
-                agree = False
+        closure = orbit_bruteforce(ers, tuple(rep0[0]), rep0[1], m, letters)
+        inside = all(class_of.get((rs.lengths[b], h)) == key for h, b in closure)
+        # inside the class and as large as it on the grid: equal to it
+        if not inside or len(closure) != grid_states[key]:
+            agree = False
     payload = {
         "schema": 1,
         "classes": [
@@ -341,8 +358,8 @@ def make_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
-    if args.cap_rank <= 0:
-        print("error: rank cap must be positive", file=sys.stderr)
+    if not 1 <= args.cap_rank <= MAX_RANK:
+        print(f"error: rank cap must be between 1 and {MAX_RANK}", file=sys.stderr)
         return EXIT_USAGE
     handler = {
         "info": cmd_info,

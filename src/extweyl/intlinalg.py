@@ -414,7 +414,6 @@ class FPAbelianGroup:
     """
 
     def __init__(self, n_generators: int, relations: Sequence[Sequence[int]]):
-        self.n_generators = n_generators
         # reduce the (possibly huge, redundant) relation list to a
         # lattice basis first; the Smith reduction then works on a
         # matrix no larger than n_generators squared

@@ -43,6 +43,10 @@ EXTRALONG = "extralong"
 
 FAMILIES = ("A", "B", "C", "D", "E", "F", "G", "BC")
 
+# the largest rank any type may have: building a rank-24 system takes
+# about a second, and the root count and tables grow as rank^2 and rank^4
+MAX_RANK = 24
+
 _RANK_OK = {
     "A": lambda l: l >= 1,
     "B": lambda l: l >= 2,
@@ -67,6 +71,8 @@ class RootSystemType:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise RootSystemError(f"unknown family {self.family!r}")
+        if self.rank > MAX_RANK:
+            raise RootSystemError(f"rank {self.rank} is above the cap of {MAX_RANK}")
         if not _RANK_OK[self.family](self.rank):
             raise RootSystemError(
                 f"rank {self.rank} is not admissible for family {self.family}"
@@ -283,13 +289,6 @@ class FiniteRootSystem:
             assert len(levels) == 2
             label = {levels[0]: SHORT, levels[1]: LONG}
         self.lengths: tuple[str, ...] = tuple(label[n] for n in norms)
-
-        adj = [[0] * l for _ in range(l)]
-        for i in range(l):
-            for j in range(l):
-                if i != j:
-                    adj[i][j] = cartan[i][j] * cartan[j][i]
-        self.dynkin_adjacency = freeze(adj)
 
     # -- basic queries ----------------------------------------------------
 

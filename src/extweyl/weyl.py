@@ -219,32 +219,55 @@ def slice_residues_by_class(ers: ExtRootSystem, m: int) -> dict[str, list[Vector
     return out
 
 
+def closure_letters(ers: ExtRootSystem, m: int) -> list[tuple[tuple, tuple, Vector]]:
+    """The letters (pairing row, reflection row, d) that orbit_bruteforce
+    closes under: the reflections r_(alpha,d) for each simple root alpha.
+
+    For a slice S_alpha = U (c_i + H_alpha) the letters take d = each
+    coset representative c_i and d = c_0 + h for each basis row h of
+    H_alpha, reduced mod m and deduplicated.  That generates the same
+    group as every d in S_alpha: r_(alpha,c) r_(alpha,c+h) acts as
+    (x, beta) -> (x - <beta, alpha^v> h, beta), a translation t_h that
+    does not depend on c, with t_h t_h' = t_(h+h'); so every
+    r_(alpha,c_i+h) = r_(alpha,c_i) t_h is a word in the letters.
+    """
+    rs = ers.delta
+    by_class = {}
+    for cls in ers.classes():
+        s = ers.s_sets[cls]
+        c0 = s.cosets[0]
+        ds = list(s.cosets) + [tuple(x + y for x, y in zip(c0, h)) for h in s.h_basis]
+        by_class[cls] = sorted({tuple(x % m for x in d) for d in ds})
+    return [
+        (rs.pairing_table[alpha], rs.reflection_table[alpha], d)
+        for alpha in rs.basis
+        for d in by_class[rs.lengths[alpha]]
+    ]
+
+
 def orbit_bruteforce(
     ers: ExtRootSystem,
     g,
     root_idx: int,
     modulus: int | None = None,
-    residues: dict[str, list[Vector]] | None = None,
+    letters: list[tuple[tuple, tuple, Vector]] | None = None,
 ) -> set[tuple[Vector, int]]:
-    """Closure of one extended root under all generator reflections,
+    """Closure of one extended root under the generator reflections,
     computed in the finite quotient G/mG.
 
     This is the independent oracle for orbit_of: the closure collects
     exactly the orbit as long as m*G sits inside the orbit subgroup.
-    `residues` is slice_residues_by_class(ers, m); a caller closing
-    several starts of one system passes it to build the letters once.
+    The letters are closure_letters(ers, m), a generating set of the
+    reflections r_(alpha,d), alpha simple and d in S_alpha; they are
+    involutions, so the closure under them is the orbit.  A caller
+    closing several starts of one system builds them once and passes
+    them in.
     """
     if not ers.delta.rs_type.is_reduced():
         raise ExtRootError("orbit closure needs a reduced type; trim first")
     m = modulus if modulus is not None else default_brute_modulus(ers)
-    if residues is None:
-        residues = slice_residues_by_class(ers, m)
-    rs = ers.delta
-    letters = [
-        (rs.pairing_table[alpha], rs.reflection_table[alpha], d)
-        for alpha in rs.basis
-        for d in residues[rs.lengths[alpha]]
-    ]
+    if letters is None:
+        letters = closure_letters(ers, m)
     # the canonical residue modulo m*Z^n is the coordinatewise one
     start = (tuple(x % m for x in g), root_idx)
     seen = {start}
@@ -268,6 +291,7 @@ def orbit_partitions_agree(ers: ExtRootSystem, modulus: int | None = None) -> bo
     m = modulus if modulus is not None else default_brute_modulus(ers)
     rs = ers.delta
     residues = slice_residues_by_class(ers, m)
+    letters = closure_letters(ers, m)
     states = [
         (d, beta) for beta in range(len(rs.roots)) for d in residues[rs.lengths[beta]]
     ]
@@ -277,7 +301,7 @@ def orbit_partitions_agree(ers: ExtRootSystem, modulus: int | None = None) -> bo
     remaining = set(states)
     while remaining:
         d, beta = next(iter(remaining))
-        closure = orbit_bruteforce(ers, d, beta, m, residues)
+        closure = orbit_bruteforce(ers, d, beta, m, letters)
         if closure != by_class[orbit_of(ers, d, beta)]:
             return False
         remaining -= closure
@@ -331,7 +355,6 @@ class AbKGroup:
                     gens.append(tuple(x for row in mat for x in row))
         basis = hermite_rows(gens)
         self._k_basis = freeze(basis)
-        self._n, self._l = n, l
         eff_rows = []
         for b in basis:
             mat = [list(b[a * l : (a + 1) * l]) for a in range(n)]

@@ -2,6 +2,7 @@ import gc
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 import time
@@ -11,9 +12,12 @@ import pytest
 import extweyl
 from extweyl.cli import main
 from extweyl.ext_root import fully_extended, span_extended
-from extweyl.verify import suite_cocycle
+from extweyl.root_core import FiniteRootSystem
+from extweyl.verify import _random_weyl, suite_cocycle
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "verify_small.json"
+ORBITS_B2_Z8 = pathlib.Path(__file__).parent / "golden" / "orbits_b2_z8.json"
+RANDOM_WEYL = pathlib.Path(__file__).parent / "golden" / "random_weyl_seed0.json"
 
 
 @pytest.fixture
@@ -56,6 +60,31 @@ def test_info_bad_rank(capsys):
     assert main(["info", "B", "1"]) == 2
 
 
+def test_rank_above_cap_rejected_before_building(capsys, monkeypatch, tmp_path):
+    big = fully_extended("A", 1, n=1).to_json()
+    big["delta"]["rank"] = 1000000
+    sys_p = tmp_path / "big.json"
+    sys_p.write_text(json.dumps(big))
+    word_p = tmp_path / "w.json"
+    word_p.write_text(json.dumps([{"g": [0], "alpha": 0}]))
+
+    def no_build(*args):
+        raise AssertionError("a root system was built")
+
+    monkeypatch.setattr(FiniteRootSystem, "__init__", no_build)
+    for argv in (
+        ["info", "A", "100000"],
+        ["tensor-type", "A", "100000", "root,root"],
+        ["orbits", str(sys_p)],
+        ["word", str(sys_p), str(word_p)],
+    ):
+        start = time.perf_counter()
+        assert main(argv) == 2, argv
+        assert time.perf_counter() - start < 2, argv
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "is above the cap of 24" in err, argv
+
+
 def test_tensor_type(capsys):
     assert main(["tensor-type", "B", "2", "root,root", "--format", "json"]) == 0
     data = json.loads(capsys.readouterr().out)
@@ -79,6 +108,18 @@ def test_orbits_command(capsys, b2_file):
     data = json.loads(capsys.readouterr().out)
     assert data["bruteforce_agrees"] is True
     assert len(data["classes"]) == 4
+
+
+def test_orbits_detects_an_incomplete_closure(capsys, monkeypatch, b2_file):
+    # the letters with d = 0 generate only the finite Weyl group: each
+    # closure stays inside its class but misses part of it
+    full = extweyl.cli.closure_letters
+    monkeypatch.setattr(
+        "extweyl.cli.closure_letters",
+        lambda ers, m: [letter for letter in full(ers, m) if not any(letter[2])],
+    )
+    assert main(["orbits", b2_file, "--format", "json"]) == 1
+    assert json.loads(capsys.readouterr().out)["bruteforce_agrees"] is False
 
 
 def test_orbits_invalid_system(capsys, tmp_path):
@@ -115,6 +156,31 @@ def test_orbits_quotient_index_cap(capsys, tmp_path, n):
     assert time.perf_counter() - start < 2
     err = capsys.readouterr().err
     assert err == f"error: finite quotient of index {2 ** n} exceeds the cap 4096\n"
+
+
+def _b2_over(n, tmp_path):
+    p = tmp_path / f"b2-z{n}.json"
+    p.write_text(json.dumps(span_extended("B", 2, n=n, g1=tuple(range(n))).to_json()))
+    return str(p)
+
+
+def test_orbits_at_quotient_cap_is_fast(capsys, tmp_path):
+    # G/2G has index 2^12 = MAX_QUOTIENT_INDEX: 4097 orbit classes, each
+    # closed under 14 letters
+    path = _b2_over(12, tmp_path)
+    start = time.perf_counter()
+    assert main(["orbits", path, "--format", "json"]) == 0
+    assert time.perf_counter() - start < 2
+    data = json.loads(capsys.readouterr().out)
+    assert data["bruteforce_agrees"] is True
+    assert len(data["classes"]) == 4097
+
+
+def test_orbits_b2_z8_matches_golden(capsys, tmp_path):
+    # generated by the all-residue closure, before closure_letters
+    golden = json.loads(ORBITS_B2_Z8.read_text())
+    assert main(["orbits", _b2_over(8, tmp_path), "--format", "json"]) == 0
+    assert capsys.readouterr().out == json.dumps(golden, sort_keys=True, indent=2) + "\n"
 
 
 def test_schema_other_than_one_rejected(capsys, tmp_path, a1_file):
@@ -219,6 +285,21 @@ def test_verify_small_matches_golden(capsys):
     assert cases == golden["suite_cocycle(seed=0, cases=200)"]
 
 
+def test_random_weyl_draws_match_golden():
+    # every suite_cocycle case reads "0 failures" whatever it draws, so the
+    # golden above cannot see the draw order; pin the draws themselves
+    systems = [
+        span_extended("B", 2, n=2, g1=(0,)),
+        fully_extended("D", 4, n=2),
+        span_extended("G", 2, n=2, g1=(0,)),
+    ]
+    golden = json.loads(RANDOM_WEYL.read_text())
+    rng = random.Random(0)
+    got = [[list(row) for row in _random_weyl(systems[i % 3], rng).matrix] for i in range(30)]
+    assert got == golden["matrices"]
+    assert rng.random() == golden["next_random"]
+
+
 def test_verify_tables(capsys):
     assert main(["verify", "tables"]) == 0
     out = capsys.readouterr().out
@@ -268,7 +349,9 @@ def test_word_uab_kernel_witness(capsys, tmp_path):
 
 
 def test_bad_cap_rank_rejected(capsys):
-    assert main(["verify", "tables", "--cap-rank", "-1"]) == 2
+    for cap in ("-1", "0", "25"):
+        assert main(["verify", "tables", "--cap-rank", cap]) == 2
+        assert capsys.readouterr().err == "error: rank cap must be between 1 and 24\n"
 
 
 def _fresh_process(argv):

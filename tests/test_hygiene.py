@@ -37,8 +37,9 @@ def test_unused_import_is_reported():
     assert _unused_imports(tree) == ["os (line 1)", "gcd (line 3)"]
 
 
-# Definitions that nothing in the package calls, each kept for the tests
-# or the benchmark workload named here.
+# Definitions that nothing in the package calls, and attributes that
+# nothing in the package reads, each kept for the tests or the benchmark
+# workload named here.
 ORACLES = {
     "intlinalg.determinant": "test_intlinalg; the det functor in test_weyl and test_root_core",
     "refl_groups.check_sym_axioms": "the paper's symmetric-system axioms (test_refl_groups)",
@@ -53,6 +54,10 @@ ORACLES = {
     "root_core.doubled_lattice_inside_l_eff": "test_root_core.test_doubled_lattice_inside_l_eff",
     "ext_root.SSet.same_set": "slice equality in test_ext_root",
     "ext_root.TrimResult.map_extended_root": "the trim identifications in test_ext_root",
+    "intlinalg.FPAbelianGroup.relations": "the relation-set oracles in test_lattice_algebra",
+    "lattice_algebra.BoxForm.rs": "test_lattice_algebra.value_roots",
+    "lattice_algebra.BoxForm.left": "test_lattice_algebra.value_roots",
+    "lattice_algebra.BoxForm.right": "test_lattice_algebra.value_roots",
 }
 
 
@@ -91,12 +96,39 @@ def _unreferenced(trees: dict[str, ast.Module]) -> list[str]:
     return out
 
 
+def _unread_attributes(trees: dict[str, ast.Module]) -> list[str]:
+    """Attributes that a class stores on `self` and that no ast.Attribute
+    in a load context reads, matched by bare name; `__init__` does not
+    count as a reader."""
+    stored = {}
+    read = set()
+    for mod, tree in trees.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for n in ast.walk(cls):
+                if (
+                    isinstance(n, ast.Attribute)
+                    and isinstance(n.ctx, ast.Store)
+                    and isinstance(n.value, ast.Name)
+                    and n.value.id == "self"
+                ):
+                    stored.setdefault(f"{mod}.{cls.name}.{n.attr}", n.attr)
+        if mod != "__init__":
+            read.update(
+                n.attr
+                for n in ast.walk(tree)
+                if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+            )
+    return [qualname for qualname, attr in stored.items() if attr not in read]
+
+
 def test_every_definition_is_referenced_or_an_oracle():
     trees = {
         path.stem: ast.parse(path.read_text(), filename=str(path))
         for path in sorted(PACKAGE.glob("*.py"))
     }
-    assert sorted(_unreferenced(trees)) == sorted(ORACLES)
+    assert sorted(_unreferenced(trees) + _unread_attributes(trees)) == sorted(ORACLES)
 
 
 def test_unreferenced_definition_is_reported():
@@ -113,3 +145,22 @@ def test_unreferenced_definition_is_reported():
         "__init__": ast.parse("from a import C\n__all__ = ['C']\nC.n\n"),
     }
     assert _unreferenced(trees) == ["a.recursive", "a.C", "a.C.n"]
+
+
+def test_unread_attribute_is_reported():
+    trees = {
+        "a": ast.parse(
+            "class C:\n"
+            "    def __init__(self):\n"
+            "        self.read = 1\n"
+            "        self.unread = 2\n"
+            "        self.only_reexported: int = 3\n"
+            "    def m(self):\n"
+            "        self.read += 1\n"
+            "        return self.read\n"
+            "def f(x):\n"
+            "    x.unread = 4\n"
+        ),
+        "__init__": ast.parse("from a import C\nC().only_reexported\n"),
+    }
+    assert _unread_attributes(trees) == ["a.C.unread", "a.C.only_reexported"]

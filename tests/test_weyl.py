@@ -13,15 +13,18 @@ from extweyl.ext_root import (
 from extweyl.intlinalg import determinant, is_zero_mat, mat_mul, transpose, zeros
 from extweyl.refl_groups import ReflectionLabel, conj_reflect, label_k_part
 from extweyl.root_core import SHORT, WeylElement
+from extweyl.verify import orbit_configurations
 from extweyl.weyl import (
     AbKGroup,
     WElement,
     ab_a_properness,
     build_uab_kernel_word,
+    closure_letters,
     cocycle,
     conjugated_relator_product,
     cross_check_remark,
     decide_word,
+    default_brute_modulus,
     evaluate_word_in_w,
     expected_ab_k_descriptor,
     orbit_bruteforce,
@@ -30,9 +33,12 @@ from extweyl.weyl import (
     random_label,
     relator_word,
     remark_conditions,
+    slice_residues_by_class,
     uab_of_word,
     w_generator,
 )
+
+from test_ext_root import _refined_to_k_squared
 
 
 def b2():
@@ -228,6 +234,92 @@ def test_orbit_bruteforce_reaches_everything_fully_extended():
     # shifts within each class
     classes = {orbit_of(g2, h, b) for h, b in closure}
     assert len(classes) == 1
+
+
+def _all_residue_closure(ers, g, root_idx, m):
+    """The closure orbit_bruteforce used before closure_letters: one letter
+    per (simple root alpha, residue of S_alpha mod m).  The oracle for the
+    generating set of letters."""
+    rs = ers.delta
+    residues = slice_residues_by_class(ers, m)
+    letters = [
+        (rs.pairing_table[alpha], rs.reflection_table[alpha], d)
+        for alpha in rs.basis
+        for d in residues[rs.lengths[alpha]]
+    ]
+    start = (tuple(x % m for x in g), root_idx)
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for h, beta in frontier:
+            for pairs, images, d in letters:
+                c = pairs[beta]
+                state = (tuple((x - c * y) % m for x, y in zip(h, d)), images[beta])
+                if state not in seen:
+                    seen.add(state)
+                    nxt.append(state)
+        frontier = nxt
+    return seen
+
+
+def _b2_over(n):
+    """B2 over Z^n with every coordinate twisted: S_sh = G, S_lg = 2G, so
+    G/2G has index 2^n and there are 2^n + 1 orbit classes."""
+    return span_extended("B", 2, n=n, g1=tuple(range(n)))
+
+
+def _closure_grids():
+    for name, ers in orbit_configurations():
+        yield name, ers
+        yield f"{name} over k^2 Z^n", _refined_to_k_squared(ers)
+    for n in range(1, 9):
+        yield f"B2 over Z^{n}", _b2_over(n)
+
+
+def _starts(ers, m):
+    rs = ers.delta
+    residues = slice_residues_by_class(ers, m)
+    return [(d, beta) for beta in range(len(rs.roots)) for d in residues[rs.lengths[beta]]]
+
+
+def _assert_closures_match(name, ers, starts, m):
+    letters = closure_letters(ers, m)
+    oracle = {}
+    for d, beta in starts:
+        if (d, beta) not in oracle:
+            orbit = _all_residue_closure(ers, d, beta, m)
+            oracle.update(dict.fromkeys(orbit, orbit))
+        assert orbit_bruteforce(ers, d, beta, m, letters) == oracle[d, beta], (name, d, beta)
+
+
+def test_generating_letters_close_the_same_orbits():
+    for name, ers in _closure_grids():
+        m = default_brute_modulus(ers)
+        _assert_closures_match(name, ers, _starts(ers, m), m)
+
+
+def test_generating_letters_close_the_same_orbits_b2_z10_sample():
+    ers = _b2_over(10)
+    starts = random.Random(10).sample(_starts(ers, 2), 40)
+    _assert_closures_match("B2 over Z^10", ers, starts, 2)
+
+
+def test_generating_letters_are_few():
+    # one letter per coset and per basis row of H, not one per residue:
+    # the short simple root of B2 over Z^8 takes 0 and the 8 unit vectors
+    # (256 residues), the long one 0 alone (S_lg = 2G is 0 mod 2)
+    assert len(closure_letters(_b2_over(8), 2)) == 9 + 1
+
+
+def test_orbit_of_depends_on_root_only_through_length_class():
+    # cmd_orbits asks orbit_of once per (length class, residue) on this
+    for name, ers in _closure_grids():
+        rs = ers.delta
+        for cls, ds in slice_residues_by_class(ers, default_brute_modulus(ers)).items():
+            roots = [b for b, c in enumerate(rs.lengths) if c == cls]
+            for d in ds:
+                assert len({orbit_of(ers, d, b) for b in roots}) == 1, (name, cls, d)
 
 
 def test_uab_examples():
