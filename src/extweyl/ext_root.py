@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import prod
 
 from extweyl.intlinalg import (
@@ -57,8 +58,8 @@ class FreeAbelianGroup:
     g2: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if self.rank < 0:
-            raise ExtRootError("rank must be nonnegative")
+        if type(self.rank) is not int or self.rank < 0:
+            raise ExtRootError("rank must be a nonnegative integer")
         if not self.g1 and not self.g2:
             object.__setattr__(self, "g2", tuple(range(self.rank)))
         joint = sorted(self.g1 + self.g2)
@@ -155,8 +156,37 @@ class ValidationReport:
         self.checks.append(CheckResult(name, passed, witness))
 
 
+def _check_slice_shapes(raw, keys, rank: int) -> None:
+    """Reject `s_sets` JSON that is not {key: {"H": rows, "cosets": rows}}
+    with integer rows of length `rank`, naming the offending path."""
+    if not isinstance(raw, dict):
+        raise ExtRootError(f"s_sets must be an object, got {type(raw).__name__}")
+    for k, v in raw.items():
+        if k not in keys:
+            raise ExtRootError(f"s_sets.{k}: unknown length class; use {', '.join(keys)}")
+        if not isinstance(v, dict):
+            raise ExtRootError(f"s_sets.{k} must be an object with H and cosets")
+        for part in ("H", "cosets"):
+            rows = v.get(part)
+            if not isinstance(rows, list):
+                raise ExtRootError(f"s_sets.{k}.{part} must be a list")
+            for i, row in enumerate(rows):
+                if not (
+                    isinstance(row, list)
+                    and len(row) == rank
+                    and all(type(x) is int for x in row)
+                ):
+                    raise ExtRootError(
+                        f"s_sets.{k}.{part}[{i}] must be a list of {rank} integers"
+                    )
+
+
 class ExtRootSystem:
-    """A root system of some finite type extended by Z^n."""
+    """A root system of some finite type extended by Z^n.
+
+    The `_refined`, `orbit_rows` and `twist` caches assume that the
+    slices are not changed after construction.
+    """
 
     def __init__(
         self,
@@ -213,6 +243,11 @@ class ExtRootSystem:
     def span_s(self, cls: str) -> list[Vector]:
         return self.s_sets[cls].span()
 
+    @cached_property
+    def twist(self) -> ValidationReport:
+        """The `check_twist` report, computed on first use."""
+        return check_twist(self)
+
     # -- serialization --------------------------------------------------------
 
     def to_json(self) -> dict:
@@ -245,9 +280,11 @@ class ExtRootSystem:
             tuple(data["g"].get("g1", [])),
             tuple(data["g"].get("g2", [])),
         )
+        raw = data["s_sets"]
+        _check_slice_shapes(raw, key, grp.rank)
         s_sets = {
             key[k]: SSet(v["H"], [tuple(c) for c in v["cosets"]])
-            for k, v in data["s_sets"].items()
+            for k, v in raw.items()
         }
         return ExtRootSystem(rst, grp, s_sets)
 

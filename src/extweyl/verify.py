@@ -48,11 +48,9 @@ from extweyl.weyl import (
     cocycle,
     conjugated_relator_product,
     decide_word,
-    evaluate_word_in_w,
     expected_ab_k_descriptor,
     orbit_partitions_agree,
     random_label,
-    uab_of_word,
 )
 
 # --- reference data --------------------------------------------------------
@@ -485,12 +483,7 @@ def suite_words(seed: int = 0, cases: int = 10000) -> SuiteReport:
     fails = 0
     for i in range(cases):
         name, ers = systems[i % len(systems)]
-        word = conjugated_relator_product(ers, rng)
-        w = evaluate_word_in_w(ers, word)
-        if not w.is_identity() or not uab_of_word(ers, word).is_zero():
-            fails += 1
-            continue
-        if not decide_word(ers, word).trivial:
+        if not decide_word(ers, conjugated_relator_product(ers, rng)).trivial:
             fails += 1
     rep.add(
         f"relator products trivial [{cases} cases]", fails == 0, f"{fails} failures"

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from extweyl.ext_root import ExtRootError, ExtRootSystem, check_twist
+from extweyl.ext_root import ExtRootError, ExtRootSystem
 from extweyl.intlinalg import (
     FPAbelianGroup,
     Matrix,
@@ -465,7 +465,7 @@ def _require_decidable(ers: ExtRootSystem):
     if not ers.delta.rs_type.is_reduced():
         raise ExtRootError("the decider needs a reduced type; trim first")
     if not ers.delta.rs_type.is_single_length():
-        if not check_twist(ers).ok:
+        if not ers.twist.ok:
             raise ExtRootError("the decider needs a tame system (twist check failed)")
 
 

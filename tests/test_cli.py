@@ -13,11 +13,12 @@ import extweyl
 from extweyl.cli import main
 from extweyl.ext_root import fully_extended, span_extended
 from extweyl.root_core import FiniteRootSystem
-from extweyl.verify import _random_weyl, suite_cocycle
+from extweyl.verify import _random_weyl, suite_cocycle, suite_words
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "verify_small.json"
 ORBITS_B2_Z8 = pathlib.Path(__file__).parent / "golden" / "orbits_b2_z8.json"
 RANDOM_WEYL = pathlib.Path(__file__).parent / "golden" / "random_weyl_seed0.json"
+VERIFY_WORDS = pathlib.Path(__file__).parent / "golden" / "verify_words_small.json"
 
 
 @pytest.fixture
@@ -269,6 +270,59 @@ def test_malformed_system_file_exits_2(capsys, tmp_path, command, text):
     err = capsys.readouterr().err
     prefix = "error: cannot load system: " if command == "orbits" else "error: bad input: "
     assert err.count("\n") == 1 and err.startswith(prefix) and "Traceback" not in err
+
+
+_A1_Z2_SLICE = {"H": [[1, 0], [0, 1]], "cosets": [[0, 0]]}
+
+
+@pytest.mark.parametrize("command", ["orbits", "word"])
+@pytest.mark.parametrize(
+    "s_sets, path",
+    [
+        ([_A1_Z2_SLICE], "s_sets must be an object"),
+        ("sh", "s_sets must be an object"),
+        (None, "s_sets must be an object"),
+        ({"sh": {**_A1_Z2_SLICE, "cosets": [[0]]}}, "s_sets.sh.cosets[0] "),
+        ({"sh": {**_A1_Z2_SLICE, "cosets": [[0, 0], [0, 0, 0]]}}, "s_sets.sh.cosets[1] "),
+        ({"sh": {**_A1_Z2_SLICE, "H": [[1, 0], [1]]}}, "s_sets.sh.H[1] "),
+        ({"sh": {**_A1_Z2_SLICE, "H": [[1, 0], [0, "1"]]}}, "s_sets.sh.H[1] "),
+        ({"sh": [_A1_Z2_SLICE]}, "s_sets.sh must be an object"),
+        ({"sh": {"H": [[1, 0], [0, 1]]}}, "s_sets.sh.cosets must be a list"),
+        ({"xx": _A1_Z2_SLICE}, "s_sets.xx: unknown length class"),
+    ],
+)
+def test_malformed_slices_exit_2(capsys, tmp_path, command, s_sets, path):
+    data = fully_extended("A", 1, n=2).to_json()
+    data["s_sets"] = s_sets
+    p = tmp_path / "system.json"
+    p.write_text(json.dumps(data))
+    w = tmp_path / "w.json"
+    w.write_text(json.dumps([{"g": [0, 0], "alpha": 0}]))
+    argv = ["orbits", str(p)] if command == "orbits" else ["word", str(p), str(w)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and path in err and "Traceback" not in err
+
+
+def test_boolean_group_rank_exits_2(capsys, tmp_path):
+    data = fully_extended("A", 1, n=1).to_json()
+    data["g"]["rank"] = True
+    p = tmp_path / "system.json"
+    p.write_text(json.dumps(data))
+    assert main(["orbits", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "rank must be a nonnegative integer" in err
+
+
+def test_verify_words_small_matches_golden():
+    # generated while the relator loop still evaluated each word three
+    # times; the harness counts after that loop pin its random draws
+    rep = suite_words(seed=0, cases=200)
+    got = {
+        "cases": [{"name": c.name, "ok": c.ok, "detail": c.detail} for c in rep.cases],
+        "reports": rep.reports,
+    }
+    assert got == json.loads(VERIFY_WORDS.read_text())
 
 
 def test_verify_small_matches_golden(capsys):

@@ -132,10 +132,14 @@ def test_membership_depends_only_on_length_class():
         assert len(vals) == 1
 
 
-def test_twist_swapped_fails():
+def _swapped_b2():
+    """B2 over Z^2 with G1 and G2 exchanged: valid, but not tame."""
     ers = span_extended("B", 2, n=2, g1=(0,))
-    swapped = ExtRootSystem(ers.delta, FreeAbelianGroup(2, (1,), (0,)), ers.s_sets)
-    rep = check_twist(swapped)
+    return ExtRootSystem(ers.delta, FreeAbelianGroup(2, (1,), (0,)), ers.s_sets)
+
+
+def test_twist_swapped_fails():
+    rep = check_twist(_swapped_b2())
     assert not rep.ok
     assert rep.failed()
 
@@ -320,9 +324,7 @@ def test_trim_orbits_well_defined_on_source():
 
 
 def test_twist_failure_carries_witness():
-    ers = span_extended("B", 2, n=2, g1=(0,))
-    swapped = ExtRootSystem(ers.delta, FreeAbelianGroup(2, (1,), (0,)), ers.s_sets)
-    rep = check_twist(swapped)
+    rep = check_twist(_swapped_b2())
     assert any(c.witness for c in rep.failed())
 
 
@@ -450,3 +452,19 @@ def test_chains_match_rebased_oracle():
         assert got == _chains_oracle(ers)
         failures += sum(not ok for _, ok, _ in got)
     assert failures > 0
+
+
+def test_twist_cache_matches_a_fresh_check():
+    coarse = [ers for _, ers in orbit_configurations()]
+    fine = [_refined_to_k_squared(ers) for ers in coarse]
+    broken = [b for ers in fine for b in _broken_variants(ers)]
+    untame = 0
+    for ers in coarse + fine + broken + [_swapped_b2()]:
+        cached = ers.twist
+        fresh = check_twist(ers)
+        assert [(c.name, c.passed, c.witness) for c in cached.checks] == [
+            (c.name, c.passed, c.witness) for c in fresh.checks
+        ]
+        assert ers.twist is cached
+        untame += not fresh.ok
+    assert untame > 1

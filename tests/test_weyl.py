@@ -2,10 +2,10 @@ import random
 
 import pytest
 
+from extweyl import ext_root
 from extweyl.ext_root import (
     ExtRootError,
-    ExtRootSystem,
-    FreeAbelianGroup,
+    check_twist,
     fully_extended,
     span_extended,
     trim,
@@ -13,7 +13,7 @@ from extweyl.ext_root import (
 from extweyl.intlinalg import determinant, is_zero_mat, mat_mul, transpose, zeros
 from extweyl.refl_groups import ReflectionLabel, conj_reflect, label_k_part
 from extweyl.root_core import SHORT, WeylElement
-from extweyl.verify import orbit_configurations
+from extweyl.verify import orbit_configurations, word_test_systems
 from extweyl.weyl import (
     AbKGroup,
     WElement,
@@ -38,7 +38,7 @@ from extweyl.weyl import (
     w_generator,
 )
 
-from test_ext_root import _refined_to_k_squared
+from test_ext_root import _refined_to_k_squared, _swapped_b2
 
 
 def b2():
@@ -367,15 +367,83 @@ def test_decide_word_examples():
 
 
 def test_decide_word_rejects_nontame_and_bc():
-    ers = b2()
-    swapped = ExtRootSystem(ers.delta, FreeAbelianGroup(2, (1,), (0,)), ers.s_sets)
+    # the twist report is cached, so the second call must still raise
+    swapped = _swapped_b2()
     t = ReflectionLabel.make(swapped, (0, 0), 0)
-    with pytest.raises(ExtRootError):
-        decide_word(swapped, [t, t])
+    for _ in range(2):
+        for call in (
+            lambda: decide_word(swapped, [t, t]),
+            lambda: remark_conditions(swapped, [t, t]),
+            lambda: build_uab_kernel_word(swapped),
+        ):
+            with pytest.raises(ExtRootError, match="tame"):
+                call()
     bc = fully_extended("BC", 1, n=1)
     tb = ReflectionLabel.make(bc, (0,), bc.delta.reduced_root_indices()[0])
     with pytest.raises(ExtRootError):
         decide_word(bc, [tb, tb])
+
+
+def test_decide_word_checks_tameness_once_per_system(monkeypatch):
+    calls = []
+
+    def counting(ers):
+        calls.append(ers)
+        return check_twist(ers)
+
+    monkeypatch.setattr(ext_root, "check_twist", counting)
+    ers = b2()
+    rng = random.Random(13)
+    for _ in range(50):
+        assert decide_word(ers, conjugated_relator_product(ers, rng)).trivial
+    assert calls == [ers]
+
+
+def _same_root_pair(ers, rng):
+    """Two labels on one root: trivial in the finite Weyl group."""
+    t = random_label(ers, rng)
+    while True:
+        u = random_label(ers, rng)
+        if u.root == t.root:
+            return [t, u]
+
+
+def _translation_commutator(ers, rng):
+    """[t1, t2] for the translations t_i = r_(0,a) r_(h_i,a), h_i rows of
+    H_a: trivial in V and K, central with even parity."""
+    root = random_label(ers, rng).root
+    h = ers.s_of_root(root).h_basis
+    a0, a1, a2 = (ReflectionLabel.make(ers, g, root) for g in ((0,) * ers.n, h[0], h[1]))
+    return [a0, a1, a0, a2, a1, a0, a2, a0]
+
+
+def test_decide_word_trivial_iff_identity_and_even_parity():
+    # decide_word evaluates each word once; the oracle evaluates it in W
+    # and takes the orbit parity separately
+    rng = random.Random(14)
+    systems = word_test_systems() + [
+        ("A1 n=3", fully_extended("A", 1, n=3)),
+        ("B2 n=3", span_extended("B", 2, n=3, g1=(0, 1, 2))),
+    ]
+    layers = set()
+    for name, ers in systems:
+        words = [conjugated_relator_product(ers, rng) for _ in range(10)]
+        words += [[random_label(ers, rng) for _ in range(rng.randint(0, 8))] for _ in range(20)]
+        words += [_same_root_pair(ers, rng) for _ in range(5)]
+        if ers.n > 1:
+            words += [_translation_commutator(ers, rng) for _ in range(3)]
+        kernel = build_uab_kernel_word(ers) if ers.n == 3 else None
+        if kernel:
+            words += [kernel, kernel + kernel]
+        for word in words:
+            want = (
+                evaluate_word_in_w(ers, word).is_identity()
+                and uab_of_word(ers, word).is_zero()
+            )
+            d = decide_word(ers, word)
+            assert d.trivial == want, (name, word)
+            layers.add(d.failing_layer)
+    assert layers == {None, "V", "K", "Z", "Uab"}
 
 
 def test_remark_conditions():
