@@ -23,14 +23,7 @@ from extweyl.lattice_algebra import (
 from extweyl.refl_groups import ReflectionLabel
 from extweyl.root_core import MAX_RANK, RootSystemError, build, k_delta
 from extweyl.verify import SUITES, run_suites
-from extweyl.weyl import (
-    closure_letters,
-    decide_word,
-    default_brute_modulus,
-    orbit_bruteforce,
-    orbit_of,
-    slice_residues_by_class,
-)
+from extweyl.weyl import decide_word, default_brute_modulus, orbit_classes
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -163,15 +156,8 @@ def _reject_invalid(ers: ExtRootSystem) -> bool:
 
 
 def cmd_orbits(args) -> int:
-    """Orbit classes of a reduced system, each checked by a closure in G/mG.
-
-    The closure runs under closure_letters: per simple root alpha, the
-    reflections r_(alpha,d) for d a coset representative of S_alpha or
-    that representative plus a basis row of H_alpha.  Those generate
-    every r_(alpha,d), d in S_alpha, because r_(alpha,c) r_(alpha,c+h) is
-    a translation by h that does not depend on c; so each closure is the
-    whole orbit, at a cost linear in the letters and not in the residues.
-    """
+    """Orbit classes of a reduced system, each checked by a closure in
+    G/mG (weyl.orbit_classes)."""
     try:
         ers = ExtRootSystem.load(args.system)
     except INPUT_ERRORS as exc:
@@ -185,42 +171,19 @@ def cmd_orbits(args) -> int:
         return EXIT_USAGE
     if _reject_invalid(ers):
         return EXIT_USAGE
-    m = default_brute_modulus(ers)
-    rs = ers.delta
-    # orbit_of depends on beta only through its length class, so it is
-    # asked once per (class, residue) of the grid, with the first root of
-    # the class; each closure state is looked up there, and one off the
-    # grid has left the system
-    class_of = {}
-    classes = {}
-    grid_states = {}
-    for cls, ds in slice_residues_by_class(ers, m).items():
-        beta = rs.lengths.index(cls)
-        n_roots = rs.lengths.count(cls)
-        for d in ds:
-            oc = orbit_of(ers, d, beta)
-            class_of[cls, d] = key = (oc.length_class, oc.coset)
-            classes.setdefault(key, [list(d), beta])
-            grid_states[key] = grid_states.get(key, 0) + n_roots
-    letters = closure_letters(ers, m)
-    agree = True
-    for key, rep0 in classes.items():
-        closure = orbit_bruteforce(ers, tuple(rep0[0]), rep0[1], m, letters)
-        inside = all(class_of.get((rs.lengths[b], h)) == key for h, b in closure)
-        # inside the class and as large as it on the grid: equal to it
-        if not inside or len(closure) != grid_states[key]:
-            agree = False
+    classes, agree = orbit_classes(ers)
+    rows = [(k, [list(d), beta]) for k, (d, beta) in sorted(classes.items())]
     payload = {
         "schema": 1,
         "classes": [
             {"length_class": k[0], "coset": list(k[1]), "representative": v}
-            for k, v in sorted(classes.items())
+            for k, v in rows
         ],
         "bruteforce_agrees": agree,
-        "modulus": m,
+        "modulus": default_brute_modulus(ers),
     }
     lines = [f"{len(classes)} orbit classes (brute-force agreement: {agree})"]
-    for k, v in sorted(classes.items()):
+    for k, v in rows:
         lines.append(f"  {k[0]} coset {list(k[1])} rep {v}")
     _emit(payload, lines, args.format, args.out)
     return EXIT_OK if agree else EXIT_MISMATCH

@@ -60,6 +60,9 @@ class FreeAbelianGroup:
     def __post_init__(self):
         if type(self.rank) is not int or self.rank < 0:
             raise ExtRootError("rank must be a nonnegative integer")
+        for name in ("g1", "g2"):
+            if any(type(i) is not int for i in getattr(self, name)):
+                raise ExtRootError(f"{name} must list integer basis indices")
         if not self.g1 and not self.g2:
             object.__setattr__(self, "g2", tuple(range(self.rank)))
         joint = sorted(self.g1 + self.g2)
@@ -156,20 +159,24 @@ class ValidationReport:
         self.checks.append(CheckResult(name, passed, witness))
 
 
+def _require(value, kind: type, path: str):
+    """`value` if it is a `kind`, dict for a JSON object or list for a
+    JSON list; otherwise an ExtRootError naming `path`."""
+    if not isinstance(value, kind):
+        want = "an object" if kind is dict else "a list"
+        raise ExtRootError(f"{path} must be {want}, got {type(value).__name__}")
+    return value
+
+
 def _check_slice_shapes(raw, keys, rank: int) -> None:
     """Reject `s_sets` JSON that is not {key: {"H": rows, "cosets": rows}}
     with integer rows of length `rank`, naming the offending path."""
-    if not isinstance(raw, dict):
-        raise ExtRootError(f"s_sets must be an object, got {type(raw).__name__}")
-    for k, v in raw.items():
+    for k, v in _require(raw, dict, "s_sets").items():
         if k not in keys:
             raise ExtRootError(f"s_sets.{k}: unknown length class; use {', '.join(keys)}")
-        if not isinstance(v, dict):
-            raise ExtRootError(f"s_sets.{k} must be an object with H and cosets")
+        _require(v, dict, f"s_sets.{k}")
         for part in ("H", "cosets"):
-            rows = v.get(part)
-            if not isinstance(rows, list):
-                raise ExtRootError(f"s_sets.{k}.{part} must be a list")
+            rows = _require(v.get(part), list, f"s_sets.{k}.{part}")
             for i, row in enumerate(rows):
                 if not (
                     isinstance(row, list)
@@ -184,8 +191,10 @@ def _check_slice_shapes(raw, keys, rank: int) -> None:
 class ExtRootSystem:
     """A root system of some finite type extended by Z^n.
 
-    The `_refined`, `orbit_rows` and `twist` caches assume that the
-    slices are not changed after construction.
+    Three per-system caches are computed on first use: `refined` (the
+    slices over their common modulus), `orbit_rows` (the orbit row
+    lattice of each length class) and `twist` (the check_twist report).
+    They assume that the slices are not changed after construction.
     """
 
     def __init__(
@@ -207,9 +216,6 @@ class ExtRootSystem:
             if s.rank != group.rank:
                 raise ExtRootError("S-set rank does not match the group rank")
         self.s_sets = dict(s_sets)
-        self._refined: dict[str, SSet] | None = None
-        # orbit row lattice per length class, filled lazily by weyl.orbit_of
-        self.orbit_rows: dict[str, list[Vector]] = {}
 
     # -- basic queries ------------------------------------------------------
 
@@ -227,21 +233,22 @@ class ExtRootSystem:
         order = [SHORT, LONG, EXTRALONG]
         return [c for c in order if c in self.s_sets]
 
-    def refined_s_sets(self) -> dict[str, SSet]:
+    @cached_property
+    def refined(self) -> dict[str, SSet]:
         """All S-sets over the common refinement of their moduli."""
-        if self._refined is None:
-            common = None
-            for s in self.s_sets.values():
-                common = (
-                    list(s.h_basis)
-                    if common is None
-                    else lattice_intersection(common, s.h_basis)
-                )
-            self._refined = {c: s.rebase(common) for c, s in self.s_sets.items()}
-        return self._refined
+        common = None
+        for s in self.s_sets.values():
+            common = (
+                list(s.h_basis)
+                if common is None
+                else lattice_intersection(common, s.h_basis)
+            )
+        return {c: s.rebase(common) for c, s in self.s_sets.items()}
 
-    def span_s(self, cls: str) -> list[Vector]:
-        return self.s_sets[cls].span()
+    @cached_property
+    def orbit_rows(self) -> dict[str, list[Vector]]:
+        """`orbit_row_lattice` of each length class."""
+        return {cls: orbit_row_lattice(self, cls) for cls in self.classes()}
 
     @cached_property
     def twist(self) -> ValidationReport:
@@ -271,14 +278,17 @@ class ExtRootSystem:
 
     @staticmethod
     def from_json(data: dict) -> "ExtRootSystem":
+        _require(data, dict, "the system")
         if "schema" in data and data["schema"] != 1:
             raise ExtRootError(f"unsupported schema {data['schema']!r}; expected 1")
         key = {"sh": SHORT, "lg": LONG, "ex": EXTRALONG}
-        rst = RootSystemType(data["delta"]["family"], data["delta"]["rank"])
+        delta = _require(data["delta"], dict, "delta")
+        g = _require(data["g"], dict, "g")
+        rst = RootSystemType(delta["family"], delta["rank"])
         grp = FreeAbelianGroup(
-            data["g"]["rank"],
-            tuple(data["g"].get("g1", [])),
-            tuple(data["g"].get("g2", [])),
+            g["rank"],
+            tuple(_require(g.get("g1", []), list, "g.g1")),
+            tuple(_require(g.get("g2", []), list, "g.g2")),
         )
         raw = data["s_sets"]
         _check_slice_shapes(raw, key, grp.rank)
@@ -345,6 +355,32 @@ def span_extended(
     return ExtRootSystem(delta, grp, s_sets)
 
 
+def orbit_row_lattice(ers: ExtRootSystem, cls: str) -> list[Vector]:
+    """The subgroup H with orbits (h + H) inside the given length class.
+
+    The closed-form table applies to reduced tame systems whose slices
+    equal their spans; brute force is the arbiter beyond that.
+    """
+    fam = ers.delta.rs_type.family
+    l = ers.delta.rank
+    n = ers.n
+    grp = ers.group
+    full = [grp.basis_vector(i) for i in range(n)]
+    two_g = [vec_scale(2, v) for v in full]
+    two_g1_plus_g2 = [vec_scale(2, grp.basis_vector(i)) for i in grp.g1] + [
+        grp.basis_vector(i) for i in grp.g2
+    ]
+    if fam == "A" and l == 1:
+        return hermite_rows(two_g)
+    if fam == "B" and l == 2:
+        return hermite_rows(two_g1_plus_g2 if cls == SHORT else two_g)
+    if fam == "B":
+        return hermite_rows(two_g1_plus_g2)
+    if fam == "C":
+        return hermite_rows(full if cls == SHORT else two_g)
+    return hermite_rows(full)
+
+
 # ---------------------------------------------------------------------------
 # Validation
 # ---------------------------------------------------------------------------
@@ -400,7 +436,7 @@ def validate(ers: ExtRootSystem) -> ValidationReport:
     }
 
     if all(modulus_ok.values()):
-        refined = ers.refined_s_sets()
+        refined = ers.refined
         rep.add("R3' (reflection stability)", *_reflection_stability(delta, refined))
         if not delta.rs_type.is_single_length():
             k = k_delta(delta.rs_type)
@@ -555,7 +591,7 @@ def check_twist(ers: ExtRootSystem) -> ValidationReport:
     k = k_delta(delta.rs_type)
     n = ers.n
     grp = ers.group
-    refined = ers.refined_s_sets()
+    refined = ers.refined
     hstar = refined[SHORT].h_basis
     sh = set(refined[SHORT].cosets)
     lg = set(refined[LONG].cosets)
@@ -616,11 +652,11 @@ def check_twist(ers: ExtRootSystem) -> ValidationReport:
     )
     rep.add(
         "(v) <S_sh> = G1 + G2",
-        hermite_rows(ers.span_s(SHORT)) == hermite_rows(g1_gens + g2_gens),
+        ers.s_sets[SHORT].span() == hermite_rows(g1_gens + g2_gens),
     )
     rep.add(
         "(v) <S_lg> = k*G1 + G2",
-        hermite_rows(ers.span_s(LONG)) == hermite_rows(k_g1 + g2_gens),
+        ers.s_sets[LONG].span() == hermite_rows(k_g1 + g2_gens),
     )
     return rep
 

@@ -71,6 +71,8 @@ class RootSystemType:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise RootSystemError(f"unknown family {self.family!r}")
+        if type(self.rank) is not int:
+            raise RootSystemError(f"rank must be an integer, got {self.rank!r}")
         if self.rank > MAX_RANK:
             raise RootSystemError(f"rank {self.rank} is above the cap of {MAX_RANK}")
         if not _RANK_OK[self.family](self.rank):
@@ -304,9 +306,6 @@ class FiniteRootSystem:
 
     def is_root(self, v: Vector) -> bool:
         return tuple(v) in self._index
-
-    def length_class(self, i: int) -> str:
-        return self.lengths[i]
 
     def coroot_length_class(self, i: int) -> str:
         """Length class of coroots[i] inside the coroot system."""

@@ -155,32 +155,6 @@ class OrbitClass:
     coset: Vector
 
 
-def orbit_row_lattice(ers: ExtRootSystem, cls: str) -> list[Vector]:
-    """The subgroup H with orbits (h + H) inside the given length class.
-
-    The closed-form table applies to reduced tame systems whose slices
-    equal their spans; brute force is the arbiter beyond that.
-    """
-    fam = ers.delta.rs_type.family
-    l = ers.delta.rank
-    n = ers.n
-    grp = ers.group
-    full = [grp.basis_vector(i) for i in range(n)]
-    two_g = [vec_scale(2, v) for v in full]
-    two_g1_plus_g2 = [vec_scale(2, grp.basis_vector(i)) for i in grp.g1] + [
-        grp.basis_vector(i) for i in grp.g2
-    ]
-    if fam == "A" and l == 1:
-        return hermite_rows(two_g)
-    if fam == "B" and l == 2:
-        return hermite_rows(two_g1_plus_g2 if cls == SHORT else two_g)
-    if fam == "B":
-        return hermite_rows(two_g1_plus_g2)
-    if fam == "C":
-        return hermite_rows(full if cls == SHORT else two_g)
-    return hermite_rows(full)
-
-
 def orbit_of(ers: ExtRootSystem, g, root_idx: int) -> OrbitClass:
     """The orbit class of an extended root (g, beta) under the full group.
 
@@ -193,10 +167,7 @@ def orbit_of(ers: ExtRootSystem, g, root_idx: int) -> OrbitClass:
     if not ers.membership(g, root_idx):
         raise ExtRootError(f"({g}, root {root_idx}) is not in the extended system")
     cls = ers.delta.lengths[root_idx]
-    rows = ers.orbit_rows.get(cls)
-    if rows is None:
-        rows = ers.orbit_rows[cls] = orbit_row_lattice(ers, cls)
-    return OrbitClass(cls, lattice_reduce(rows, g))
+    return OrbitClass(cls, lattice_reduce(ers.orbit_rows[cls], g))
 
 
 _BRUTE_MODULUS = {"A": 2, "B": 2, "C": 2, "D": 2, "E": 2, "F": 2, "G": 6}
@@ -229,7 +200,9 @@ def closure_letters(ers: ExtRootSystem, m: int) -> list[tuple[tuple, tuple, Vect
     group as every d in S_alpha: r_(alpha,c) r_(alpha,c+h) acts as
     (x, beta) -> (x - <beta, alpha^v> h, beta), a translation t_h that
     does not depend on c, with t_h t_h' = t_(h+h'); so every
-    r_(alpha,c_i+h) = r_(alpha,c_i) t_h is a word in the letters.
+    r_(alpha,c_i+h) = r_(alpha,c_i) t_h is a word in the letters.  The
+    letters are involutions, so the closure under them is the orbit, at
+    a cost linear in the letters and not in the residues.
     """
     rs = ers.delta
     by_class = {}
@@ -252,15 +225,13 @@ def orbit_bruteforce(
     modulus: int | None = None,
     letters: list[tuple[tuple, tuple, Vector]] | None = None,
 ) -> set[tuple[Vector, int]]:
-    """Closure of one extended root under the generator reflections,
+    """Closure of one extended root under closure_letters(ers, m),
     computed in the finite quotient G/mG.
 
     This is the independent oracle for orbit_of: the closure collects
-    exactly the orbit as long as m*G sits inside the orbit subgroup.
-    The letters are closure_letters(ers, m), a generating set of the
-    reflections r_(alpha,d), alpha simple and d in S_alpha; they are
-    involutions, so the closure under them is the orbit.  A caller
-    closing several starts of one system builds them once and passes
+    exactly the orbit as long as m*G sits inside the orbit subgroup (see
+    closure_letters for why those letters suffice).  A caller closing
+    several starts of one system builds the letters once and passes
     them in.
     """
     if not ers.delta.rs_type.is_reduced():
@@ -285,27 +256,43 @@ def orbit_bruteforce(
     return seen
 
 
-def orbit_partitions_agree(ers: ExtRootSystem, modulus: int | None = None) -> bool:
-    """Compare orbit_of classes against brute-force closures on the whole
-    quotient grid of valid extended roots."""
-    m = modulus if modulus is not None else default_brute_modulus(ers)
+def orbit_classes(
+    ers: ExtRootSystem,
+) -> tuple[dict[tuple[str, Vector], tuple[Vector, int]], bool]:
+    """The orbit classes of a reduced system, each checked by a closure
+    in G/mG, m = default_brute_modulus(ers).
+
+    Returns the classes, each (length class, coset) mapped to its first
+    representative (d, beta) on the grid of extended roots mod m, and
+    whether every class equals the orbit_bruteforce closure of that
+    representative under closure_letters on the grid.
+    """
+    m = default_brute_modulus(ers)
     rs = ers.delta
-    residues = slice_residues_by_class(ers, m)
+    # orbit_of depends on beta only through its length class, so it is
+    # asked once per (class, residue) of the grid, with the first root of
+    # the class; each closure state is looked up there, and one off the
+    # grid has left the system
+    class_of = {}
+    classes = {}
+    grid_states = {}
+    for cls, ds in slice_residues_by_class(ers, m).items():
+        beta = rs.lengths.index(cls)
+        n_roots = rs.lengths.count(cls)
+        for d in ds:
+            oc = orbit_of(ers, d, beta)
+            class_of[cls, d] = key = (oc.length_class, oc.coset)
+            classes.setdefault(key, (d, beta))
+            grid_states[key] = grid_states.get(key, 0) + n_roots
     letters = closure_letters(ers, m)
-    states = [
-        (d, beta) for beta in range(len(rs.roots)) for d in residues[rs.lengths[beta]]
-    ]
-    by_class: dict[OrbitClass, set] = {}
-    for d, beta in states:
-        by_class.setdefault(orbit_of(ers, d, beta), set()).add((d, beta))
-    remaining = set(states)
-    while remaining:
-        d, beta = next(iter(remaining))
+    agree = True
+    for key, (d, beta) in classes.items():
         closure = orbit_bruteforce(ers, d, beta, m, letters)
-        if closure != by_class[orbit_of(ers, d, beta)]:
-            return False
-        remaining -= closure
-    return True
+        inside = all(class_of.get((rs.lengths[b], h)) == key for h, b in closure)
+        # inside the class and as large as it on the grid: equal to it
+        if not inside or len(closure) != grid_states[key]:
+            agree = False
+    return classes, agree
 
 
 # ---------------------------------------------------------------------------
@@ -321,9 +308,6 @@ class UabVector:
 
     def is_zero(self) -> bool:
         return not self.odd_classes
-
-    def __add__(self, other: "UabVector") -> "UabVector":
-        return UabVector(self.odd_classes ^ other.odd_classes)
 
 
 def uab_of_word(ers: ExtRootSystem, word) -> UabVector:
@@ -347,7 +331,7 @@ class AbKGroup:
         n, l = ers.n, rs.rank
         gens: list[Vector] = []
         for cls in ers.classes():
-            span = ers.span_s(cls)
+            span = ers.s_sets[cls].span()
             roots_in_cls = [i for i in range(len(rs.roots)) if rs.lengths[i] == cls]
             for u in span:
                 for i in roots_in_cls:
@@ -416,10 +400,8 @@ def ab_a_properness(ers: ExtRootSystem) -> bool:
     abk = AbKGroup(ers)
     by_image: dict = {}
     for cls in ers.classes():
-        root = next(
-            i for i in range(len(ers.delta.roots)) if ers.delta.lengths[i] == cls
-        )
-        row_h = hermite_rows(orbit_row_lattice(ers, cls))
+        root = ers.delta.lengths.index(cls)
+        row_h = ers.orbit_rows[cls]
         s = ers.s_sets[cls]
         for rep in sorted(coset_residues(row_h, s.cosets, s.h_basis)):
             t = ReflectionLabel.make(ers, rep, root)
@@ -566,13 +548,11 @@ def build_uab_kernel_word(ers: ExtRootSystem, max_subset: int = 8):
     four-letter commutator blocks.  Returns the word or None.
     """
     _require_decidable(ers)
-    rs = ers.delta
-    cls = SHORT
-    root = next(i for i in range(len(rs.roots)) if rs.lengths[i] == cls)
-    row_h = hermite_rows(orbit_row_lattice(ers, cls))
+    root = ers.delta.lengths.index(SHORT)
+    row_h = ers.orbit_rows[SHORT]
     if len(row_h) < ers.n:
         return None
-    s = ers.s_sets[cls]
+    s = ers.s_sets[SHORT]
     reps = sorted(coset_residues(row_h, s.cosets, s.h_basis))
     if len(reps) < 2:
         return None
@@ -596,13 +576,13 @@ def build_uab_kernel_word(ers: ExtRootSystem, max_subset: int = 8):
                 wedge_sum[a][b] % 2 for a in range(n) for b in range(n)
             ):
                 continue
-            word = _assemble_kernel_word(ers, root, list(combo), row_h)
+            word = _assemble_kernel_word(ers, root, list(combo))
             if word is not None:
                 return word
     return None
 
 
-def _assemble_kernel_word(ers: ExtRootSystem, root: int, reps: list[Vector], row_h):
+def _assemble_kernel_word(ers: ExtRootSystem, root: int, reps: list[Vector]):
     n = ers.n
     s = ers.s_sets[SHORT]
     letters = [ReflectionLabel.make(ers, g, root) for g in reps]

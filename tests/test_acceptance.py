@@ -45,7 +45,7 @@ from extweyl.weyl import (
     conjugated_relator_product,
     decide_word,
     evaluate_word_in_w,
-    orbit_partitions_agree,
+    orbit_classes,
     uab_of_word,
 )
 
@@ -302,7 +302,7 @@ def test_c07_orbits_vs_bruteforce():
             ok = False
             print(f"  {name}: invalid system")
             continue
-        if not orbit_partitions_agree(ers):
+        if not orbit_classes(ers)[1]:
             ok = False
             print(f"  {name}: closed form disagrees with closure")
     elapsed = time.monotonic() - t0

@@ -13,10 +13,13 @@ import extweyl
 from extweyl.cli import main
 from extweyl.ext_root import fully_extended, span_extended
 from extweyl.root_core import FiniteRootSystem
-from extweyl.verify import _random_weyl, suite_cocycle, suite_words
+from extweyl.verify import _random_weyl, orbit_configurations, suite_cocycle, suite_words
+
+from test_ext_root import _refined_to_k_squared
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "verify_small.json"
 ORBITS_B2_Z8 = pathlib.Path(__file__).parent / "golden" / "orbits_b2_z8.json"
+ORBITS_CONFIGURATIONS = pathlib.Path(__file__).parent / "golden" / "orbits_configurations.json"
 RANDOM_WEYL = pathlib.Path(__file__).parent / "golden" / "random_weyl_seed0.json"
 VERIFY_WORDS = pathlib.Path(__file__).parent / "golden" / "verify_words_small.json"
 
@@ -114,9 +117,9 @@ def test_orbits_command(capsys, b2_file):
 def test_orbits_detects_an_incomplete_closure(capsys, monkeypatch, b2_file):
     # the letters with d = 0 generate only the finite Weyl group: each
     # closure stays inside its class but misses part of it
-    full = extweyl.cli.closure_letters
+    full = extweyl.weyl.closure_letters
     monkeypatch.setattr(
-        "extweyl.cli.closure_letters",
+        "extweyl.weyl.closure_letters",
         lambda ers, m: [letter for letter in full(ers, m) if not any(letter[2])],
     )
     assert main(["orbits", b2_file, "--format", "json"]) == 1
@@ -182,6 +185,22 @@ def test_orbits_b2_z8_matches_golden(capsys, tmp_path):
     golden = json.loads(ORBITS_B2_Z8.read_text())
     assert main(["orbits", _b2_over(8, tmp_path), "--format", "json"]) == 0
     assert capsys.readouterr().out == json.dumps(golden, sort_keys=True, indent=2) + "\n"
+
+
+def test_orbits_configurations_match_golden(capsys, tmp_path):
+    # every orbit_configurations() system and its k^2 Z^n form, generated
+    # before the grid check moved from cmd_orbits into weyl.orbit_classes
+    golden = json.loads(ORBITS_CONFIGURATIONS.read_text())
+    seen = []
+    for name, ers in orbit_configurations():
+        for key, system in ((name, ers), (f"{name} over k^2 Z^n", _refined_to_k_squared(ers))):
+            p = tmp_path / "system.json"
+            p.write_text(json.dumps(system.to_json()))
+            assert main(["orbits", str(p), "--format", "json"]) == 0, key
+            want = json.dumps(golden[key], sort_keys=True, indent=2) + "\n"
+            assert capsys.readouterr().out == want, key
+            seen.append(key)
+    assert sorted(seen) == sorted(golden)
 
 
 def test_schema_other_than_one_rejected(capsys, tmp_path, a1_file):
@@ -302,6 +321,35 @@ def test_malformed_slices_exit_2(capsys, tmp_path, command, s_sets, path):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and path in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["orbits", "word"])
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("delta", [], "delta must be an object, got list"),
+        ("delta", {"family": "A", "rank": 1.0}, "rank must be an integer, got 1.0"),
+        ("delta", {"family": "A", "rank": True}, "rank must be an integer, got True"),
+        ("g", "Z2", "g must be an object, got str"),
+        ("g", {"rank": 2, "g1": [0.0], "g2": [1]}, "g1 must list integer basis indices"),
+        ("g", {"rank": 2, "g2": [0.0, 1]}, "g2 must list integer basis indices"),
+        ("g", {"rank": 2, "g1": {}}, "g.g1 must be a list, got dict"),
+        ("g", {"rank": 2, "g2": 1}, "g.g2 must be a list, got int"),
+    ],
+)
+def test_malformed_delta_or_g_exits_2(capsys, tmp_path, command, field, value, message):
+    data = fully_extended("A", 1, n=2).to_json()
+    data[field] = value
+    p = tmp_path / "system.json"
+    p.write_text(json.dumps(data))
+    w = tmp_path / "w.json"
+    w.write_text(json.dumps([{"g": [0, 0], "alpha": 0}]))
+    argv = ["orbits", str(p)] if command == "orbits" else ["word", str(p), str(w)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and message in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_boolean_group_rank_exits_2(capsys, tmp_path):

@@ -345,7 +345,7 @@ def _r3_exhaustive(ers):
     """Reference for validate's R3': scan every simple alpha, every root
     beta and every pair of cosets of S_beta and S_alpha."""
     delta, n = ers.delta, ers.n
-    refined = ers.refined_s_sets()
+    refined = ers.refined
     hstar = next(iter(refined.values())).h_basis
     coset_sets = {c: set(s.cosets) for c, s in refined.items()}
     pt = transpose(delta.pairing_matrix)
@@ -416,7 +416,7 @@ def test_r3_matches_exhaustive_scan():
 def _chains_oracle(ers):
     """The chain check validate replaced: mult*S_lower written over mult*H*,
     then it and S_upper rebased onto the intersection of their moduli."""
-    refined = ers.refined_s_sets()
+    refined = ers.refined
     if ers.delta.rs_type.is_single_length():
         return []
     k = k_delta(ers.delta.rs_type)

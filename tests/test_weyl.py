@@ -13,9 +13,10 @@ from extweyl.ext_root import (
 from extweyl.intlinalg import determinant, is_zero_mat, mat_mul, transpose, zeros
 from extweyl.refl_groups import ReflectionLabel, conj_reflect, label_k_part
 from extweyl.root_core import SHORT, WeylElement
-from extweyl.verify import orbit_configurations, word_test_systems
+from extweyl.verify import orbit_configurations, suite_orbits, word_test_systems
 from extweyl.weyl import (
     AbKGroup,
+    OrbitClass,
     WElement,
     ab_a_properness,
     build_uab_kernel_word,
@@ -29,7 +30,7 @@ from extweyl.weyl import (
     expected_ab_k_descriptor,
     orbit_bruteforce,
     orbit_of,
-    orbit_partitions_agree,
+    orbit_classes,
     random_label,
     relator_word,
     remark_conditions,
@@ -224,7 +225,7 @@ def test_orbit_bruteforce_matches():
         span_extended("G", 2, n=1, g1=(0,)),
         trim(fully_extended("BC", 2, n=1)).system,
     ]:
-        assert orbit_partitions_agree(ers)
+        assert orbit_classes(ers)[1]
 
 
 def test_orbit_bruteforce_reaches_everything_fully_extended():
@@ -269,11 +270,11 @@ def _b2_over(n):
     return span_extended("B", 2, n=n, g1=tuple(range(n)))
 
 
-def _closure_grids():
+def _closure_grids(max_n=8):
     for name, ers in orbit_configurations():
         yield name, ers
         yield f"{name} over k^2 Z^n", _refined_to_k_squared(ers)
-    for n in range(1, 9):
+    for n in range(1, max_n + 1):
         yield f"B2 over Z^{n}", _b2_over(n)
 
 
@@ -313,13 +314,75 @@ def test_generating_letters_are_few():
 
 
 def test_orbit_of_depends_on_root_only_through_length_class():
-    # cmd_orbits asks orbit_of once per (length class, residue) on this
+    # orbit_classes asks orbit_of once per (length class, residue) on this
     for name, ers in _closure_grids():
         rs = ers.delta
         for cls, ds in slice_residues_by_class(ers, default_brute_modulus(ers)).items():
             roots = [b for b, c in enumerate(rs.lengths) if c == cls]
             for d in ds:
                 assert len({orbit_of(ers, d, b) for b in roots}) == 1, (name, cls, d)
+
+
+def _orbit_partitions_agree(ers, classify=orbit_of):
+    """The all-states oracle for orbit_classes: classify every (d, beta)
+    of the grid of G/mG and compare each class with the brute-force
+    closure of its states.  Returns the partition and whether it agrees."""
+    m = default_brute_modulus(ers)
+    rs = ers.delta
+    residues = slice_residues_by_class(ers, m)
+    letters = closure_letters(ers, m)
+    states = [
+        (d, beta) for beta in range(len(rs.roots)) for d in residues[rs.lengths[beta]]
+    ]
+    by_class = {}
+    for d, beta in states:
+        by_class.setdefault(classify(ers, d, beta), set()).add((d, beta))
+    remaining = set(states)
+    while remaining:
+        d, beta = next(iter(remaining))
+        closure = orbit_bruteforce(ers, d, beta, m, letters)
+        if closure != by_class[classify(ers, d, beta)]:
+            return by_class, False
+        remaining -= closure
+    return by_class, True
+
+
+def _blocks(by_class):
+    return {frozenset(states) for states in by_class.values()}
+
+
+def test_orbit_classes_match_the_all_states_oracle():
+    for name, ers in _closure_grids(max_n=6):
+        by_class, agree = _orbit_partitions_agree(ers)
+        classes, got = orbit_classes(ers)
+        assert agree and got, name
+        assert set(classes) == {(c.length_class, c.coset) for c in by_class}, name
+        for (cls, coset), rep in classes.items():
+            assert rep in by_class[OrbitClass(cls, coset)], (name, cls, coset)
+
+
+# orbit_of made too coarse (every coset sent to 0) and too fine (no reduction)
+_WRONG_ORBIT_OF = {
+    "coarse": lambda ers, g, root: OrbitClass(ers.delta.lengths[root], (0,) * ers.n),
+    "fine": lambda ers, g, root: OrbitClass(ers.delta.lengths[root], tuple(g)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_WRONG_ORBIT_OF))
+def test_orbit_classes_catch_a_wrong_orbit_of(monkeypatch, kind):
+    wrong = _WRONG_ORBIT_OF[kind]
+    grids = list(_closure_grids(max_n=6))
+    truth = {name: _blocks(_orbit_partitions_agree(ers)[0]) for name, ers in grids}
+    monkeypatch.setattr("extweyl.weyl.orbit_of", wrong)
+    changed = 0
+    for name, ers in grids:
+        by_class, agree = _orbit_partitions_agree(ers, wrong)
+        moved = _blocks(by_class) != truth[name]
+        assert agree == (not moved), name
+        assert orbit_classes(ers)[1] == (not moved), name
+        changed += moved
+    assert changed > 0
+    assert not suite_orbits().ok
 
 
 def test_uab_examples():
