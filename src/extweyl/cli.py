@@ -13,14 +13,14 @@ import functools
 import json
 import sys
 
-from extweyl.ext_root import ExtRootError, ExtRootSystem, validate
+from extweyl.ext_root import ExtRootError, ExtRootSystem, read_json, validate
 from extweyl.intlinalg import QuotientTooLarge
 from extweyl.lattice_algebra import (
     box_quotient,
     coinvariants,
     expected_tensor_descriptor,
 )
-from extweyl.refl_groups import ReflectionLabel
+from extweyl.refl_groups import word_from_json
 from extweyl.root_core import MAX_RANK, RootSystemError, build, k_delta
 from extweyl.verify import SUITES, run_suites
 from extweyl.weyl import decide_word, default_brute_modulus, orbit_classes
@@ -29,8 +29,9 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 
-# what reading a malformed system or word file raises
-INPUT_ERRORS = (OSError, KeyError, TypeError, ValueError, IndexError)
+# what a run raises on an unreadable or malformed input, each exit 2 in
+# one line; anything else is a fault of the program and propagates
+INPUT_ERRORS = (OSError, ExtRootError, RootSystemError, QuotientTooLarge)
 
 PAIRS = {
     "root,root": ("root", "root"),
@@ -52,11 +53,7 @@ def _emit(payload: dict, text_lines: list[str], fmt: str, out_path: str | None):
 
 
 def cmd_info(args) -> int:
-    try:
-        rs = build(args.family, args.rank)
-    except RootSystemError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    rs = build(args.family, args.rank)
     counts = {}
     for cls in rs.lengths:
         counts[cls] = counts.get(cls, 0) + 1
@@ -89,12 +86,8 @@ def cmd_info(args) -> int:
 
 
 def cmd_tensor_type(args) -> int:
-    try:
-        rs = build(args.family, args.rank)
-        left, right = PAIRS[args.pair]
-    except (RootSystemError, KeyError) as exc:
-        print(f"error: bad type or pair ({exc})", file=sys.stderr)
-        return EXIT_USAGE
+    rs = build(args.family, args.rank)
+    left, right = PAIRS[args.pair]
     fp = coinvariants(rs, left, right)
     got = fp.descriptor()
     want = expected_tensor_descriptor(rs.rs_type, left, right)
@@ -145,32 +138,23 @@ def cmd_tensor_type(args) -> int:
     return EXIT_OK
 
 
-def _reject_invalid(ers: ExtRootSystem) -> bool:
-    """Print the first failed axiom of an invalid system; True if it failed."""
+def _require_valid(ers: ExtRootSystem) -> None:
+    """Raise an ExtRootError naming the first failed axiom, if any."""
     rep = validate(ers)
-    if rep.ok:
-        return False
-    first = rep.failed()[0]
-    print(f"error: system invalid: {first.name} {first.witness}", file=sys.stderr)
-    return True
+    if not rep.ok:
+        first = rep.failed()[0]
+        raise ExtRootError(f"system invalid: {first.name} {first.witness}")
 
 
 def cmd_orbits(args) -> int:
     """Orbit classes of a reduced system, each checked by a closure in
     G/mG (weyl.orbit_classes)."""
-    try:
-        ers = ExtRootSystem.load(args.system)
-    except INPUT_ERRORS as exc:
-        print(f"error: cannot load system: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    ers = ExtRootSystem.load(args.system)
     if not ers.delta.rs_type.is_reduced():
-        print(
-            f"error: orbits needs a reduced type, got {ers.delta.rs_type}; trim first",
-            file=sys.stderr,
+        raise ExtRootError(
+            f"orbits needs a reduced type, got {ers.delta.rs_type}; trim first"
         )
-        return EXIT_USAGE
-    if _reject_invalid(ers):
-        return EXIT_USAGE
+    _require_valid(ers)
     classes, agree = orbit_classes(ers)
     rows = [(k, [list(d), beta]) for k, (d, beta) in sorted(classes.items())]
     payload = {
@@ -190,38 +174,10 @@ def cmd_orbits(args) -> int:
 
 
 def cmd_word(args) -> int:
-    try:
-        ers = ExtRootSystem.load(args.system)
-    except INPUT_ERRORS as exc:
-        print(f"error: bad input: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    if _reject_invalid(ers):
-        return EXIT_USAGE
-    try:
-        with open(args.word) as fh:
-            data = json.load(fh)
-        letters = data["word"] if isinstance(data, dict) else data
-        n_roots = len(ers.delta.roots)
-        for item in letters:
-            if not 0 <= int(item["alpha"]) < n_roots:
-                raise ExtRootError(
-                    f"letter {item}: alpha must be a root index in 0..{n_roots - 1}"
-                )
-        word = [
-            ReflectionLabel.make(ers, tuple(item["g"]), int(item["alpha"]))
-            for item in letters
-        ]
-        for item, t in zip(letters, word):
-            if not ers.membership(tuple(item["g"]), int(item["alpha"])):
-                raise ExtRootError(f"letter {item} is not an extended root")
-    except INPUT_ERRORS as exc:
-        print(f"error: bad input: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        decision = decide_word(ers, word)
-    except ExtRootError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    ers = ExtRootSystem.load(args.system)
+    _require_valid(ers)
+    word = word_from_json(ers, read_json(args.word))
+    decision = decide_word(ers, word)
     payload = decision.to_json()
     lines = [
         f"trivial: {decision.trivial}"
@@ -333,7 +289,7 @@ def main(argv=None) -> int:
     }[args.command]
     try:
         return handler(args)
-    except QuotientTooLarge as exc:
+    except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -32,6 +32,7 @@ from extweyl.intlinalg import (
     smith_normal_form,
     solve_integer,
     transpose,
+    vec_mat,
     vec_scale,
 )
 from extweyl.root_core import (
@@ -159,13 +160,38 @@ class ValidationReport:
         self.checks.append(CheckResult(name, passed, witness))
 
 
+_JSON_KINDS = {dict: "an object", list: "a list", str: "a string", int: "an integer"}
+
+
 def _require(value, kind: type, path: str):
-    """`value` if it is a `kind`, dict for a JSON object or list for a
-    JSON list; otherwise an ExtRootError naming `path`."""
+    """`value` if it is a `kind` (dict, list, str or int: a JSON object,
+    list, string or integer); otherwise an ExtRootError naming `path` and
+    the type found, or the number where an integer was wanted."""
     if not isinstance(value, kind):
-        want = "an object" if kind is dict else "a list"
-        raise ExtRootError(f"{path} must be {want}, got {type(value).__name__}")
+        got = value if kind is int and isinstance(value, float) else type(value).__name__
+        raise ExtRootError(f"{path} must be {_JSON_KINDS[kind]}, got {got}")
     return value
+
+
+def _require_row(row, n: int, path: str) -> list:
+    """`row` if it is a JSON list of `n` integers, booleans excluded;
+    otherwise an ExtRootError naming `path`."""
+    if not (isinstance(row, list) and len(row) == n and all(type(x) is int for x in row)):
+        raise ExtRootError(f"{path} must be a list of {n} integers")
+    return row
+
+
+def read_json(path: str):
+    """The JSON value in the file at `path`, or an ExtRootError naming the
+    file when its text is not JSON.  Besides JSONDecodeError, reading and
+    decoding raise UnicodeDecodeError, a bare ValueError for an integer
+    literal past the interpreter's digit limit, and RecursionError for
+    nesting past the recursion limit."""
+    with open(path) as fh:
+        try:
+            return json.loads(fh.read())
+        except (ValueError, RecursionError) as exc:
+            raise ExtRootError(f"{path}: {exc}") from None
 
 
 def _check_slice_shapes(raw, keys, rank: int) -> None:
@@ -178,14 +204,7 @@ def _check_slice_shapes(raw, keys, rank: int) -> None:
         for part in ("H", "cosets"):
             rows = _require(v.get(part), list, f"s_sets.{k}.{part}")
             for i, row in enumerate(rows):
-                if not (
-                    isinstance(row, list)
-                    and len(row) == rank
-                    and all(type(x) is int for x in row)
-                ):
-                    raise ExtRootError(
-                        f"s_sets.{k}.{part}[{i}] must be a list of {rank} integers"
-                    )
+                _require_row(row, rank, f"s_sets.{k}.{part}[{i}]")
 
 
 class ExtRootSystem:
@@ -282,15 +301,18 @@ class ExtRootSystem:
         if "schema" in data and data["schema"] != 1:
             raise ExtRootError(f"unsupported schema {data['schema']!r}; expected 1")
         key = {"sh": SHORT, "lg": LONG, "ex": EXTRALONG}
-        delta = _require(data["delta"], dict, "delta")
-        g = _require(data["g"], dict, "g")
-        rst = RootSystemType(delta["family"], delta["rank"])
+        delta = _require(data.get("delta"), dict, "delta")
+        g = _require(data.get("g"), dict, "g")
+        rst = RootSystemType(
+            _require(delta.get("family"), str, "delta.family"),
+            _require(delta.get("rank"), int, "delta.rank"),
+        )
         grp = FreeAbelianGroup(
-            g["rank"],
+            _require(g.get("rank"), int, "g.rank"),
             tuple(_require(g.get("g1", []), list, "g.g1")),
             tuple(_require(g.get("g2", []), list, "g.g2")),
         )
-        raw = data["s_sets"]
+        raw = data.get("s_sets")
         _check_slice_shapes(raw, key, grp.rank)
         s_sets = {
             key[k]: SSet(v["H"], [tuple(c) for c in v["cosets"]])
@@ -300,8 +322,7 @@ class ExtRootSystem:
 
     @staticmethod
     def load(path: str) -> "ExtRootSystem":
-        with open(path) as fh:
-            return ExtRootSystem.from_json(json.load(fh))
+        return ExtRootSystem.from_json(read_json(path))
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"ExtRootSystem({self.delta.rs_type} over Z^{self.n})"
@@ -786,61 +807,36 @@ def _adapted_split(new_s: dict[str, SSet], n: int, k: int):
 def _match_root_systems(old: FiniteRootSystem, new: FiniteRootSystem) -> dict[int, int]:
     """Send each source root index to its trimmed root index.
 
-    The trimmed simple system (long simple roots, then the doubled short
-    one) matches the Bourbaki basis of the reduced type up to the order
-    of length classes; the rest follows by closing under reflections.
+    The trimmed simple roots are alpha_0..alpha_{l-2} and 2 alpha_{l-1},
+    and every trimmed root (a doubled short root or a long or extralong
+    one) has an even last coordinate.  They carry the Cartan data of the
+    reduced type's simple roots, short ones first, so the root map is the
+    change of basis c = (v_0, ..., v_{l-2}, v_{l-1} / 2) onto those.
     """
     l = old.rank
-    trimmed: dict[int, Vector] = {
-        i: (vec_scale(2, r) if old.lengths[i] == SHORT else r)
-        for i, r in enumerate(old.roots)
-    }
-    buckets: dict[Vector, list[int]] = {}
-    for i, v in trimmed.items():
-        buckets.setdefault(v, []).append(i)
-    if len(buckets) != len(new.roots):
-        raise ExtRootError("trim mismatch: root counts differ")
-
+    seed_old = list(old.basis[: l - 1])
+    seed_old.append(old.index_of(vec_scale(2, old.roots[old.basis[l - 1]])))
     if l == 1:
-        seed_old = [vec_scale(2, old.roots[old.basis[0]])]
         seed_new = [new.basis[0]]
     else:
-        seed_old = [old.roots[old.basis[i]] for i in range(l - 1)]
-        seed_old.append(vec_scale(2, old.roots[old.basis[l - 1]]))
         shorts = [b for b in new.basis if new.lengths[b] == SHORT]
         longs = [b for b in new.basis if new.lengths[b] == LONG]
         seed_new = shorts + longs
-    refl_old = [old.basis[i] for i in range(l)]
 
     # sanity: the seeded simple systems must carry the same Cartan data
     for i in range(l):
         for j in range(l):
-            a = old.pairing_table[old.index_of(seed_old[i])][old.index_of(seed_old[j])]
+            a = old.pairing_table[seed_old[i]][seed_old[j]]
             b = new.pairing_table[seed_new[i]][seed_new[j]]
             if a != b:
                 raise ExtRootError(
                     f"trim basis mismatch at ({i},{j}): {a} != {b}"
                 )
 
-    reps = {v: idxs[0] for v, idxs in buckets.items()}
-    assignment: dict[Vector, int] = {
-        ov: ni for ov, ni in zip(seed_old, seed_new)
-    }
-    queue = list(seed_old)
-    while queue:
-        ov = queue.pop()
-        oi = reps[ov]
-        for pos in range(l):
-            oi2 = old.reflection_table[refl_old[pos]][oi]
-            ov2 = trimmed[oi2]
-            ni2 = new.reflection_table[seed_new[pos]][assignment[ov]]
-            if ov2 in assignment:
-                if assignment[ov2] != ni2:
-                    raise ExtRootError("trim closure is inconsistent")
-            else:
-                assignment[ov2] = ni2
-                queue.append(ov2)
-    if len(assignment) != len(buckets):
-        raise ExtRootError("trim closure did not reach every root")
-    return {i: assignment[v] for v, idxs in buckets.items() for i in idxs}
-
+    simple_new = [new.roots[b] for b in seed_new]
+    root_map = {}
+    for i, r in enumerate(old.roots):
+        v = vec_scale(2, r) if old.lengths[i] == SHORT else r
+        c = v[: l - 1] + (v[l - 1] // 2,)
+        root_map[i] = new.index_of(vec_mat(c, simple_new))
+    return root_map

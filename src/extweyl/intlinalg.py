@@ -450,10 +450,6 @@ class FPAbelianGroup:
                 tors.append(x % di)
         return tuple(free), tuple(tors)
 
-    def is_zero(self, coords: Sequence[int]) -> bool:
-        free, tors = self.project(coords)
-        return is_zero_vec(free) and is_zero_vec(tors)
-
     def descriptor(self) -> str:
         parts = ["Z"] * self.free_rank + [f"Z{d}" for d in self.torsion]
         return " x ".join(parts) if parts else "0"

@@ -13,7 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from extweyl.ext_root import ExtRootSystem, ValidationReport
+from extweyl.ext_root import (
+    ExtRootError,
+    ExtRootSystem,
+    ValidationReport,
+    _require,
+    _require_row,
+)
 from extweyl.intlinalg import Matrix, Vector, outer
 from extweyl.root_core import FiniteRootSystem
 
@@ -37,10 +43,6 @@ class SymSystem:
 
     def mul(self, s: int, t: int) -> int:
         return self.table[s][t]
-
-    @staticmethod
-    def trivial(size: int) -> "SymSystem":
-        return SymSystem(size, [[t for t in range(size)] for _ in range(size)])
 
 
 def check_sym_axioms(s: SymSystem) -> ValidationReport:
@@ -236,6 +238,31 @@ class ReflectionLabel:
             vec, g = neg, tuple(-x for x in g)
             root = rs.index_of(vec)
         return ReflectionLabel(g, root)
+
+
+def word_from_json(ers: ExtRootSystem, data) -> list[ReflectionLabel]:
+    """The letters of a word file, checked in one pass.
+
+    The word is a list, bare or under "word", of objects {"alpha": a root
+    index, "g": ers.n integers} with (g, alpha) an extended root; JSON
+    booleans and floats are not integers.  Otherwise an ExtRootError names
+    the letter or field: word[i], word[i].alpha or word[i].g.
+    """
+    letters = data.get("word") if isinstance(data, dict) else data
+    n_roots = len(ers.delta.roots)
+    word = []
+    for i, item in enumerate(_require(letters, list, "word")):
+        item = _require(item, dict, f"word[{i}]")
+        alpha = _require(item.get("alpha"), int, f"word[{i}].alpha")
+        if type(alpha) is bool or not 0 <= alpha < n_roots:
+            raise ExtRootError(
+                f"word[{i}].alpha must be a root index in 0..{n_roots - 1}, got {alpha}"
+            )
+        g = _require_row(item.get("g"), ers.n, f"word[{i}].g")
+        if not ers.membership(g, alpha):
+            raise ExtRootError(f"word[{i}] (g {g}, alpha {alpha}) is not an extended root")
+        word.append(ReflectionLabel.make(ers, g, alpha))
+    return word
 
 
 def label_k_part(ers: ExtRootSystem, t: ReflectionLabel) -> Matrix:

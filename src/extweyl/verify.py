@@ -566,6 +566,4 @@ SUITES = {
 def run_suites(name: str, seed: int = 0, cap_rank: int = 6) -> list[SuiteReport]:
     if name == "all":
         return [fn(seed, cap_rank) for fn in SUITES.values()]
-    if name not in SUITES:
-        raise KeyError(name)
     return [SUITES[name](seed, cap_rank)]

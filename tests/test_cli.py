@@ -1,4 +1,7 @@
+import contextlib
+import copy
 import gc
+import io
 import json
 import os
 import pathlib
@@ -8,10 +11,11 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import extweyl
 from extweyl.cli import main
-from extweyl.ext_root import fully_extended, span_extended
+from extweyl.ext_root import ExtRootSystem, fully_extended, span_extended
 from extweyl.root_core import FiniteRootSystem
 from extweyl.verify import _random_weyl, orbit_configurations, suite_cocycle, suite_words
 
@@ -277,18 +281,22 @@ def test_word_malformed(capsys, a1_file, tmp_path):
 
 @pytest.mark.parametrize("command", ["orbits", "word"])
 @pytest.mark.parametrize(
-    "text", ["[1,2]", '"x"', '{"delta": 5, "g": {"rank": 1}, "s_sets": {}}']
+    "text, line",
+    [
+        ("[1,2]", "the system must be an object, got list"),
+        ('"x"', "the system must be an object, got str"),
+        ('{"delta": 5, "g": {"rank": 1}, "s_sets": {}}', "delta must be an object, got int"),
+    ],
+    ids=["[1,2]", '"x"', '{"delta": 5, "g": {"rank": 1}, "s_sets": {}}'],
 )
-def test_malformed_system_file_exits_2(capsys, tmp_path, command, text):
+def test_malformed_system_file_exits_2(capsys, tmp_path, command, text, line):
     p = tmp_path / "system.json"
     p.write_text(text)
     w = tmp_path / "w.json"
     w.write_text(json.dumps([{"g": [0], "alpha": 0}]))
     argv = ["orbits", str(p)] if command == "orbits" else ["word", str(p), str(w)]
     assert main(argv) == 2
-    err = capsys.readouterr().err
-    prefix = "error: cannot load system: " if command == "orbits" else "error: bad input: "
-    assert err.count("\n") == 1 and err.startswith(prefix) and "Traceback" not in err
+    assert capsys.readouterr().err == f"error: {line}\n"
 
 
 _A1_Z2_SLICE = {"H": [[1, 0], [0, 1]], "cosets": [[0, 0]]}
@@ -350,6 +358,185 @@ def test_malformed_delta_or_g_exits_2(capsys, tmp_path, command, field, value, m
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and message in captured.err
     assert "Traceback" not in captured.err
+
+
+def _a1_word_run(capsys, tmp_path, word):
+    sys_p = tmp_path / "a1.json"
+    sys_p.write_text(json.dumps(fully_extended("A", 1, n=1).to_json()))
+    word_p = tmp_path / "w.json"
+    word_p.write_text(json.dumps(word))
+    rc = main(["word", str(sys_p), str(word_p)])
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return rc, captured.err
+
+
+@pytest.mark.parametrize(
+    "word, line",
+    [
+        ([{"g": [0], "alpha": 0.5}], "word[0].alpha must be an integer, got 0.5"),
+        ([{"g": [0], "alpha": True}], "word[0].alpha must be a root index in 0..1, got True"),
+        ([{"g": [0], "alpha": "0"}], "word[0].alpha must be an integer, got str"),
+        ([{"g": [0], "alpha": 0}, {"g": [0.0], "alpha": 0}], "word[1].g must be a list of 1 integers"),
+        ([{"g": [True], "alpha": 0}], "word[0].g must be a list of 1 integers"),
+        ({"word": {"g": [0]}}, "word must be a list, got dict"),
+        ({"letters": []}, "word must be a list, got NoneType"),
+        ("word", "word must be a list, got str"),
+        ([{"g": [1, 5], "alpha": 0}], "word[0].g must be a list of 1 integers"),
+        ([{"g": [], "alpha": 0}], "word[0].g must be a list of 1 integers"),
+        ([{"g": [0]}], "word[0].alpha must be an integer, got NoneType"),
+        ([{"alpha": 0}], "word[0].g must be a list of 1 integers"),
+        ([{"g": [0], "alpha": 0}, [0, 0]], "word[1] must be an object, got list"),
+    ],
+)
+def test_malformed_word_exits_2_naming_the_field(capsys, tmp_path, word, line):
+    assert _a1_word_run(capsys, tmp_path, word) == (2, f"error: {line}\n")
+
+
+def test_word_letter_outside_the_system_exits_2(capsys, tmp_path):
+    data = span_extended("B", 2, n=1, g1=(0,)).to_json()  # S_long = 2Z
+    sys_p = tmp_path / "b2.json"
+    sys_p.write_text(json.dumps(data))
+    ers = ExtRootSystem.from_json(data)
+    alpha = ers.delta.lengths.index("long")
+    word_p = tmp_path / "w.json"
+    word_p.write_text(json.dumps([{"g": [0], "alpha": alpha}, {"g": [1], "alpha": alpha}]))
+    assert main(["word", str(sys_p), str(word_p)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: word[1] (g [1], alpha {alpha}) is not an extended root\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "path, line",
+    [
+        (("delta",), "delta must be an object, got NoneType"),
+        (("delta", "family"), "delta.family must be a string, got NoneType"),
+        (("delta", "rank"), "delta.rank must be an integer, got NoneType"),
+        (("g",), "g must be an object, got NoneType"),
+        (("g", "rank"), "g.rank must be an integer, got NoneType"),
+        (("s_sets",), "s_sets must be an object, got NoneType"),
+        (("s_sets", "sh", "H"), "s_sets.sh.H must be a list, got NoneType"),
+        (("s_sets", "sh", "cosets"), "s_sets.sh.cosets must be a list, got NoneType"),
+    ],
+)
+@pytest.mark.parametrize("command", ["orbits", "word"])
+def test_missing_system_key_exits_2_naming_it(capsys, tmp_path, command, path, line):
+    data = fully_extended("A", 1, n=1).to_json()
+    parent = data
+    for key in path[:-1]:
+        parent = parent[key]
+    del parent[path[-1]]
+    sys_p = tmp_path / "system.json"
+    sys_p.write_text(json.dumps(data))
+    word_p = tmp_path / "w.json"
+    word_p.write_text(json.dumps([{"g": [0], "alpha": 0}]))
+    argv = ["orbits", str(sys_p)] if command == "orbits" else ["word", str(sys_p), str(word_p)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {line}\n"
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (b"\xff\xfe{}", "codec can't decode byte 0xff in position 0"),
+        (b"{not json", "Expecting property name enclosed in double quotes"),
+        (b"[" + b"1" * 5000 + b"]", "Exceeds the limit (4300 digits)"),
+        (b"[" * 100000 + b"]" * 100000, "maximum recursion depth exceeded"),
+    ],
+    ids=["not-utf8", "not-json", "long-integer", "deep-nesting"],
+)
+@pytest.mark.parametrize("which", ["system", "word"])
+def test_unreadable_json_exits_2_naming_the_file(capsys, tmp_path, which, content, message):
+    files = {"system": tmp_path / "system.json", "word": tmp_path / "w.json"}
+    files["system"].write_text(json.dumps(fully_extended("A", 1, n=1).to_json()))
+    files["word"].write_text(json.dumps([{"g": [0], "alpha": 0}]))
+    files[which].write_bytes(content)
+    assert main(["word", str(files["system"]), str(files["word"])]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"error: {files[which]}: ") and message in err
+
+
+@pytest.mark.parametrize("which", ["system", "word"])
+def test_directory_path_exits_2(capsys, a1_file, tmp_path, which):
+    argv = ["word", str(tmp_path), a1_file] if which == "system" else ["word", a1_file, str(tmp_path)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
+
+
+def test_errors_outside_the_input_contract_propagate(monkeypatch, a1_file):
+    # main maps only the package's typed errors and file errors to exit 2;
+    # a builtin error from inside the program is a fault and must surface
+    def broken(data):
+        raise KeyError("delta")
+
+    monkeypatch.setattr(ExtRootSystem, "from_json", staticmethod(broken))
+    with pytest.raises(KeyError):
+        main(["orbits", a1_file])
+
+
+# Systems and words that the fuzz test mutates: A1 over Z, B2 over Z^2 with a
+# split group, C3 over Z^2; each word is a valid product of letters.
+_FUZZ_CASES = [
+    (fully_extended("A", 1, n=1), [{"g": [0], "alpha": 0}, {"g": [1], "alpha": 1}]),
+    (span_extended("B", 2, n=2, g1=(0,)), [{"g": [0, 1], "alpha": 0}, {"g": [2, 0], "alpha": 3}]),
+    (span_extended("C", 3, n=2, g1=(0,)), [{"g": [1, 0], "alpha": 1}, {"g": [2, 0], "alpha": 5}]),
+]
+# replacement values: small, so that no mutated input allocates without bound
+_FUZZ_VALUES = st.one_of(
+    st.integers(-3, 8),
+    st.sampled_from([0.5, 1.0, True, False, None, "", "sh", "A", [], {}, [0], [[0]], [1, 0]]),
+)
+
+
+def _mutate(data, draw):
+    """data with one to three JSON nodes deleted, replaced or duplicated."""
+    data = copy.deepcopy(data)
+    for _ in range(draw(st.integers(1, 3))):
+        nodes = []
+        stack = [(None, None, data)]
+        while stack:
+            parent, key, node = stack.pop()
+            nodes.append((parent, key))
+            if isinstance(node, dict):
+                stack.extend((node, k, v) for k, v in node.items())
+            elif isinstance(node, list):
+                stack.extend((node, i, v) for i, v in enumerate(node))
+        parent, key = draw(st.sampled_from(nodes))
+        if parent is None:
+            data = copy.deepcopy(draw(_FUZZ_VALUES))
+            continue
+        op = draw(st.sampled_from(["delete", "replace", "duplicate"]))
+        if op == "delete":
+            del parent[key]
+        elif op == "replace":
+            parent[key] = copy.deepcopy(draw(_FUZZ_VALUES))
+        elif isinstance(parent, list):
+            parent.insert(key, copy.deepcopy(parent[key]))
+    return data
+
+
+@settings(max_examples=150, deadline=5000)
+@given(st.data())
+def test_mutated_inputs_exit_0_1_or_2_in_one_line(tmp_path_factory, data):
+    ers, word = data.draw(st.sampled_from(_FUZZ_CASES))
+    system = ers.to_json()
+    target = data.draw(st.sampled_from(["system", "word", "both"]))
+    if target != "word":
+        system = _mutate(system, data.draw)
+    if target != "system":
+        word = _mutate(word, data.draw)
+    tmp = tmp_path_factory.mktemp("fuzz")
+    (tmp / "system.json").write_text(json.dumps(system))
+    (tmp / "w.json").write_text(json.dumps(word))
+    command = data.draw(st.sampled_from(["orbits", "word"]))
+    argv = [command, str(tmp / "system.json")] + ([str(tmp / "w.json")] if command == "word" else [])
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = main(argv)  # any exception escaping main fails the test
+    assert rc in (0, 1, 2)
+    if rc == 2:
+        assert err.getvalue().count("\n") == 1 and err.getvalue().startswith("error: ")
 
 
 def test_boolean_group_rank_exits_2(capsys, tmp_path):

@@ -24,6 +24,7 @@ from extweyl.intlinalg import (
     lattice_reduce,
     mat_vec,
     transpose,
+    vec_scale,
 )
 from extweyl.refl_groups import ReflectionLabel
 from extweyl.root_core import EXTRALONG, LONG, SHORT, RootSystemType, build, k_delta
@@ -213,6 +214,52 @@ def test_trim_equivariance_on_basis_pairs():
             lhs = tr.root_map[old.reflect_root_index(a, b)]
             rhs = new.reflect_root_index(tr.root_map[a], tr.root_map[b])
             assert lhs == rhs
+
+
+def _root_map_by_closure(old, new):
+    """The trim root map by closing the seeded simple roots under
+    reflections; the oracle for the change of basis in trim."""
+    l = old.rank
+    trimmed = {
+        i: (vec_scale(2, r) if old.lengths[i] == SHORT else r)
+        for i, r in enumerate(old.roots)
+    }
+    buckets = {}
+    for i, v in trimmed.items():
+        buckets.setdefault(v, []).append(i)
+    assert len(buckets) == len(new.roots)
+    if l == 1:
+        seed_old = [vec_scale(2, old.roots[old.basis[0]])]
+        seed_new = [new.basis[0]]
+    else:
+        seed_old = [old.roots[old.basis[i]] for i in range(l - 1)]
+        seed_old.append(vec_scale(2, old.roots[old.basis[l - 1]]))
+        shorts = [b for b in new.basis if new.lengths[b] == SHORT]
+        longs = [b for b in new.basis if new.lengths[b] == LONG]
+        seed_new = shorts + longs
+    refl_old = [old.basis[i] for i in range(l)]
+    reps = {v: idxs[0] for v, idxs in buckets.items()}
+    assignment = dict(zip(seed_old, seed_new))
+    queue = list(seed_old)
+    while queue:
+        ov = queue.pop()
+        oi = reps[ov]
+        for pos in range(l):
+            ov2 = trimmed[old.reflection_table[refl_old[pos]][oi]]
+            ni2 = new.reflection_table[seed_new[pos]][assignment[ov]]
+            if ov2 in assignment:
+                assert assignment[ov2] == ni2
+            else:
+                assignment[ov2] = ni2
+                queue.append(ov2)
+    assert len(assignment) == len(buckets)
+    return {i: assignment[v] for v, idxs in buckets.items() for i in idxs}
+
+
+@pytest.mark.parametrize("l", range(1, 9))
+def test_trim_root_map_matches_the_reflection_closure(l):
+    tr = trim(fully_extended("BC", l, n=1))
+    assert tr.root_map == _root_map_by_closure(tr.source.delta, tr.system.delta)
 
 
 def test_trim_validates_and_is_tame():
