@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import prod
+from math import gcd, prod
 
 from extweyl.intlinalg import (
     Matrix,
@@ -106,9 +106,10 @@ class SSet:
     def contains(self, g) -> bool:
         return lattice_reduce(self.h_basis, g) in self._set
 
-    def span(self) -> list[Vector]:
+    @cached_property
+    def span(self) -> tuple[Vector, ...]:
         """Hermite basis of the lattice generated by the whole set."""
-        return hermite_rows(list(self.h_basis) + list(self.cosets))
+        return tuple(hermite_rows(list(self.h_basis) + list(self.cosets)))
 
     def rebase(self, h_basis) -> "SSet":
         """Express the same set over a finer modulus (h_basis inside H)."""
@@ -196,23 +197,28 @@ def read_json(path: str):
 
 def _check_slice_shapes(raw, keys, rank: int) -> None:
     """Reject `s_sets` JSON that is not {key: {"H": rows, "cosets": rows}}
-    with integer rows of length `rank`, naming the offending path."""
-    for k, v in _require(raw, dict, "s_sets").items():
+    with exactly the given keys, integer rows of length `rank` and a
+    coset in each slice, naming the offending path; so the file bounds `rank`."""
+    raw = _require(raw, dict, "s_sets")
+    for k in raw:
         if k not in keys:
             raise ExtRootError(f"s_sets.{k}: unknown length class; use {', '.join(keys)}")
-        _require(v, dict, f"s_sets.{k}")
+    for k in keys:
+        v = _require(raw.get(k), dict, f"s_sets.{k}")
         for part in ("H", "cosets"):
             rows = _require(v.get(part), list, f"s_sets.{k}.{part}")
             for i, row in enumerate(rows):
                 _require_row(row, rank, f"s_sets.{k}.{part}[{i}]")
+        if not v["cosets"]:
+            raise ExtRootError(f"s_sets.{k}.cosets must list at least one coset")
 
 
 class ExtRootSystem:
     """A root system of some finite type extended by Z^n.
 
     Three per-system caches are computed on first use: `refined` (the
-    slices over their common modulus), `orbit_rows` (the orbit row
-    lattice of each length class) and `twist` (the check_twist report).
+    slices over their common modulus), `orbit_rows` (the orbit lattice
+    T_cls of each length class) and `twist` (the check_twist report).
     They assume that the slices are not changed after construction.
     """
 
@@ -266,8 +272,26 @@ class ExtRootSystem:
 
     @cached_property
     def orbit_rows(self) -> dict[str, list[Vector]]:
-        """`orbit_row_lattice` of each length class."""
-        return {cls: orbit_row_lattice(self, cls) for cls in self.classes()}
+        """Hermite basis of T_cls per length class: the orbit of (g, beta),
+        beta of class cls, meets G x {beta} in g + T_cls.
+
+        T_cls = sum over simple alpha of gcd{<alpha^vee, beta> : beta in
+        cls} * <S_alpha>, exact on every valid reduced system: R2' puts 0
+        in each slice, so the r_(alpha,0) join the roots of a class with
+        zero shift, every other letter r_(alpha,d) closes a cycle with
+        shift -<alpha^vee, beta> d, and by Schreier's lemma these shifts
+        generate the translations that fix a root (Seress, Permutation
+        Group Algorithms, 2003, 4.2).
+        """
+        rs = self.delta
+        out = {}
+        for cls in self.classes():
+            rows = []
+            for alpha in rs.basis:
+                g = gcd(*(m for m, c in zip(rs.pairing_table[alpha], rs.lengths) if c == cls))
+                rows += [vec_scale(g, r) for r in self.s_of_root(alpha).span]
+            out[cls] = hermite_rows(rows)
+        return out
 
     @cached_property
     def twist(self) -> ValidationReport:
@@ -300,25 +324,25 @@ class ExtRootSystem:
         _require(data, dict, "the system")
         if "schema" in data and data["schema"] != 1:
             raise ExtRootError(f"unsupported schema {data['schema']!r}; expected 1")
-        key = {"sh": SHORT, "lg": LONG, "ex": EXTRALONG}
         delta = _require(data.get("delta"), dict, "delta")
         g = _require(data.get("g"), dict, "g")
-        rst = RootSystemType(
+        rs = build(
             _require(delta.get("family"), str, "delta.family"),
             _require(delta.get("rank"), int, "delta.rank"),
         )
-        grp = FreeAbelianGroup(
-            _require(g.get("rank"), int, "g.rank"),
-            tuple(_require(g.get("g1", []), list, "g.g1")),
-            tuple(_require(g.get("g2", []), list, "g.g2")),
-        )
+        rank = _require(g.get("rank"), int, "g.rank")
+        if type(rank) is not int or rank < 0:
+            raise ExtRootError(f"g.rank must be a nonnegative integer, got {rank}")
+        g1 = tuple(_require(g.get("g1", []), list, "g.g1"))
+        g2 = tuple(_require(g.get("g2", []), list, "g.g2"))
+        key = {"sh": SHORT, "lg": LONG, "ex": EXTRALONG}
         raw = data.get("s_sets")
-        _check_slice_shapes(raw, key, grp.rank)
+        _check_slice_shapes(raw, [k for k, c in key.items() if c in rs.lengths], rank)
         s_sets = {
             key[k]: SSet(v["H"], [tuple(c) for c in v["cosets"]])
             for k, v in raw.items()
         }
-        return ExtRootSystem(rst, grp, s_sets)
+        return ExtRootSystem(rs, FreeAbelianGroup(rank, g1, g2), s_sets)
 
     @staticmethod
     def load(path: str) -> "ExtRootSystem":
@@ -376,32 +400,6 @@ def span_extended(
     return ExtRootSystem(delta, grp, s_sets)
 
 
-def orbit_row_lattice(ers: ExtRootSystem, cls: str) -> list[Vector]:
-    """The subgroup H with orbits (h + H) inside the given length class.
-
-    The closed-form table applies to reduced tame systems whose slices
-    equal their spans; brute force is the arbiter beyond that.
-    """
-    fam = ers.delta.rs_type.family
-    l = ers.delta.rank
-    n = ers.n
-    grp = ers.group
-    full = [grp.basis_vector(i) for i in range(n)]
-    two_g = [vec_scale(2, v) for v in full]
-    two_g1_plus_g2 = [vec_scale(2, grp.basis_vector(i)) for i in grp.g1] + [
-        grp.basis_vector(i) for i in grp.g2
-    ]
-    if fam == "A" and l == 1:
-        return hermite_rows(two_g)
-    if fam == "B" and l == 2:
-        return hermite_rows(two_g1_plus_g2 if cls == SHORT else two_g)
-    if fam == "B":
-        return hermite_rows(two_g1_plus_g2)
-    if fam == "C":
-        return hermite_rows(full if cls == SHORT else two_g)
-    return hermite_rows(full)
-
-
 # ---------------------------------------------------------------------------
 # Validation
 # ---------------------------------------------------------------------------
@@ -429,7 +427,7 @@ def validate(ers: ExtRootSystem) -> ValidationReport:
 
     span_gens: list[Vector] = []
     for s in ers.s_sets.values():
-        span_gens.extend(s.span())
+        span_gens.extend(s.span)
     full = hermite_rows(span_gens)
     ok = len(full) == n and all(
         lattice_contains(full, tuple(int(i == j) for i in range(n))) for j in range(n)
@@ -673,11 +671,11 @@ def check_twist(ers: ExtRootSystem) -> ValidationReport:
     )
     rep.add(
         "(v) <S_sh> = G1 + G2",
-        ers.s_sets[SHORT].span() == hermite_rows(g1_gens + g2_gens),
+        ers.s_sets[SHORT].span == tuple(hermite_rows(g1_gens + g2_gens)),
     )
     rep.add(
         "(v) <S_lg> = k*G1 + G2",
-        ers.s_sets[LONG].span() == hermite_rows(k_g1 + g2_gens),
+        ers.s_sets[LONG].span == tuple(hermite_rows(k_g1 + g2_gens)),
     )
     return rep
 
@@ -741,7 +739,7 @@ def trim(ers: ExtRootSystem) -> TrimResult:
 
     span_gens: list[Vector] = []
     for s in new_raw.values():
-        span_gens.extend(s.span())
+        span_gens.extend(s.span)
     g_matrix = freeze(hermite_rows(span_gens))
     if len(g_matrix) != n:
         raise ExtRootError("trimmed slices do not span a finite-index subgroup")
@@ -791,7 +789,7 @@ def _adapted_split(new_s: dict[str, SSet], n: int, k: int):
     """
     if LONG not in new_s:
         return None
-    span_lg = hermite_rows(new_s[LONG].span())
+    span_lg = new_s[LONG].span
     if len(span_lg) != n:
         return None
     d, _, q = smith_normal_form(freeze(span_lg))

@@ -168,7 +168,7 @@ def sweep_types(cap_rank: int = 6):
 
 
 def orbit_configurations() -> list[tuple[str, ExtRootSystem]]:
-    """Configurations covering every row of the orbit case table."""
+    """The systems of `suite_orbits`: each reduced family, twisted splits, trimmed BC."""
     cfgs = [
         ("A1 n=1 full", fully_extended("A", 1, n=1)),
         ("A1 n=2 full", fully_extended("A", 1, n=2)),

@@ -158,8 +158,8 @@ class OrbitClass:
 def orbit_of(ers: ExtRootSystem, g, root_idx: int) -> OrbitClass:
     """The orbit class of an extended root (g, beta) under the full group.
 
-    Two extended roots lie in one orbit iff they share a length class
-    and a coset modulo the row lattice of that class.
+    Two extended roots lie in one orbit iff they share a length class and
+    a coset modulo its `ExtRootSystem.orbit_rows`, on any valid reduced system.
     """
     if not ers.delta.rs_type.is_reduced():
         raise ExtRootError("orbit classification needs a reduced type; trim first")
@@ -174,8 +174,10 @@ _BRUTE_MODULUS = {"A": 2, "B": 2, "C": 2, "D": 2, "E": 2, "F": 2, "G": 6}
 
 
 def default_brute_modulus(ers: ExtRootSystem) -> int:
-    """A scalar m with m*G inside every orbit subgroup, so closures in
-    G/mG never merge distinct orbits."""
+    """A scalar m with m*G inside every orbit lattice T_cls, so closures
+    in G/mG never merge distinct orbits: each gcd in `orbit_rows` is 1 or
+    2, or 3 in G2, so it divides m, and R1' makes the slice spans sum to
+    G.  This holds for every valid reduced system."""
     return _BRUTE_MODULUS[ers.delta.rs_type.family]
 
 
@@ -229,7 +231,7 @@ def orbit_bruteforce(
     computed in the finite quotient G/mG.
 
     This is the independent oracle for orbit_of: the closure collects
-    exactly the orbit as long as m*G sits inside the orbit subgroup (see
+    exactly the orbit as long as m*G sits inside T_cls (see
     closure_letters for why those letters suffice).  A caller closing
     several starts of one system builds the letters once and passes
     them in.
@@ -331,7 +333,7 @@ class AbKGroup:
         n, l = ers.n, rs.rank
         gens: list[Vector] = []
         for cls in ers.classes():
-            span = ers.s_sets[cls].span()
+            span = ers.s_sets[cls].span
             roots_in_cls = [i for i in range(len(rs.roots)) if rs.lengths[i] == cls]
             for u in span:
                 for i in roots_in_cls:

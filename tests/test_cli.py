@@ -15,11 +15,11 @@ from hypothesis import given, settings, strategies as st
 
 import extweyl
 from extweyl.cli import main
-from extweyl.ext_root import ExtRootSystem, fully_extended, span_extended
+from extweyl.ext_root import ExtRootSystem, FreeAbelianGroup, fully_extended, span_extended
 from extweyl.root_core import FiniteRootSystem
 from extweyl.verify import _random_weyl, orbit_configurations, suite_cocycle, suite_words
 
-from test_ext_root import _refined_to_k_squared
+from test_ext_root import _refined_to_k_squared, _untame_b2
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "verify_small.json"
 ORBITS_B2_Z8 = pathlib.Path(__file__).parent / "golden" / "orbits_b2_z8.json"
@@ -93,6 +93,36 @@ def test_rank_above_cap_rejected_before_building(capsys, monkeypatch, tmp_path):
         assert err.count("\n") == 1 and "is above the cap of 24" in err, argv
 
 
+@pytest.mark.parametrize(
+    "s_sets, line",
+    [
+        ({}, "s_sets.sh must be an object, got NoneType"),
+        ({"sh": {"H": [], "cosets": []}}, "s_sets.sh.cosets must list at least one coset"),
+        ({"sh": {"H": [], "cosets": [[0]]}}, "s_sets.sh.cosets[0] must be a list of 1000000 integers"),
+    ],
+)
+@pytest.mark.parametrize("command", ["orbits", "word"])
+def test_group_rank_bounded_by_the_file(capsys, monkeypatch, tmp_path, command, s_sets, line):
+    # a slice must hold a coset row of g.rank integers, so a short file
+    # cannot name a large group rank; checked before the group is built
+    sys_p = tmp_path / "big.json"
+    sys_p.write_text(json.dumps(
+        {"delta": {"family": "A", "rank": 1}, "g": {"rank": 1000000}, "s_sets": s_sets}
+    ))
+    word_p = tmp_path / "w.json"
+    word_p.write_text(json.dumps([{"g": [0], "alpha": 0}]))
+
+    def no_group(self):
+        raise AssertionError("a group was built")
+
+    monkeypatch.setattr(FreeAbelianGroup, "__post_init__", no_group)
+    argv = ["orbits", str(sys_p)] if command == "orbits" else ["word", str(sys_p), str(word_p)]
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 2
+    assert capsys.readouterr().err == f"error: {line}\n"
+
+
 def test_tensor_type(capsys):
     assert main(["tensor-type", "B", "2", "root,root", "--format", "json"]) == 0
     data = json.loads(capsys.readouterr().out)
@@ -116,6 +146,22 @@ def test_orbits_command(capsys, b2_file):
     data = json.loads(capsys.readouterr().out)
     assert data["bruteforce_agrees"] is True
     assert len(data["classes"]) == 4
+
+
+def test_orbits_exact_on_an_untame_system(capsys, tmp_path):
+    # the short roots fall into the four cosets of 2Z^2
+    p = tmp_path / "untame.json"
+    p.write_text(json.dumps(_untame_b2().to_json()))
+    assert main(["orbits", str(p), "--format", "json"]) == 0
+    got = json.loads(capsys.readouterr().out)
+    assert got["bruteforce_agrees"] is True
+    assert [(c["length_class"], c["coset"]) for c in got["classes"]] == [
+        ("long", [0, 0]),
+        ("short", [0, 0]),
+        ("short", [0, 1]),
+        ("short", [1, 0]),
+        ("short", [1, 1]),
+    ]
 
 
 def test_orbits_detects_an_incomplete_closure(capsys, monkeypatch, b2_file):
@@ -534,7 +580,8 @@ def test_mutated_inputs_exit_0_1_or_2_in_one_line(tmp_path_factory, data):
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         rc = main(argv)  # any exception escaping main fails the test
-    assert rc in (0, 1, 2)
+    # 1 means a genuine mismatch; orbits is exact on every valid system
+    assert rc in ((0, 2) if command == "orbits" else (0, 1, 2))
     if rc == 2:
         assert err.getvalue().count("\n") == 1 and err.getvalue().startswith("error: ")
 

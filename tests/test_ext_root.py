@@ -45,7 +45,7 @@ def test_sset_basics():
     assert s.cosets == ((0, 0), (1, 1))
     assert s.contains((4, 2)) and s.contains((3, -1))
     assert not s.contains((1, 0))
-    assert s.span() == hermite_rows([[1, 1], [0, 2]])
+    assert s.span == tuple(hermite_rows([[1, 1], [0, 2]]))
     assert s.same_set(SSet([[2, 0], [0, 2]], [(1, 1), (0, 0)]))
     d = s.scale(2)
     assert d.contains((2, 2)) and not d.contains((1, 1))
@@ -137,6 +137,13 @@ def _swapped_b2():
     """B2 over Z^2 with G1 and G2 exchanged: valid, but not tame."""
     ers = span_extended("B", 2, n=2, g1=(0,))
     return ExtRootSystem(ers.delta, FreeAbelianGroup(2, (1,), (0,)), ers.s_sets)
+
+
+def _untame_b2():
+    """B2 over Z^2 with G1 = Z e_0, S_sh = Z^2 and S_lg = 2Z^2: valid, but
+    not tame."""
+    ers = span_extended("B", 2, n=2, g1=(0,))
+    return ExtRootSystem(ers.delta, ers.group, {**ers.s_sets, LONG: SSet([[2, 0], [0, 2]], [(0, 0)])})
 
 
 def test_twist_swapped_fails():

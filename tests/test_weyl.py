@@ -1,18 +1,30 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from extweyl import ext_root
 from extweyl.ext_root import (
     ExtRootError,
+    ExtRootSystem,
     check_twist,
     fully_extended,
     span_extended,
     trim,
+    validate,
 )
-from extweyl.intlinalg import determinant, is_zero_mat, mat_mul, transpose, zeros
+from extweyl.intlinalg import (
+    coset_residues,
+    determinant,
+    hermite_rows,
+    is_zero_mat,
+    lattice_contains,
+    mat_mul,
+    transpose,
+    zeros,
+)
 from extweyl.refl_groups import ReflectionLabel, conj_reflect, label_k_part
-from extweyl.root_core import SHORT, WeylElement
+from extweyl.root_core import LONG, SHORT, WeylElement, build, k_delta
 from extweyl.verify import orbit_configurations, suite_orbits, word_test_systems
 from extweyl.weyl import (
     AbKGroup,
@@ -39,7 +51,7 @@ from extweyl.weyl import (
     w_generator,
 )
 
-from test_ext_root import _refined_to_k_squared, _swapped_b2
+from test_ext_root import _refined_to_k_squared, _swapped_b2, _untame_b2
 
 
 def b2():
@@ -207,6 +219,98 @@ def test_orbit_rows():
     c3 = span_extended("C", 3, n=2, g1=(0,))
     shorts = [i for i, c in enumerate(c3.delta.lengths) if c == SHORT]
     assert len({orbit_of(c3, g, shorts[0]) for g in [(0, 0), (1, 0), (0, 1), (1, 1)]}) == 1
+    # not tame: the short roots fall into the four cosets of 2Z^2
+    untame = _untame_b2()
+    assert not untame.twist.ok
+    assert orbit_of(untame, (0, 1), sh) != orbit_of(untame, (0, 0), sh)
+
+
+_PROPERTY_TYPES = [("A", 1), ("A", 2), ("B", 2), ("B", 3), ("C", 3), ("G", 2), ("D", 4)]
+
+
+def _presented(draw, h, cosets):
+    """The slice (h, cosets) written with another basis of H and coset
+    representatives shifted by elements of H."""
+    rows = [list(r) for r in h]
+    for _ in range(draw(st.integers(0, 3)) if len(rows) > 1 else 0):
+        a, b = draw(st.permutations(range(len(rows))))[:2]
+        f = draw(st.sampled_from((-1, 1)))
+        rows[a] = [x + f * y for x, y in zip(rows[a], rows[b])]
+    shifted = []
+    for c in cosets:
+        for r in rows:
+            f = draw(st.integers(-1, 1))
+            c = [x + f * y for x, y in zip(c, r)]
+        shifted.append(c)
+    return {"H": rows, "cosets": shifted}
+
+
+def _saturated(rs, kk, res):
+    """Grow the slice residues mod kk until S_beta - <alpha^vee, beta> S_alpha
+    lies in S_beta for every simple alpha and root beta (R3').  With 0 in
+    every slice that also gives the chain k S_sh <= S_lg <= S_sh, and each
+    slice stays a union of cosets of its own H."""
+    triples = {
+        (rs.lengths[a], rs.lengths[b], m)
+        for a in rs.basis
+        for b, m in enumerate(rs.pairing_table[a])
+        if m
+    }
+    grown = True
+    while grown:
+        grown = False
+        for cls_a, cls_b, m in triples:
+            new = {
+                tuple((x - m * y) % kk for x, y in zip(s, d))
+                for s in res[cls_b]
+                for d in res[cls_a]
+            } - res[cls_b]
+            res[cls_b] |= new
+            grown = grown or bool(new)
+    return res
+
+
+@st.composite
+def valid_reduced_systems(draw):
+    """A valid reduced system, tame or not: each slice a union of cosets
+    of some H between k^2*G and G, one of them 0, grown to satisfy R3',
+    over a randomly split G and written in a random presentation."""
+    family, rank = draw(st.sampled_from(_PROPERTY_TYPES))
+    n = draw(st.integers(1, 2))
+    rs = build(family, rank)
+    kk = 4 if rs.rs_type.is_single_length() else k_delta(rs.rs_type) ** 2
+    residue = st.lists(st.integers(0, kk - 1), min_size=n, max_size=n).map(tuple)
+    fine = hermite_rows([[kk * (i == j) for j in range(n)] for i in range(n)])
+    h, res = {}, {}
+    for cls in [c for c in (SHORT, LONG) if c in rs.lengths]:
+        h[cls] = hermite_rows(fine + draw(st.lists(residue, max_size=2)))
+        cosets = [(0,) * n] + draw(st.lists(residue, max_size=4))
+        res[cls] = coset_residues(fine, cosets, h[cls])
+    _saturated(rs, kk, res)
+    g1 = draw(st.lists(st.integers(0, n - 1), unique=True))
+    ers = ExtRootSystem.from_json({
+        "delta": {"family": family, "rank": rank},
+        "g": {"rank": n, "g1": g1, "g2": [i for i in range(n) if i not in g1]},
+        "s_sets": {
+            key: _presented(draw, h[cls], sorted(res[cls]))
+            for key, cls in (("sh", SHORT), ("lg", LONG))
+            if cls in h
+        },
+    })
+    assume(validate(ers).ok)  # R1' may still fail
+    return ers
+
+
+@settings(max_examples=100, deadline=2000)
+@given(valid_reduced_systems())
+def test_orbit_classes_are_exact_on_valid_systems(ers):
+    # the closure is the oracle; m*G inside every T_cls is what makes the
+    # closure in G/mG see whole orbits
+    assert orbit_classes(ers)[1]
+    m = default_brute_modulus(ers)
+    for rows in ers.orbit_rows.values():
+        for i in range(ers.n):
+            assert lattice_contains(rows, tuple(m * (j == i) for j in range(ers.n)))
 
 
 def test_orbit_errors():
