@@ -95,21 +95,17 @@ def cmd_tensor_type(args) -> int:
     # generator witness: a basis tensor with unit projection if one
     # exists, else an integer combination projecting onto a generator
     l = rs.rank
+    images = fp.generator_images()
     witness = None
-    proj = {}
-    for i in range(l):
-        for j in range(l):
-            e = [0] * (l * l)
-            e[i * l + j] = 1
-            free, tors = fp.project(e)
-            proj[(i, j)] = (free, tors)
-            if witness is None and any(x in (1, -1) for x in free):
-                witness = {"basis_pair": [i, j], "projection": list(free) + list(tors)}
+    for k, (free, tors) in enumerate(images):
+        if any(x in (1, -1) for x in free):
+            witness = {"basis_pair": [k // l, k % l], "projection": list(free) + list(tors)}
+            break
     if witness is None and fp.free_rank:
         from extweyl.lattice_algebra import _unit_combination
 
         gram = tuple(
-            tuple(proj[(i, j)][0][0] for j in range(l)) for i in range(l)
+            tuple(images[i * l + j][0][0] for j in range(l)) for i in range(l)
         )
         combo = _unit_combination(gram)
         witness = {

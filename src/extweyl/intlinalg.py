@@ -182,12 +182,15 @@ def smith_normal_form(
 
     t = 0
     while True:
-        # find the smallest nonzero entry in the remaining block
+        # find the smallest nonzero entry in the remaining block; the
+        # first unit in row-major order is smallest, so stop at its row
         best = None
         for i in range(t, nr):
             for j in range(t, nc):
                 if a[i][j] != 0 and (best is None or abs(a[i][j]) < best[0]):
                     best = (abs(a[i][j]), i, j)
+            if best is not None and best[0] == 1:
+                break
         if best is None:
             break
         _, bi, bj = best
@@ -211,15 +214,15 @@ def smith_normal_form(
                     dirty = True
         if dirty:
             continue
-        # pivot must divide every remaining entry for the divisor chain
+        # pivot must divide every remaining entry for the divisor chain;
+        # a unit divides everything
         offender = None
-        for i in range(t + 1, nr):
-            for j in range(t + 1, nc):
-                if a[i][j] % a[t][t] != 0:
-                    offender = i
-                    break
-            if offender is not None:
-                break
+        if abs(a[t][t]) != 1:
+            piv = a[t][t]
+            offender = next(
+                (i for i in range(t + 1, nr) if any(x % piv for x in a[i][t + 1:])),
+                None,
+            )
         if offender is not None:
             add_row(offender, t, 1)
             continue
@@ -439,7 +442,13 @@ class FPAbelianGroup:
 
     def project(self, coords: Sequence[int]) -> tuple[Vector, Vector]:
         """Image of a generator-coordinate vector: (free part, torsion part)."""
-        y = mat_vec(self._p, coords)
+        return self._split(mat_vec(self._p, coords))
+
+    def generator_images(self) -> list[tuple[Vector, Vector]]:
+        """project(e_k) for every generator k: the columns of the transform."""
+        return [self._split(col) for col in transpose(self._p)]
+
+    def _split(self, y: Vector) -> tuple[Vector, Vector]:
         free = []
         tors = []
         for i, x in enumerate(y):

@@ -121,9 +121,11 @@ def _perp_relation_pairs(rs: FiniteRootSystem, left: str, right: str):
     reps: dict[str, int] = {}
     for i in pool:
         reps.setdefault(rs.lengths[i], i)
+    # perpendicular means a zero pairing; pairing the representatives
+    # directly avoids building the N x N pairing table
     for i in reps.values():
         for j in pool:
-            if rs.perpendicular(i, j):
+            if rs.pairing(i, rs.roots[j]) == 0:
                 yield i, j
 
 
@@ -152,12 +154,10 @@ class BoxForm:
                 "expected Z"
             )
         l = rs.rank
-        gram = [[0] * l for _ in range(l)]
-        for i in range(l):
-            for j in range(l):
-                e = [0] * (l * l)
-                e[_tensor_index(l, i, j)] = 1
-                gram[i][j] = fp.project(e)[0][0]
+        images = fp.generator_images()
+        gram = [
+            [images[_tensor_index(l, i, j)][0][0] for j in range(l)] for i in range(l)
+        ]
         anchor = None
         for b in rs.basis:
             if rs.lengths[b] == LONG:

@@ -135,6 +135,27 @@ def test_tensor_type(capsys):
     assert data["descriptor"] == "Z x Z2"
 
 
+def test_tensor_type_at_the_rank_cap(capsys):
+    # two Smith forms on 576 x 576 relation matrices and 576 generator
+    # images; the full-scan reduction with one projection per generator
+    # took about 38 s here
+    start = time.perf_counter()
+    assert main(["tensor-type", "B", "24", "root,root", "--format", "json"]) == 0
+    assert time.perf_counter() - start < 10
+    want = {
+        "box_descriptor": "Z",
+        "descriptor": "Z x Z2",
+        "expected": "Z x Z2",
+        "generator_witness": {"basis_pair": [0, 1], "projection": [-1, 1]},
+        "invariant_factors": [2, 0],
+        "pair": "root,root",
+        "rank": 24,
+        "schema": 1,
+        "type": "B24",
+    }
+    assert capsys.readouterr().out == json.dumps(want, sort_keys=True, indent=2) + "\n"
+
+
 def test_tensor_type_bad_pair(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["tensor-type", "B", "2", "root,root,root"])

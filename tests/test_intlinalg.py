@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from extweyl import intlinalg
 from extweyl.intlinalg import (
     MAX_QUOTIENT_INDEX,
     FPAbelianGroup,
@@ -23,6 +24,9 @@ from extweyl.intlinalg import (
     transpose,
     zeros,
 )
+from extweyl.lattice_algebra import box_quotient, coinvariants
+from extweyl.root_core import build
+from extweyl.verify import sweep_types
 
 small_matrix = st.integers(1, 4).flatmap(
     lambda r: st.integers(1, 4).flatmap(
@@ -79,6 +83,114 @@ def test_snf_properties(rows):
     assert abs(determinant(p)) == 1
     assert abs(determinant(q)) == 1
     assert is_smith(d)
+
+
+def _smith_full_scan(m):
+    """The Smith reduction that scans the whole block for every pivot and
+    checks divisibility after every pivot, units included."""
+    nr, nc = dims(m)
+    a = [list(row) for row in m]
+    p = [list(row) for row in identity(nr)]
+    q = [list(row) for row in identity(nc)]
+    t = 0
+    while True:
+        best = None
+        for i in range(t, nr):
+            for j in range(t, nc):
+                if a[i][j] != 0 and (best is None or abs(a[i][j]) < best[0]):
+                    best = (abs(a[i][j]), i, j)
+        if best is None:
+            break
+        _, bi, bj = best
+        a[t], a[bi] = a[bi], a[t]
+        p[t], p[bi] = p[bi], p[t]
+        for mat in (a, q):
+            for row in mat:
+                row[t], row[bj] = row[bj], row[t]
+        dirty = False
+        for i in range(t + 1, nr):
+            if a[i][t] != 0:
+                f = a[i][t] // a[t][t]
+                a[i] = [x - f * y for x, y in zip(a[i], a[t])]
+                p[i] = [x - f * y for x, y in zip(p[i], p[t])]
+                dirty = dirty or a[i][t] != 0
+        for j in range(t + 1, nc):
+            if a[t][j] != 0:
+                f = a[t][j] // a[t][t]
+                for mat in (a, q):
+                    for row in mat:
+                        row[j] -= f * row[t]
+                dirty = dirty or a[t][j] != 0
+        if dirty:
+            continue
+        offender = next(
+            (
+                i
+                for i in range(t + 1, nr)
+                for j in range(t + 1, nc)
+                if a[i][j] % a[t][t] != 0
+            ),
+            None,
+        )
+        if offender is not None:
+            a[t] = [x + y for x, y in zip(a[t], a[offender])]
+            p[t] = [x + y for x, y in zip(p[t], p[offender])]
+            continue
+        if a[t][t] < 0:
+            a[t] = [-x for x in a[t]]
+            p[t] = [-x for x in p[t]]
+        t += 1
+        if t >= min(nr, nc):
+            break
+    return freeze(a), freeze(p), freeze(q)
+
+
+# up to 5 x 5, empty ones included, entries often units
+unit_rich_matrix = st.integers(0, 5).flatmap(
+    lambda r: st.integers(0, 5).flatmap(
+        lambda c: st.lists(
+            st.lists(
+                st.one_of(st.sampled_from([-1, 0, 1]), st.integers(-9, 9)),
+                min_size=c,
+                max_size=c,
+            ),
+            min_size=r,
+            max_size=r,
+        )
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(unit_rich_matrix)
+def test_snf_matches_full_scan(rows):
+    m = freeze(rows)
+    assert smith_normal_form(m) == _smith_full_scan(m)
+
+
+def test_snf_matches_full_scan_on_lattice_relations(monkeypatch):
+    # every relation matrix that coinvariants and box_quotient reduce on
+    # the lattice benchmark's systems, and the generator images read off
+    # the transform against one projection per generator
+    matrices = []
+
+    def recording(m):
+        matrices.append(m)
+        return smith_normal_form(m)
+
+    monkeypatch.setattr(intlinalg, "smith_normal_form", recording)
+    for fam, rk in sweep_types(6) + [("E", 7)]:
+        rs = build(fam, rk)
+        n = rs.rank * rs.rank
+        for pair in (("root", "root"), ("root", "coroot"), ("coroot", "coroot")):
+            for quotient in (coinvariants, box_quotient):
+                matrices.clear()
+                fp = quotient(rs, *pair)
+                (m,) = matrices
+                assert smith_normal_form(m) == _smith_full_scan(m), (fam, rk, pair)
+                assert fp.generator_images() == [
+                    fp.project(tuple(int(i == k) for i in range(n))) for k in range(n)
+                ], (fam, rk, pair)
 
 
 @settings(max_examples=100, deadline=None)

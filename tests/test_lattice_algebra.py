@@ -14,7 +14,14 @@ from extweyl.lattice_algebra import (
     root_box_form,
     _tensor_of,
 )
-from extweyl.root_core import LONG, SHORT, build, k_delta
+from extweyl.root_core import (
+    LONG,
+    SHORT,
+    FiniteRootSystem,
+    RootSystemType,
+    build,
+    k_delta,
+)
 from extweyl.verify import sweep_types
 
 from test_intlinalg import projects_to_zero
@@ -147,6 +154,14 @@ def test_class_representative_pairs_match_all_pairs(monkeypatch):
             got = box_quotient(rs, left, right).relations
             assert got == oracle.fp.relations, (fam, rk, left, right)
             assert BoxForm(rs, left, right).gram == oracle.gram, (fam, rk, left, right)
+
+
+def test_box_quotient_builds_no_pairing_table():
+    # the perpendicular pairs are read for the class representatives only
+    rs = FiniteRootSystem(RootSystemType("E", 7))
+    for left, right in SIDES:
+        assert box_quotient(rs, left, right).descriptor() == "Z"
+    assert "pairing_table" not in rs.__dict__
 
 
 def test_sweep_types_lists_each_admissible_type_once():

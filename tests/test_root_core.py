@@ -15,6 +15,7 @@ from extweyl.root_core import (
     k_delta,
     l_eff_quotient,
     pairing_value_sets,
+    reflection_pair,
 )
 from extweyl.verify import sweep_types
 
@@ -343,6 +344,39 @@ def test_reflection_pairs_match_tables(fam, rank):
     for k, b in enumerate(rs.basis):
         w = rs.weyl_generator(b)
         assert (rs._basis_reflections[k], rs._basis_coreflections[k]) == (w.matrix, w.comatrix)
+
+
+def _closure_oracle(rs):
+    """Roots and coroots closed under the simple reflection matrices."""
+    l = rs.rank
+    e = [tuple(int(i == k) for i in range(l)) for k in range(l)]
+    seeds = [(e[k], e[k]) for k in range(l)]
+    if rs.rs_type.family == "BC":
+        # the short simple coroot is twice the last coroot-basis vector,
+        # which is the coroot of the divisible root 2*alpha_l
+        double = tuple(2 * x for x in e[-1])
+        seeds[-1] = (e[-1], double)
+        seeds.append((double, e[-1]))
+    simple = [reflection_pair(rs.pairing_matrix, *seed) for seed in seeds[:l]]
+    seen = {}
+    queue = list(seeds)
+    while queue:
+        root, coroot = queue.pop()
+        if root in seen:
+            continue
+        seen[root] = coroot
+        for m, c in simple:
+            image = mat_vec(m, root)
+            if image not in seen:
+                queue.append((image, mat_vec(c, coroot)))
+    pairs = sorted(seen.items())
+    return tuple(r for r, _ in pairs), tuple(c for _, c in pairs)
+
+
+@pytest.mark.parametrize("fam,rank", TABLE_TYPES)
+def test_root_closure_matches_reflection_matrices(fam, rank):
+    rs = build(fam, rank)
+    assert (rs.roots, rs.coroots) == _closure_oracle(rs)
 
 
 def test_root_tables_are_lazy():
