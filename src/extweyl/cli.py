@@ -16,6 +16,7 @@ import sys
 from extweyl.ext_root import ExtRootError, ExtRootSystem, read_json, validate
 from extweyl.intlinalg import QuotientTooLarge
 from extweyl.lattice_algebra import (
+    _unit_combination,
     box_quotient,
     coinvariants,
     expected_tensor_descriptor,
@@ -102,8 +103,6 @@ def cmd_tensor_type(args) -> int:
             witness = {"basis_pair": [k // l, k % l], "projection": list(free) + list(tors)}
             break
     if witness is None and fp.free_rank:
-        from extweyl.lattice_algebra import _unit_combination
-
         gram = tuple(
             tuple(images[i * l + j][0][0] for j in range(l)) for i in range(l)
         )
@@ -201,23 +200,22 @@ def cmd_verify(args) -> int:
                 "suite": rep.suite,
                 "ok": rep.ok,
                 "cases": [
-                    {"name": c.name, "ok": c.ok, "detail": c.detail} for c in rep.cases
+                    {"name": c.name, "ok": c.passed, "detail": c.witness}
+                    for c in rep.checks
                 ],
                 "reports": rep.reports,
             }
         )
         lines.append(f"[{rep.suite}] {'PASS' if rep.ok else 'FAIL'}")
-        for c in rep.cases:
-            lines.append(f"  {'pass' if c.ok else 'FAIL'} {c.name}"
-                         + (f" ({c.detail})" if c.detail else ""))
+        for c in rep.checks:
+            lines.append(f"  {'pass' if c.passed else 'FAIL'} {c.name}"
+                         + (f" ({c.witness})" if c.witness else ""))
         for r in rep.reports:
             lines.append(f"  report: {r}")
         if not rep.ok:
             any_fail = True
-            first = rep.first_failure()
-            lines.append(
-                f"  first witness: {first.name}: {first.detail}"
-            )
+            first = rep.failed()[0]
+            lines.append(f"  first witness: {first.name}: {first.witness}")
             lines.append(
                 f"  replay: extweyl verify {rep.suite} --seed {args.seed}"
             )

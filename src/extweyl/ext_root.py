@@ -381,22 +381,15 @@ def span_extended(
         rs_type = RootSystemType(rs_type, rank)
     delta = build(rs_type)
     grp = FreeAbelianGroup(n, g1, tuple(i for i in range(n) if i not in g1))
-    full = SSet(identity(n), [(0,) * n])
-    if delta.rs_type.is_single_length():
-        return ExtRootSystem(delta, grp, {SHORT: full})
-    k = k_delta(delta.rs_type)
-    lg = SSet(
-        [vec_scale(k, grp.basis_vector(i)) for i in grp.g1]
-        + [grp.basis_vector(i) for i in grp.g2],
-        [(0,) * n],
-    )
-    s_sets = {SHORT: full, LONG: lg}
-    if EXTRALONG in set(delta.lengths):
-        s_sets[EXTRALONG] = SSet(
-            [vec_scale(k * k, grp.basis_vector(i)) for i in grp.g1]
-            + [grp.basis_vector(i) for i in grp.g2],
-            [(0,) * n],
-        )
+    s_sets = {SHORT: SSet(identity(n), [(0,) * n])}
+    for cls, power in ((LONG, 1), (EXTRALONG, 2)):
+        if cls in delta.lengths:
+            scale = k_delta(delta.rs_type) ** power
+            s_sets[cls] = SSet(
+                [vec_scale(scale, grp.basis_vector(i)) for i in grp.g1]
+                + [grp.basis_vector(i) for i in grp.g2],
+                [(0,) * n],
+            )
     return ExtRootSystem(delta, grp, s_sets)
 
 
@@ -559,37 +552,22 @@ def _solve_combination(rows, target) -> Vector | None:
     return solve_integer(m, target)
 
 
-def _coset_member_in_subspace(c: Vector, h_basis, idx: set[int], n: int) -> Vector | None:
-    """A member of c + H supported on the coordinates in idx, if any."""
-    proj = [i for i in range(n) if i not in idx]
-    if not proj:
-        return c
-    rows = [tuple(r[i] for i in proj) for r in h_basis]
-    sol = _solve_combination(rows, tuple(-c[i] for i in proj))
-    if sol is None:
-        return None
-    out = list(c)
-    for coeff, hrow in zip(sol, h_basis):
-        for i in range(n):
-            out[i] += coeff * hrow[i]
-    return tuple(out)
-
-
-def _lattice_cap_subspace(hnf, idx: set[int], n: int) -> list[Vector]:
+def _members_in_subspace(sset: SSet, idx: set[int], n: int) -> tuple[set[Vector], list[Vector]]:
+    """S cap G_idx, G_idx spanned by the basis vectors in idx: the cosets of
+    S that meet it, and the Hermite basis of its span, which H cap G_idx
+    and one member of each such coset generate."""
     axis = [tuple(int(j == i) for j in range(n)) for i in sorted(idx)]
-    if not axis:
-        return []
-    return lattice_intersection(hnf, axis)
-
-
-def _span_of_intersection(sset: SSet, idx: set[int], n: int) -> list[Vector]:
-    """Lattice spanned by the intersection of S with a coordinate subgroup."""
-    gens = list(_lattice_cap_subspace(sset.h_basis, idx, n))
+    gens = lattice_intersection(sset.h_basis, axis)
+    proj = [i for i in range(n) if i not in idx]
+    rows = [tuple(r[i] for i in proj) for r in sset.h_basis]
+    met = set()
     for c in sset.cosets:
-        m = _coset_member_in_subspace(c, sset.h_basis, idx, n)
-        if m is not None:
-            gens.append(m)
-    return hermite_rows(gens) if gens else []
+        # a member c + sol.H vanishes off idx
+        sol = _solve_combination(rows, tuple(-c[i] for i in proj))
+        if sol is not None:
+            met.add(c)
+            gens.append(tuple(x + y for x, y in zip(c, vec_mat(sol, sset.h_basis))))
+    return met, hermite_rows(gens)
 
 
 def check_twist(ers: ExtRootSystem) -> ValidationReport:
@@ -616,19 +594,8 @@ def check_twist(ers: ExtRootSystem) -> ValidationReport:
     lg = set(refined[LONG].cosets)
     g1_idx, g2_idx = set(grp.g1), set(grp.g2)
 
-    sh_cap_g1 = set()
-    for c in sh:
-        m = _coset_member_in_subspace(c, hstar, g1_idx, n)
-        if m is not None:
-            sh_cap_g1.add(lattice_reduce(hstar, m))
-    lg_cap_g2 = set()
-    for c in lg:
-        m = _coset_member_in_subspace(c, hstar, g2_idx, n)
-        if m is not None:
-            lg_cap_g2.add(lattice_reduce(hstar, m))
-
-    span_lg_cap_g2 = _span_of_intersection(refined[LONG], g2_idx, n)
-    span_sh_cap_g1 = _span_of_intersection(refined[SHORT], g1_idx, n)
+    sh_cap_g1, span_sh_cap_g1 = _members_in_subspace(refined[SHORT], g1_idx, n)
+    lg_cap_g2, span_lg_cap_g2 = _members_in_subspace(refined[LONG], g2_idx, n)
     g1_gens = grp.g1_vectors()
     g2_gens = grp.g2_vectors()
     k_g1 = [vec_scale(k, v) for v in g1_gens]
@@ -762,11 +729,10 @@ def trim(ers: ExtRootSystem) -> TrimResult:
         if adapted is None:
             grp = FreeAbelianGroup(n)
         else:
-            grp, change = adapted
-            # change rows = new basis in current coordinates; coordinates
-            # transform through the inverse transpose, the basis matrix
-            # through plain multiplication
-            coord_map = transpose(mat_inv(change))
+            grp, q = adapted
+            # the rows of q^-1 are the adapted basis in current coordinates:
+            # coordinates transform through q^T, the basis matrix through q^-1
+            coord_map = transpose(q)
             new_s = {
                 cls: SSet(
                     [mat_vec(coord_map, r) for r in s.h_basis],
@@ -774,7 +740,7 @@ def trim(ers: ExtRootSystem) -> TrimResult:
                 )
                 for cls, s in new_s.items()
             }
-            g_matrix = freeze(mat_mul(change, g_matrix))
+            g_matrix = freeze(mat_mul(mat_inv(q), g_matrix))
 
     new_sys = ExtRootSystem(new_delta, grp, new_s)
     root_map = _match_root_systems(old, new_delta)
@@ -784,8 +750,9 @@ def trim(ers: ExtRootSystem) -> TrimResult:
 def _adapted_split(new_s: dict[str, SSet], n: int, k: int):
     """Basis split with <S_lg> = k*G1 + G2, changing the basis if needed.
 
-    Returns (group, change) with change rows the adapted basis in the
-    current coordinates, or None when the long span is not of that shape.
+    Returns (group, q) with q the column transform of the Smith form of
+    the long span, whose inverse has the adapted basis as rows in the
+    current coordinates; or None when the long span is not of that shape.
     """
     if LONG not in new_s:
         return None
@@ -796,10 +763,9 @@ def _adapted_split(new_s: dict[str, SSet], n: int, k: int):
     diag = [d[i][i] for i in range(n)]
     if any(x not in (1, k) for x in diag):
         return None
-    change = mat_inv(q)  # rows: adapted basis in current coordinates
     g1 = tuple(i for i in range(n) if diag[i] == k)
     g2 = tuple(i for i in range(n) if diag[i] == 1)
-    return FreeAbelianGroup(n, g1, g2), change
+    return FreeAbelianGroup(n, g1, g2), q
 
 
 def _match_root_systems(old: FiniteRootSystem, new: FiniteRootSystem) -> dict[int, int]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import prod
-from typing import Sequence
+from typing import Iterable, Sequence
 
 Vector = tuple[int, ...]
 Matrix = tuple[Vector, ...]
@@ -269,17 +269,16 @@ def solve_integer(m: Sequence[Sequence[int]], w: Sequence[int]) -> Vector | None
 # ---------------------------------------------------------------------------
 
 
-def hermite_rows(rows: Sequence[Sequence[int]]) -> list[Vector]:
+def hermite_rows(rows: Iterable[Sequence[int]]) -> list[Vector]:
     """Canonical echelon basis of the integer row span of `rows`.
 
     Rows come back with strictly increasing pivot columns, positive
     pivots, and entries above each pivot reduced into [0, pivot).  Two
     generating sets span the same lattice iff they produce identical
     output.  Rows are folded in one at a time, so large redundant
-    generating sets stay cheap.
+    generating sets stay cheap, and an iterator of them is never held.
     """
     pivots: dict[int, list[int]] = {}
-    ncols = len(rows[0]) if rows else 0
     for row in rows:
         r = list(row)
         while True:
@@ -302,17 +301,16 @@ def hermite_rows(rows: Sequence[Sequence[int]]) -> list[Vector]:
                 # remainder nonzero only when signs made // round down;
                 # one more pass fixes it
                 continue
-    basis = [pivots[c] for c in sorted(pivots)]
+    cols = sorted(pivots)
+    basis = [pivots[c] for c in cols]
     # normalize entries above each pivot; increasing pivot order keeps
     # already-normalized earlier columns untouched
-    for i in range(len(basis)):
+    for i, pcol in enumerate(cols):
         prow = basis[i]
-        pcol = next(k for k in range(ncols) if prow[k] != 0)
         for j in range(i):
             f = basis[j][pcol] // prow[pcol]
             if f:
-                for k in range(ncols):
-                    basis[j][k] -= f * prow[k]
+                basis[j] = [x - f * y for x, y in zip(basis[j], prow)]
     return [tuple(r) for r in basis]
 
 
@@ -416,11 +414,11 @@ class FPAbelianGroup:
     Z^rank x prod Z_{di}.
     """
 
-    def __init__(self, n_generators: int, relations: Sequence[Sequence[int]]):
-        # reduce the (possibly huge, redundant) relation list to a
-        # lattice basis first; the Smith reduction then works on a
-        # matrix no larger than n_generators squared
-        rel = hermite_rows([tuple(r) for r in relations])
+    def __init__(self, n_generators: int, relations: Iterable[Sequence[int]]):
+        # reduce the (possibly huge, redundant) relations to a lattice
+        # basis first, one row at a time; the Smith reduction then works
+        # on a matrix no larger than n_generators squared
+        rel = hermite_rows(relations)
         if not rel:
             rel_matrix: Matrix = zeros(0, n_generators)
         else:

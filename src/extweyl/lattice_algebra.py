@@ -19,7 +19,9 @@ translate's by a coinvariant relation.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import chain
 from math import gcd
+from typing import Iterator, Sequence
 
 from extweyl.intlinalg import (
     FPAbelianGroup,
@@ -35,6 +37,7 @@ from extweyl.root_core import (
     SHORT,
     FiniteRootSystem,
     RootSystemError,
+    build,
     k_delta,
 )
 
@@ -55,17 +58,18 @@ def _tensor_index(l: int, i: int, j: int) -> int:
     return i * l + j
 
 
-def _coinvariant_relations(rs: FiniteRootSystem, left: str, right: str) -> list[Vector]:
+def _coinvariant_relations(
+    rs: FiniteRootSystem, left: str, right: str
+) -> Iterator[list[int]]:
+    """The l^3 rows (v.e_i) (x) (v.e_j) - e_i (x) e_j, v a simple reflection."""
     l = rs.rank
     _, refl_left = _side_data(rs, left)
     _, refl_right = _side_data(rs, right)
-    rels = []
     for k in range(l):
         a = refl_left[k]
         b = refl_right[k]
         for i in range(l):
             for j in range(l):
-                # (v.e_i) (x) (v.e_j) - e_i (x) e_j, flattened
                 row = [0] * (l * l)
                 for p in range(l):
                     if a[p][i] == 0:
@@ -74,8 +78,22 @@ def _coinvariant_relations(rs: FiniteRootSystem, left: str, right: str) -> list[
                         if b[q][j]:
                             row[_tensor_index(l, p, q)] += a[p][i] * b[q][j]
                 row[_tensor_index(l, i, j)] -= 1
-                rels.append(tuple(row))
-    return rels
+                yield row
+
+
+class _Rows:
+    """Relation rows, made one at a time as a presentation folds them in,
+    that know their number: len() counts them without making them (the
+    benchmark's tracer records it per presentation)."""
+
+    def __init__(self, count: int, rows: Iterator[Sequence[int]]):
+        self.count, self.rows = count, rows
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __iter__(self) -> Iterator[Sequence[int]]:
+        return self.rows
 
 
 def _tensor_of(rs: FiniteRootSystem, left: str, right: str, i: int, j: int) -> Vector:
@@ -96,7 +114,7 @@ def _tensor_of(rs: FiniteRootSystem, left: str, right: str, i: int, j: int) -> V
 def coinvariants(rs: FiniteRootSystem, left: str, right: str) -> FPAbelianGroup:
     """L (x)_V L' presented on the l*l basis tensors."""
     l = rs.rank
-    return FPAbelianGroup(l * l, _coinvariant_relations(rs, left, right))
+    return FPAbelianGroup(l * l, _Rows(l**3, _coinvariant_relations(rs, left, right)))
 
 
 def _perp_relation_pairs(rs: FiniteRootSystem, left: str, right: str):
@@ -131,10 +149,11 @@ def _perp_relation_pairs(rs: FiniteRootSystem, left: str, right: str):
 
 def box_quotient(rs: FiniteRootSystem, left: str, right: str) -> FPAbelianGroup:
     """L [x] L': the coinvariants modulo perpendicular reflection pairs."""
-    rels = _coinvariant_relations(rs, left, right)
-    for i, j in _perp_relation_pairs(rs, left, right):
-        rels.append(_tensor_of(rs, left, right, i, j))
-    return FPAbelianGroup(rs.rank * rs.rank, rels)
+    l = rs.rank
+    pairs = list(_perp_relation_pairs(rs, left, right))
+    perp = (_tensor_of(rs, left, right, i, j) for i, j in pairs)
+    rels = chain(_coinvariant_relations(rs, left, right), perp)
+    return FPAbelianGroup(l * l, _Rows(l**3 + len(pairs), rels))
 
 
 class BoxForm:
@@ -184,8 +203,6 @@ class BoxForm:
 
 @lru_cache(maxsize=None)
 def _box_form_cached(family: str, rank: int, left: str, right: str) -> BoxForm:
-    from extweyl.root_core import build
-
     return BoxForm(build(family, rank), left, right)
 
 

@@ -24,6 +24,12 @@ from extweyl.intlinalg import Matrix, Vector, outer
 from extweyl.root_core import FiniteRootSystem
 
 
+# the largest symmetric system terminal_group closes, and the largest
+# group order any closure here enumerates
+MAX_SYSTEM_SIZE = 64
+MAX_GROUP_ORDER = 10**6
+
+
 class ClosureCapError(RuntimeError):
     pass
 
@@ -88,31 +94,16 @@ def reflection_sym_system(rs: FiniteRootSystem) -> tuple[SymSystem, list[int]]:
     return SymSystem(len(reps), table), reps
 
 
-def terminal_group(
-    s: SymSystem, cap_elements: int = 64, cap_size: int = 10**6
-) -> tuple[int, list[list[int]]]:
+def terminal_group(s: SymSystem) -> tuple[int, list[list[int]]]:
     """Order and orbit partition of the group generated by t -> s.t.
 
     The generators are the left multiplications; the closure is taken
     inside the symmetric group on the elements of s.
     """
-    if s.size > cap_elements:
-        raise ClosureCapError(f"symmetric system too large ({s.size} > {cap_elements})")
+    if s.size > MAX_SYSTEM_SIZE:
+        raise ClosureCapError(f"symmetric system too large ({s.size} > {MAX_SYSTEM_SIZE})")
     gens = {tuple(s.mul(a, t) for t in range(s.size)) for a in range(s.size)}
-    ident = tuple(range(s.size))
-    elements = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for g in gens:
-                q = tuple(g[p[t]] for t in range(s.size))
-                if q not in elements:
-                    elements.add(q)
-                    nxt.append(q)
-                    if len(elements) > cap_size:
-                        raise ClosureCapError("group closure exceeded the size cap")
-        frontier = nxt
+    order = _closure_size(gens, lambda p, g: tuple(g[i] for i in p), tuple(range(s.size)))
     parent = list(range(s.size))
 
     def find(x):
@@ -129,7 +120,7 @@ def terminal_group(
     orbits: dict[int, list[int]] = {}
     for t in range(s.size):
         orbits.setdefault(find(t), []).append(t)
-    return len(elements), sorted(orbits.values())
+    return order, sorted(orbits.values())
 
 
 def check_reflection_group(
@@ -174,7 +165,7 @@ def check_reflection_group(
             break
     rep.add("G3: conjugation", ok3, w3)
     try:
-        size = _closure_size(images, mul, identity_elt, cap=10**6)
+        size = _closure_size(images, mul, identity_elt)
         detail = f"order {size}"
     except ClosureCapError:
         detail = "closure larger than the cap"
@@ -187,7 +178,8 @@ def check_reflection_group(
     return rep
 
 
-def _closure_size(gens, mul, identity_elt, cap: int) -> int:
+def _closure_size(gens, mul, identity_elt) -> int:
+    """Order of the group that `gens` generate under `mul`, closed breadth-first."""
     elements = {identity_elt}
     frontier = [identity_elt]
     while frontier:
@@ -198,8 +190,8 @@ def _closure_size(gens, mul, identity_elt, cap: int) -> int:
                 if y not in elements:
                     elements.add(y)
                     nxt.append(y)
-                    if len(elements) > cap:
-                        raise ClosureCapError("closure exceeded cap")
+                    if len(elements) > MAX_GROUP_ORDER:
+                        raise ClosureCapError("group closure exceeded the size cap")
         frontier = nxt
     return len(elements)
 

@@ -22,6 +22,7 @@ from functools import cached_property, lru_cache
 from math import gcd
 
 from extweyl.intlinalg import (
+    FPAbelianGroup,
     Matrix,
     Vector,
     dot,
@@ -516,8 +517,6 @@ def l_eff_quotient(rs: FiniteRootSystem):
     Returns (fp, images): fp is the FPAbelianGroup of the quotient and
     images maps each root index to its torsion coordinates there.
     """
-    from extweyl.intlinalg import FPAbelianGroup
-
     fp = FPAbelianGroup(rs.rank, _moved_basis_vectors(rs._basis_reflections))
     images = {i: fp.project(rs.roots[i])[1] for i in range(len(rs.roots))}
     return fp, images

@@ -17,6 +17,7 @@ from extweyl.ext_root import (
     ExtRootSystem,
     FreeAbelianGroup,
     SSet,
+    ValidationReport,
     fully_extended,
     span_extended,
     trim,
@@ -204,38 +205,19 @@ def orbit_configurations() -> list[tuple[str, ExtRootSystem]]:
 # --- reporting -------------------------------------------------------------
 
 
-@dataclass
-class Case:
-    name: str
-    ok: bool
-    detail: str = ""
+@dataclass(kw_only=True)
+class SuiteReport(ValidationReport):
+    """A suite's checks, plus the lines it reports without checking."""
 
-
-@dataclass
-class SuiteReport:
     suite: str
-    cases: list[Case] = field(default_factory=list)
     reports: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return all(c.ok for c in self.cases)
-
-    def add(self, name: str, ok: bool, detail: str = ""):
-        self.cases.append(Case(name, ok, detail))
-
-    def first_failure(self) -> Case | None:
-        for c in self.cases:
-            if not c.ok:
-                return c
-        return None
 
 
 # --- suites ----------------------------------------------------------------
 
 
 def suite_tables() -> SuiteReport:
-    rep = SuiteReport("tables")
+    rep = SuiteReport(suite="tables")
     for label, (p_ab, p_ba, m_ab, m_ba) in TABLE1_ROWS.items():
         rs = build(label[0], int(label[1:]))
         i, j = rs.basis
@@ -284,7 +266,7 @@ def suite_tables() -> SuiteReport:
 
 
 def suite_tensor(cap_rank: int = 6) -> SuiteReport:
-    rep = SuiteReport("tensor")
+    rep = SuiteReport(suite="tensor")
     for fam, rank in sweep_types(cap_rank):
         rs = build(fam, rank)
         for pair in (("root", "root"), ("root", "coroot")):
@@ -332,7 +314,7 @@ def suite_tensor(cap_rank: int = 6) -> SuiteReport:
 
 
 def suite_orbits() -> SuiteReport:
-    rep = SuiteReport("orbits")
+    rep = SuiteReport(suite="orbits")
     for name, ers in orbit_configurations():
         ok_val = validate(ers).ok
         ok_orb = orbit_classes(ers)[1]
@@ -364,7 +346,7 @@ def _random_weyl(ers: ExtRootSystem, rng):
 
 
 def suite_cocycle(seed: int = 0, cases: int = 10000) -> SuiteReport:
-    rep = SuiteReport("cocycle")
+    rep = SuiteReport(suite="cocycle")
     rng = random.Random(seed)
     systems = [
         span_extended("B", 2, n=2, g1=(0,)),
@@ -477,7 +459,7 @@ def word_test_systems() -> list[tuple[str, ExtRootSystem]]:
 
 
 def suite_words(seed: int = 0, cases: int = 10000) -> SuiteReport:
-    rep = SuiteReport("words")
+    rep = SuiteReport(suite="words")
     rng = random.Random(seed)
     systems = word_test_systems()
     fails = 0

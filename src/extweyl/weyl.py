@@ -20,6 +20,7 @@ decider live here as well.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from extweyl.ext_root import ExtRootError, ExtRootSystem
 from extweyl.intlinalg import (
@@ -40,7 +41,7 @@ from extweyl.intlinalg import (
     zeros,
 )
 from extweyl.lattice_algebra import boxtimes_form
-from extweyl.refl_groups import ReflectionLabel, label_k_part
+from extweyl.refl_groups import ReflectionLabel, conj_reflect, label_k_part
 from extweyl.root_core import SHORT, WeylElement, coxeter_evaluate
 
 
@@ -539,7 +540,11 @@ def _wedge(u: Vector, v: Vector) -> Matrix:
     )
 
 
-def build_uab_kernel_word(ers: ExtRootSystem, max_subset: int = 8):
+# the largest coset subset build_uab_kernel_word tries
+KERNEL_SUBSET_MAX = 8
+
+
+def build_uab_kernel_word(ers: ExtRootSystem):
     """Search for a word that is trivial in the extended Weyl group but
     has nonzero orbit parity, witnessing the kernel of the presentation.
 
@@ -559,10 +564,8 @@ def build_uab_kernel_word(ers: ExtRootSystem, max_subset: int = 8):
     if len(reps) < 2:
         return None
 
-    from itertools import combinations
-
     n = ers.n
-    for size in range(2, min(len(reps), max_subset) + 1, 2):
+    for size in range(2, min(len(reps), KERNEL_SUBSET_MAX) + 1, 2):
         for combo in combinations(reps, size):
             total = tuple(sum(c[i] for c in combo) for i in range(n))
             if not lattice_contains(row_h, total):
@@ -679,18 +682,21 @@ def random_label(ers: ExtRootSystem, rng) -> ReflectionLabel:
 
 def relator_word(ers: ExtRootSystem, t1: ReflectionLabel, t2: ReflectionLabel):
     """The defining relator t1 t2 t1 (t1.t2) of the presentation."""
-    from extweyl.refl_groups import conj_reflect
-
     return [t1, t2, t1, conj_reflect(ers, t1, t2)]
 
 
-def conjugated_relator_product(ers: ExtRootSystem, rng, n_relators: int = 2, conj_len: int = 2):
+# relators per conjugated_relator_product, and the most letters conjugating each
+RELATORS_PER_WORD = 2
+CONJUGATOR_MAX_LEN = 2
+
+
+def conjugated_relator_product(ers: ExtRootSystem, rng):
     """A random product of conjugated defining relators; trivial by design."""
     word: list[ReflectionLabel] = []
-    for _ in range(n_relators):
+    for _ in range(RELATORS_PER_WORD):
         t1 = random_label(ers, rng)
         t2 = random_label(ers, rng)
         core = relator_word(ers, t1, t2)
-        conj = [random_label(ers, rng) for _ in range(rng.randint(0, conj_len))]
+        conj = [random_label(ers, rng) for _ in range(rng.randint(0, CONJUGATOR_MAX_LEN))]
         word.extend(conj + core + list(reversed(conj)))
     return word

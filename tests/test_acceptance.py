@@ -318,8 +318,8 @@ def test_c07_orbits_vs_bruteforce():
 
 def test_c08_cocycle_suite():
     rep = suite_cocycle(seed=0, cases=10000)
-    for c in rep.cases:
-        print(f"  {'pass' if c.ok else 'FAIL'} {c.name} {c.detail}")
+    for c in rep.checks:
+        print(f"  {'pass' if c.passed else 'FAIL'} {c.name} {c.witness}")
     report("criterion 8 (cocycle property suite, 5 x 10^4 cases)", rep.ok)
 
 

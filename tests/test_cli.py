@@ -622,7 +622,7 @@ def test_verify_words_small_matches_golden():
     # times; the harness counts after that loop pin its random draws
     rep = suite_words(seed=0, cases=200)
     got = {
-        "cases": [{"name": c.name, "ok": c.ok, "detail": c.detail} for c in rep.cases],
+        "cases": [{"name": c.name, "ok": c.passed, "detail": c.witness} for c in rep.checks],
         "reports": rep.reports,
     }
     assert got == json.loads(VERIFY_WORDS.read_text())
@@ -636,10 +636,28 @@ def test_verify_small_matches_golden(capsys):
         assert main(["verify", suite, "--format", "json"]) == 0
         assert json.loads(capsys.readouterr().out) == golden[f"verify {suite}"]
     cases = [
-        {"name": c.name, "ok": c.ok, "detail": c.detail}
-        for c in suite_cocycle(seed=0, cases=200).cases
+        {"name": c.name, "ok": c.passed, "detail": c.witness}
+        for c in suite_cocycle(seed=0, cases=200).checks
     ]
     assert cases == golden["suite_cocycle(seed=0, cases=200)"]
+
+
+def test_failing_suite_names_its_first_witness(capsys, monkeypatch):
+    # with every closure disagreeing, every orbits case fails: the text
+    # ends on the first failed case and the replay command, exit 1
+    monkeypatch.setattr("extweyl.verify.orbit_classes", lambda ers: ({}, False))
+    assert main(["verify", "orbits", "--seed", "3"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    first = "orbits A1 n=1 full"
+    assert lines[:3] == ["seed 3", "[orbits] FAIL", f"  FAIL {first} (valid=True agree=False)"]
+    assert lines[-2:] == [
+        f"  first witness: {first}: valid=True agree=False",
+        "  replay: extweyl verify orbits --seed 3",
+    ]
+    assert main(["verify", "orbits", "--format", "json"]) == 1
+    suite = json.loads(capsys.readouterr().out)["suites"][0]
+    assert suite["ok"] is False
+    assert suite["cases"][0] == {"name": first, "ok": False, "detail": "valid=True agree=False"}
 
 
 def test_random_weyl_draws_match_golden():

@@ -1,5 +1,6 @@
 import itertools
 import json
+import pathlib
 import random
 
 import pytest
@@ -28,8 +29,11 @@ from extweyl.intlinalg import (
 )
 from extweyl.refl_groups import ReflectionLabel
 from extweyl.root_core import EXTRALONG, LONG, SHORT, RootSystemType, build, k_delta
-from extweyl.verify import orbit_configurations
+from extweyl.verify import orbit_configurations, word_test_systems
 from extweyl.weyl import act_on_root, w_generator
+
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 def long_index(ers):
@@ -267,6 +271,65 @@ def _root_map_by_closure(old, new):
 def test_trim_root_map_matches_the_reflection_closure(l):
     tr = trim(fully_extended("BC", l, n=1))
     assert tr.root_map == _root_map_by_closure(tr.source.delta, tr.system.delta)
+
+
+def test_span_extended_bc1_trims_to_a1():
+    # BC1 has no long roots, so span_extended builds no long slice
+    for n in range(1, 4):
+        for g1 in ((), (0,), tuple(range(n))):
+            ers = span_extended("BC", 1, n=n, g1=g1)
+            assert sorted(ers.s_sets) == [EXTRALONG, SHORT]
+            assert validate(ers).ok
+            tr = trim(ers)
+            assert tr.system.delta.rs_type == RootSystemType("A", 1)
+            assert validate(tr.system).ok
+
+
+def _skew_bc(rank):
+    """BC over Z^2 whose extralong slice 2Z^2 + {0, (1,1)} makes the trimmed
+    long span non-diagonal, so trim changes the basis of the group."""
+    return ExtRootSystem(build("BC", rank), FreeAbelianGroup(2), {
+        SHORT: SSet(identity(2), [(0, 0)]),
+        LONG: SSet(identity(2), [(0, 0)]),
+        EXTRALONG: SSet([[2, 0], [0, 2]], [(0, 0), (1, 1)]),
+    })
+
+
+def test_trim_results_match_golden():
+    # generated before check_twist and trim were reworked
+    cases = [
+        (f"{fn.__name__} BC{rank} n={n} g1={list(g1)}", fn("BC", rank, n=n, g1=g1))
+        for fn, lo in ((fully_extended, 1), (span_extended, 2))
+        for rank in range(lo, 5)
+        for n in range(1, 4)
+        for g1 in ((), (0,))
+    ] + [(f"skew BC{rank} n=2", _skew_bc(rank)) for rank in (2, 3)]
+    got = {}
+    for name, ers in cases:
+        tr = trim(ers)
+        got[name] = {
+            "system": tr.system.to_json(),
+            "g_matrix": [list(r) for r in tr.g_matrix],
+            "root_map": [list(kv) for kv in sorted(tr.root_map.items())],
+        }
+    assert got == json.loads((GOLDEN / "trim_results.json").read_text())
+
+
+def test_twist_reports_match_golden():
+    # every check_twist record over the orbit and word systems and two
+    # untame B2 systems, generated before check_twist was reworked
+    systems = [
+        *orbit_configurations(),
+        *word_test_systems(),
+        ("B2 n=2 swapped", _swapped_b2()),
+        ("B2 n=2 S_lg=2Z^2", _untame_b2()),
+    ]
+    got = {
+        name: [[c.name, c.passed, c.witness] for c in check_twist(ers).checks]
+        for name, ers in systems
+    }
+    assert len(got) == len(systems)
+    assert got == json.loads((GOLDEN / "twist_reports.json").read_text())
 
 
 def test_trim_validates_and_is_tame():

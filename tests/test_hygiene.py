@@ -37,6 +37,36 @@ def test_unused_import_is_reported():
     assert _unused_imports(tree) == ["os (line 1)", "gcd (line 3)"]
 
 
+def _function_imports(tree: ast.Module) -> list[str]:
+    """Import statements inside a function body, by line."""
+    lines = {
+        n.lineno
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef)
+        for n in ast.walk(fn)
+        if isinstance(n, (ast.Import, ast.ImportFrom))
+    }
+    return [f"line {line}" for line in sorted(lines)]
+
+
+def test_imports_are_at_module_level():
+    nested = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        lines = _function_imports(ast.parse(path.read_text(), filename=str(path)))
+        if lines:
+            nested[path.name] = lines
+    assert nested == {}
+
+
+def test_function_import_is_reported():
+    tree = ast.parse(
+        "import os\n"
+        "def f():\n    from math import gcd\n    def g():\n        import sys\n"
+        "class C:\n    def m(self):\n        import re\n"
+    )
+    assert _function_imports(tree) == ["line 3", "line 5", "line 8"]
+
+
 # Definitions that nothing in the package calls, and attributes that
 # nothing in the package reads, each kept for the tests or the benchmark
 # workload named here.

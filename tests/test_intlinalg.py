@@ -206,6 +206,18 @@ def test_hermite_is_canonical_and_spans(rows):
             assert solve_integer(transpose(freeze(rows)), b) is not None
 
 
+@settings(max_examples=50, deadline=None)
+@given(small_matrix)
+def test_hermite_and_presentations_take_iterators(rows):
+    # relations may be streamed: an iterator of them gives the same
+    # echelon basis and the same group as the list
+    assert hermite_rows(iter(rows)) == hermite_rows(rows)
+    n = len(rows[0])
+    streamed, listed = FPAbelianGroup(n, iter(rows)), FPAbelianGroup(n, rows)
+    assert streamed.descriptor() == listed.descriptor()
+    assert streamed.generator_images() == listed.generator_images()
+
+
 def test_lattice_reduce_canonical():
     h = hermite_rows([[2, 0], [0, 3]])
     assert lattice_reduce(h, (5, 7)) == (1, 1)

@@ -164,6 +164,24 @@ def test_box_quotient_builds_no_pairing_table():
     assert "pairing_table" not in rs.__dict__
 
 
+def test_streamed_relations_know_their_count(monkeypatch):
+    # the relation rows are made as they are folded in, yet len() gives
+    # the number that iterating them yields
+    counts = []
+
+    def count(n, rels):
+        counts.append((len(rels), sum(1 for _ in rels)))
+
+    monkeypatch.setattr(lattice_algebra, "FPAbelianGroup", count)
+    for fam, rk in sweep_types(4):
+        rs = build(fam, rk)
+        for pair in SIDES:
+            coinvariants(rs, *pair)
+            box_quotient(rs, *pair)
+    assert len(counts) == 2 * 3 * len(sweep_types(4))
+    assert all(made == told for told, made in counts)
+
+
 def test_sweep_types_lists_each_admissible_type_once():
     for cap in range(1, 9):
         got = sweep_types(cap)

@@ -75,7 +75,7 @@ def test_terminal_group_trivial_multiplication():
 
 def test_terminal_group_cap():
     with pytest.raises(ClosureCapError):
-        terminal_group(trivial_sym_system(99), cap_elements=64)
+        terminal_group(trivial_sym_system(99))
 
 
 def perm_tools(size):
