@@ -9,6 +9,7 @@ package works with (matrices of a few hundred rows).
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress, islice
 from math import prod
 from typing import Iterable, Sequence
 
@@ -141,6 +142,10 @@ def mat_inv(m: Sequence[Sequence[int]]) -> Matrix:
 # ---------------------------------------------------------------------------
 
 
+def _identity_rows(n: int) -> list[list[int]]:
+    return [[0] * i + [1] + [0] * (n - i - 1) for i in range(n)]
+
+
 def smith_normal_form(
     m: Sequence[Sequence[int]],
 ) -> tuple[Matrix, Matrix, Matrix]:
@@ -148,12 +153,13 @@ def smith_normal_form(
 
     d is diagonal with nonnegative entries d1 | d2 | ..., and p, q are
     unimodular.  Works for any rectangular integer matrix, including
-    empty ones.
+    empty ones.  Entries must be ints: they are copied, never converted,
+    so d, p and q hold ints too.
     """
     nr, nc = dims(m)
     a = [list(row) for row in m]
-    p = [list(row) for row in identity(nr)]
-    q = [list(row) for row in identity(nc)]
+    p = _identity_rows(nr)
+    q = _identity_rows(nc)
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
@@ -232,7 +238,7 @@ def smith_normal_form(
         if t >= min(nr, nc):
             break
 
-    return freeze(a), freeze(p), freeze(q)
+    return tuple(map(tuple, a)), tuple(map(tuple, p)), tuple(map(tuple, q))
 
 
 def kernel_basis(m: Sequence[Sequence[int]]) -> list[Vector]:
@@ -277,40 +283,45 @@ def hermite_rows(rows: Iterable[Sequence[int]]) -> list[Vector]:
     generating sets span the same lattice iff they produce identical
     output.  Rows are folded in one at a time, so large redundant
     generating sets stay cheap, and an iterator of them is never held.
+    Every row operation acts on the suffix from the pivot column on:
+    left of it both rows are zero.
     """
     pivots: dict[int, list[int]] = {}
     for row in rows:
         r = list(row)
+        width = len(r)
+        # r is zero left of pcol; the scan resumes there after each step
+        pcol = 0
         while True:
-            pcol = next((k for k, x in enumerate(r) if x != 0), None)
+            pcol = next(compress(range(pcol, width), islice(r, pcol, None)), None)
             if pcol is None:
                 break
-            if pcol not in pivots:
+            b = pivots.get(pcol)
+            if b is None:
                 if r[pcol] < 0:
-                    r = [-x for x in r]
+                    r[pcol:] = [-x for x in r[pcol:]]
                 pivots[pcol] = r
                 break
-            b = pivots[pcol]
             if abs(r[pcol]) < abs(b[pcol]):
-                pivots[pcol], r = ([-x for x in r] if r[pcol] < 0 else r), b
-                b = pivots[pcol]
+                if r[pcol] < 0:
+                    r[pcol:] = [-x for x in r[pcol:]]
+                pivots[pcol], r, b = r, b, r
             f = r[pcol] // b[pcol]
             if f:
-                r = [x - f * y for x, y in zip(r, b)]
-            if r[pcol] != 0:
-                # remainder nonzero only when signs made // round down;
-                # one more pass fixes it
-                continue
+                r[pcol:] = [x - f * y for x, y in zip(r[pcol:], b[pcol:])]
+            # a nonzero remainder (signs made // round down) stays at
+            # pcol for one more pass
     cols = sorted(pivots)
     basis = [pivots[c] for c in cols]
     # normalize entries above each pivot; increasing pivot order keeps
     # already-normalized earlier columns untouched
     for i, pcol in enumerate(cols):
         prow = basis[i]
+        tail = prow[pcol:]
         for j in range(i):
             f = basis[j][pcol] // prow[pcol]
             if f:
-                basis[j] = [x - f * y for x, y in zip(basis[j], prow)]
+                basis[j][pcol:] = [x - f * y for x, y in zip(basis[j][pcol:], tail)]
     return [tuple(r) for r in basis]
 
 
@@ -411,7 +422,8 @@ class FPAbelianGroup:
     The canonical form (free rank plus invariant factors d1 | d2 | ...)
     comes from the Smith normal form of the relation matrix; the
     projection map sends a generator-coordinate vector to its image in
-    Z^rank x prod Z_{di}.
+    Z^rank x prod Z_{di}.  Relation entries must be ints; like the Smith
+    reduction, the presentation copies them without converting them.
     """
 
     def __init__(self, n_generators: int, relations: Iterable[Sequence[int]]):
@@ -419,10 +431,7 @@ class FPAbelianGroup:
         # basis first, one row at a time; the Smith reduction then works
         # on a matrix no larger than n_generators squared
         rel = hermite_rows(relations)
-        if not rel:
-            rel_matrix: Matrix = zeros(0, n_generators)
-        else:
-            rel_matrix = freeze(rel)
+        rel_matrix: Matrix = tuple(rel) if rel else zeros(0, n_generators)
         self.relations = rel_matrix
         # quotient Z^n / im(rel^T): run SNF on the transpose so the
         # column transform acts on generator coordinates

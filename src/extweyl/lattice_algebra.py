@@ -58,29 +58,6 @@ def _tensor_index(l: int, i: int, j: int) -> int:
     return i * l + j
 
 
-def _coinvariant_relations(
-    rs: FiniteRootSystem, left: str, right: str
-) -> Iterator[list[int]]:
-    """The l^3 rows (v.e_i) (x) (v.e_j) - e_i (x) e_j, v a simple reflection."""
-    l = rs.rank
-    _, refl_left = _side_data(rs, left)
-    _, refl_right = _side_data(rs, right)
-    for k in range(l):
-        a = refl_left[k]
-        b = refl_right[k]
-        for i in range(l):
-            for j in range(l):
-                row = [0] * (l * l)
-                for p in range(l):
-                    if a[p][i] == 0:
-                        continue
-                    for q in range(l):
-                        if b[q][j]:
-                            row[_tensor_index(l, p, q)] += a[p][i] * b[q][j]
-                row[_tensor_index(l, i, j)] -= 1
-                yield row
-
-
 class _Rows:
     """Relation rows, made one at a time as a presentation folds them in,
     that know their number: len() counts them without making them (the
@@ -94,6 +71,40 @@ class _Rows:
 
     def __iter__(self) -> Iterator[Sequence[int]]:
         return self.rows
+
+
+def _coinvariant_relations(rs: FiniteRootSystem, left: str, right: str) -> _Rows:
+    """The nonzero rows (v.e_i) (x) (v.e_j) - e_i (x) e_j, v a simple reflection.
+
+    The simple reflection v = r_k moves coordinate k only, on either
+    side: v.e_i = e_i + c_i e_k and v.e_j = e_j + d_j e_k, with
+    c_k = d_k = -2 since v negates its own root.  So the row is
+    c_i e_k(x)e_j + d_j e_i(x)e_k + c_i d_j e_k(x)e_k, at most three
+    entries.  It is zero exactly when c_i = d_j = 0, or when i = j = k
+    ((-e_k) (x) (-e_k) = e_k (x) e_k); those rows are skipped, which
+    leaves l^2 - 1 - #{i : c_i = 0} * #{j : d_j = 0} rows per k.
+    """
+    l = rs.rank
+    _, refl_left = _side_data(rs, left)
+    _, refl_right = _side_data(rs, right)
+    moves = [
+        ([a[k][i] - (i == k) for i in range(l)], [b[k][j] - (j == k) for j in range(l)])
+        for k, (a, b) in enumerate(zip(refl_left, refl_right))
+    ]
+
+    def rows() -> Iterator[list[int]]:
+        for k, (c, d) in enumerate(moves):
+            for i in range(l):
+                for j in range(l):
+                    if (c[i] or d[j]) and not i == j == k:
+                        row = [0] * (l * l)
+                        row[_tensor_index(l, k, j)] += c[i]
+                        row[_tensor_index(l, i, k)] += d[j]
+                        row[_tensor_index(l, k, k)] += c[i] * d[j]
+                        yield row
+
+    count = sum(l * l - 1 - c.count(0) * d.count(0) for c, d in moves)
+    return _Rows(count, rows())
 
 
 def _tensor_of(rs: FiniteRootSystem, left: str, right: str, i: int, j: int) -> Vector:
@@ -114,7 +125,7 @@ def _tensor_of(rs: FiniteRootSystem, left: str, right: str, i: int, j: int) -> V
 def coinvariants(rs: FiniteRootSystem, left: str, right: str) -> FPAbelianGroup:
     """L (x)_V L' presented on the l*l basis tensors."""
     l = rs.rank
-    return FPAbelianGroup(l * l, _Rows(l**3, _coinvariant_relations(rs, left, right)))
+    return FPAbelianGroup(l * l, _coinvariant_relations(rs, left, right))
 
 
 def _perp_relation_pairs(rs: FiniteRootSystem, left: str, right: str):
@@ -152,8 +163,8 @@ def box_quotient(rs: FiniteRootSystem, left: str, right: str) -> FPAbelianGroup:
     l = rs.rank
     pairs = list(_perp_relation_pairs(rs, left, right))
     perp = (_tensor_of(rs, left, right, i, j) for i, j in pairs)
-    rels = chain(_coinvariant_relations(rs, left, right), perp)
-    return FPAbelianGroup(l * l, _Rows(l**3 + len(pairs), rels))
+    coinv = _coinvariant_relations(rs, left, right)
+    return FPAbelianGroup(l * l, _Rows(len(coinv) + len(pairs), chain(coinv, perp)))
 
 
 class BoxForm:

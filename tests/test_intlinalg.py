@@ -206,6 +206,97 @@ def test_hermite_is_canonical_and_spans(rows):
             assert solve_integer(transpose(freeze(rows)), b) is not None
 
 
+def _hermite_full_rows(rows):
+    """The Hermite reduction that rescans every row from column 0 for its
+    pivot and updates whole rows, in folding and in normalisation."""
+    pivots = {}
+    for row in rows:
+        r = list(row)
+        while True:
+            pcol = next((k for k, x in enumerate(r) if x != 0), None)
+            if pcol is None:
+                break
+            if pcol not in pivots:
+                if r[pcol] < 0:
+                    r = [-x for x in r]
+                pivots[pcol] = r
+                break
+            b = pivots[pcol]
+            if abs(r[pcol]) < abs(b[pcol]):
+                pivots[pcol], r = ([-x for x in r] if r[pcol] < 0 else r), b
+                b = pivots[pcol]
+            f = r[pcol] // b[pcol]
+            if f:
+                r = [x - f * y for x, y in zip(r, b)]
+    cols = sorted(pivots)
+    basis = [pivots[c] for c in cols]
+    for i, pcol in enumerate(cols):
+        prow = basis[i]
+        for j in range(i):
+            f = basis[j][pcol] // prow[pcol]
+            if f:
+                basis[j] = [x - f * y for x, y in zip(basis[j], prow)]
+    return [tuple(r) for r in basis]
+
+
+# up to 7 x 7 dense, entries often units or zero
+dense_matrix = st.integers(0, 7).flatmap(
+    lambda r: st.integers(1, 7).flatmap(
+        lambda c: st.lists(
+            st.lists(
+                st.one_of(st.sampled_from([-1, 0, 1]), st.integers(-30, 30)),
+                min_size=c,
+                max_size=c,
+            ),
+            max_size=r,
+        )
+    )
+)
+
+
+def _sparse_rows(width):
+    entry = st.tuples(st.integers(0, width - 1), st.integers(-6, 6))
+
+    def row(entries):
+        r = [0] * width
+        for k, x in entries:
+            r[k] += x
+        return r
+
+    return st.lists(st.lists(entry, max_size=3).map(row), max_size=40)
+
+
+# width up to 64, at most 3 nonzeros a row, zero and negative rows included
+wide_sparse_matrix = st.integers(1, 64).flatmap(_sparse_rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(dense_matrix, wide_sparse_matrix))
+def test_hermite_matches_full_rows(rows):
+    assert hermite_rows(rows) == _hermite_full_rows(rows)
+
+
+def test_hermite_matches_full_rows_on_lattice_relations(monkeypatch):
+    # every relation stream that coinvariants and box_quotient fold in
+    # on the lattice benchmark's systems
+    streams = []
+
+    def recording(rows):
+        rows = list(rows)
+        streams.append(rows)
+        return hermite_rows(rows)
+
+    monkeypatch.setattr(intlinalg, "hermite_rows", recording)
+    for fam, rk in sweep_types(6) + [("E", 7)]:
+        rs = build(fam, rk)
+        for pair in (("root", "root"), ("root", "coroot"), ("coroot", "coroot")):
+            for quotient in (coinvariants, box_quotient):
+                streams.clear()
+                fp = quotient(rs, *pair)
+                (rows,) = streams
+                assert fp.relations == tuple(_hermite_full_rows(rows)), (fam, rk, pair)
+
+
 @settings(max_examples=50, deadline=None)
 @given(small_matrix)
 def test_hermite_and_presentations_take_iterators(rows):

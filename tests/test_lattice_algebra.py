@@ -182,6 +182,51 @@ def test_streamed_relations_know_their_count(monkeypatch):
     assert all(made == told for told, made in counts)
 
 
+def _dense_coinvariant_relations(rs, left, right):
+    """The l^3 rows (v.e_i) (x) (v.e_j) - e_i (x) e_j, v a simple reflection,
+    each made from the full reflection matrices, zero rows included."""
+    l = rs.rank
+    _, refl_left = lattice_algebra._side_data(rs, left)
+    _, refl_right = lattice_algebra._side_data(rs, right)
+    for a, b in zip(refl_left, refl_right):
+        for i in range(l):
+            for j in range(l):
+                row = [0] * (l * l)
+                for p in range(l):
+                    for q in range(l):
+                        row[p * l + q] += a[p][i] * b[q][j]
+                row[i * l + j] -= 1
+                yield row
+
+
+def test_coinvariant_relations_are_the_nonzero_dense_rows():
+    # every type through rank 8, E6-E8, F4, G2 and BC1-BC8 included
+    for fam, rk in sweep_types(8):
+        rs = build(fam, rk)
+        for pair in SIDES:
+            rels = lattice_algebra._coinvariant_relations(rs, *pair)
+            rows = list(rels)
+            assert len(rels) == len(rows), (fam, rk, pair)
+            want = [r for r in _dense_coinvariant_relations(rs, *pair) if any(r)]
+            assert rows == want, (fam, rk, pair)
+
+
+def test_streamed_relations_know_their_count_through_rank_8(monkeypatch):
+    counts = []
+
+    def count(n, rels):
+        counts.append((len(rels), sum(1 for _ in rels)))
+
+    monkeypatch.setattr(lattice_algebra, "FPAbelianGroup", count)
+    for fam, rk in sweep_types(8):
+        rs = build(fam, rk)
+        for pair in SIDES:
+            coinvariants(rs, *pair)
+            box_quotient(rs, *pair)
+    assert len(counts) == 2 * 3 * len(sweep_types(8))
+    assert all(made == told for told, made in counts)
+
+
 def test_sweep_types_lists_each_admissible_type_once():
     for cap in range(1, 9):
         got = sweep_types(cap)
