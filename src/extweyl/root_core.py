@@ -406,6 +406,27 @@ class FiniteRootSystem:
     def reflect_root_index(self, alpha: int, beta: int) -> int:
         return self.reflection_table[alpha][beta]
 
+    def word_images(self, word) -> tuple[int, ...]:
+        """The root indices of w(alpha_1), ..., w(alpha_l), w the product of
+        the reflections named by the root indices in `word`.
+
+        The simple roots are walked right to left through
+        `reflection_table`, l lookups a letter and no matrices.  W acts
+        faithfully on the roots, so w is 1 iff the images are `basis`.
+        """
+        table = self.reflection_table
+        images = list(self.basis)
+        for i in reversed(word):
+            row = table[i]
+            images = [row[x] for x in images]
+        return tuple(images)
+
+    def image_matrix(self, images) -> Matrix:
+        """The matrix on root coordinates of the element with these
+        `word_images`: column j is roots[images[j]], since the simple
+        roots are the unit vectors."""
+        return tuple(zip(*(self.roots[x] for x in images)))
+
     @cached_property
     def _weyl_generators(self) -> dict[int, "WeylElement"]:
         return {}

@@ -42,7 +42,7 @@ from extweyl.intlinalg import (
 )
 from extweyl.lattice_algebra import boxtimes_form
 from extweyl.refl_groups import ReflectionLabel, conj_reflect, label_k_part
-from extweyl.root_core import SHORT, WeylElement, coxeter_evaluate
+from extweyl.root_core import SHORT, WeylElement
 
 
 def cocycle(ers: ExtRootSystem, k1: Matrix, k2: Matrix) -> Matrix:
@@ -460,12 +460,16 @@ def decide_word(ers: ExtRootSystem, word) -> Decision:
 
     The failing layer mirrors the layered structure: the finite part V,
     then the translation part K, then the central part Z, and finally
-    the parity obstruction Uab.
+    the parity obstruction Uab.  V is read off the images of the simple
+    roots, with no matrices; (z, k) is evaluated only for a word whose
+    finite image is 1.
     """
     _require_decidable(ers)
+    rs = ers.delta
+    images = rs.word_images([t.root for t in word])
+    if images != rs.basis:
+        return Decision(False, "V", {"v_matrix": [list(r) for r in rs.image_matrix(images)]})
     w = evaluate_word_in_w(ers, word)
-    if not w.v.is_identity():
-        return Decision(False, "V", {"v_matrix": [list(r) for r in w.v.matrix]})
     if not is_zero_mat(w.k):
         return Decision(False, "K", {"k_matrix": [list(r) for r in w.k]})
     if not is_zero_mat(w.z):
@@ -489,8 +493,9 @@ def remark_conditions(ers: ExtRootSystem, word) -> tuple[bool, bool, bool]:
     never trusted as the decider.
     """
     _require_decidable(ers)
-    c1 = coxeter_evaluate(ers.delta, [t.root for t in word]).is_identity()
-    n, l = ers.n, ers.delta.rank
+    rs = ers.delta
+    c1 = rs.word_images([t.root for t in word]) == rs.basis
+    n, l = ers.n, rs.rank
     total_k = zeros(n, l)
     total_z = zeros(n, n)
     for t in word:

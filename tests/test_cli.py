@@ -17,7 +17,13 @@ import extweyl
 from extweyl.cli import main
 from extweyl.ext_root import ExtRootSystem, FreeAbelianGroup, fully_extended, span_extended
 from extweyl.root_core import FiniteRootSystem
-from extweyl.verify import _random_weyl, orbit_configurations, suite_cocycle, suite_words
+from extweyl.verify import (
+    _random_weyl,
+    orbit_configurations,
+    suite_cocycle,
+    suite_words,
+    word_test_systems,
+)
 
 from test_ext_root import _refined_to_k_squared, _untame_b2
 
@@ -26,6 +32,7 @@ ORBITS_B2_Z8 = pathlib.Path(__file__).parent / "golden" / "orbits_b2_z8.json"
 ORBITS_CONFIGURATIONS = pathlib.Path(__file__).parent / "golden" / "orbits_configurations.json"
 RANDOM_WEYL = pathlib.Path(__file__).parent / "golden" / "random_weyl_seed0.json"
 VERIFY_WORDS = pathlib.Path(__file__).parent / "golden" / "verify_words_small.json"
+WORD_DECISIONS = pathlib.Path(__file__).parent / "golden" / "word_decisions.json"
 
 
 @pytest.fixture
@@ -721,6 +728,29 @@ def test_word_uab_kernel_witness(capsys, tmp_path):
     data = json.loads(capsys.readouterr().out)
     assert data["trivial"] is False
     assert data["failing_layer"] == "Uab"
+
+
+def test_word_decisions_match_golden(capsys, tmp_path):
+    # the systems of the `words` benchmark; per system: three random words
+    # rejected at V, a relator product, two letters on one root (K), a
+    # translation commutator (Z) where H has two rows, and the kernel
+    # witnesses over Z^3 (Uab); the stdout was recorded while V was still
+    # read off the evaluated matrix
+    cases = json.loads(WORD_DECISIONS.read_text())["cases"]
+    systems = dict(
+        word_test_systems()
+        + [
+            ("A1 n=3", fully_extended("A", 1, n=3)),
+            ("B2 n=3", span_extended("B", 2, n=3, g1=(0, 1, 2))),
+        ]
+    )
+    assert sorted({c["system"] for c in cases}) == sorted(systems)
+    sys_p, word_p = tmp_path / "system.json", tmp_path / "word.json"
+    for case in cases:
+        sys_p.write_text(json.dumps(systems[case["system"]].to_json()))
+        word_p.write_text(json.dumps([{"g": g, "alpha": a} for a, g in case["word"]]))
+        assert main(["word", str(sys_p), str(word_p), "--format", "json"]) == 0
+        assert capsys.readouterr().out == case["stdout"], (case["system"], case["kind"])
 
 
 def test_bad_cap_rank_rejected(capsys):

@@ -1,9 +1,9 @@
 import random
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from extweyl import ext_root
+from extweyl import ext_root, weyl
 from extweyl.ext_root import (
     ExtRootError,
     ExtRootSystem,
@@ -24,7 +24,7 @@ from extweyl.intlinalg import (
     zeros,
 )
 from extweyl.refl_groups import ReflectionLabel, conj_reflect, label_k_part
-from extweyl.root_core import LONG, SHORT, WeylElement, build, k_delta
+from extweyl.root_core import LONG, SHORT, WeylElement, build, coxeter_evaluate, k_delta
 from extweyl.verify import orbit_configurations, suite_orbits, word_test_systems
 from extweyl.weyl import (
     AbKGroup,
@@ -611,6 +611,57 @@ def test_decide_word_trivial_iff_identity_and_even_parity():
             assert d.trivial == want, (name, word)
             layers.add(d.failing_layer)
     assert layers == {None, "V", "K", "Z", "Uab"}
+
+
+IMAGE_SYSTEMS = word_test_systems() + [
+    (f"{f}{l} full", fully_extended(f, l, n=1)) for f, l in (("G", 2), ("F", 4), ("D", 4))
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    system=st.integers(0, len(IMAGE_SYSTEMS) - 1),
+    draws=st.lists(st.integers(min_value=0), max_size=16),
+)
+@example(system=0, draws=[])
+@example(system=len(IMAGE_SYSTEMS) - 1, draws=[])
+def test_word_images_match_the_matrix_evaluation(system, draws):
+    # the matrix evaluation stays the oracle of the image walk
+    _, ers = IMAGE_SYSTEMS[system]
+    rs = ers.delta
+    roots = [x % len(rs.roots) for x in draws]
+    word = []
+    for x, r in zip(draws, roots):
+        cosets = ers.s_of_root(r).cosets
+        word.append(ReflectionLabel.make(ers, cosets[x // len(rs.roots) % len(cosets)], r))
+    images = rs.word_images(roots)
+    v = evaluate_word_in_w(ers, word).v
+    assert rs.image_matrix(images) == v.matrix == coxeter_evaluate(rs, roots).matrix
+    assert (images == rs.basis) == v.is_identity()
+
+
+def test_v_rejected_words_skip_the_matrix_evaluation(monkeypatch):
+    rng = random.Random(15)
+    cases = []
+    for _, ers in word_test_systems():
+        for _ in range(5):
+            v = WeylElement.identity(ers.delta.rank)
+            while v.is_identity():
+                word = [random_label(ers, rng) for _ in range(rng.randint(1, 12))]
+                v = evaluate_word_in_w(ers, word).v
+            cases.append((ers, word, {"v_matrix": [list(r) for r in v.matrix]}))
+
+    def unreachable(ers, word):
+        raise AssertionError("evaluate_word_in_w reached")
+
+    monkeypatch.setattr(weyl, "evaluate_word_in_w", unreachable)
+    for ers, word, witness in cases:
+        d = decide_word(ers, word)
+        assert (d.trivial, d.failing_layer, d.witness) == (False, "V", witness)
+    # a word with finite image 1 still takes the matrix path
+    ers = b2()
+    with pytest.raises(AssertionError, match="reached"):
+        decide_word(ers, conjugated_relator_product(ers, rng))
 
 
 def test_remark_conditions():
