@@ -10,10 +10,10 @@ the bilinear form that powers the Weyl-group cocycle.
 Presentations use the simple reflections only: they generate the Weyl
 group, and the relation subgroup they span is the full one because it
 is closed under the group action.  For the same reason the perpendicular
-relations are imposed for one left root per length class only: W is
-transitive on each class, so every other perpendicular pair is a
-W-translate of one of these, and its tensor differs from the
-translate's by a coinvariant relation.
+relations are imposed for one left root theta per length class, the
+dominant one, and one right root per orbit of its stabilizer: every other
+perpendicular pair is a W-translate of one of these, and its tensor
+differs from the translate's by a coinvariant relation.
 """
 
 from __future__ import annotations
@@ -133,11 +133,17 @@ def _perp_relation_pairs(rs: FiniteRootSystem, left: str, right: str):
 
     Same-side quotients kill short perpendicular pairs (short on the
     side in question); the mixed quotient kills all perpendicular pairs.
-    Only the first pool root of each length class is taken as the left
-    root.  That loses nothing: W is transitive on the roots of one length
-    (Humphreys, Lie Algebras, 10.4 Lemma C), so a pair (w a, b) is
-    w (a, w^-1 b), the pool is W-stable, and the coinvariant relations
-    already identify the tensor of w (a, c) with that of (a, c).
+    Only one left root theta per length class is taken: W is transitive
+    on the roots of one length (Humphreys, Lie Algebras, 10.4 Lemma C),
+    so a pair (w a, b) is w (a, w^-1 b), the pool is W-stable, and the
+    coinvariant relations already identify the tensor of w (a, c) with
+    that of (a, c).  For the same reason one right root per orbit of the
+    stabilizer W_theta suffices.  Theta is the pool root of greatest
+    height, the dominant root of its class, so W_theta is generated by
+    the simple reflections that fix it (Humphreys, Reflection Groups and
+    Coxeter Groups, 1.12 Thm (c)); the orbits are walked with their
+    one-coordinate moves x -> x - <alpha_k^vee, x> e_k.  Exactness needs
+    only that each move fixes theta.
     """
     n = len(rs.roots)
     if left == right:
@@ -147,15 +153,32 @@ def _perp_relation_pairs(rs: FiniteRootSystem, left: str, right: str):
             pool = [i for i in range(n) if rs.coroot_length_class(i) == SHORT]
     else:
         pool = list(range(n))
-    reps: dict[str, int] = {}
+    classes: dict[str, list[int]] = {}
     for i in pool:
-        reps.setdefault(rs.lengths[i], i)
-    # perpendicular means a zero pairing; pairing the representatives
-    # directly avoids building the N x N pairing table
-    for i in reps.values():
+        classes.setdefault(rs.lengths[i], []).append(i)
+    for members in classes.values():
+        theta = max(members, key=lambda i: sum(rs.roots[i]))
+        top = rs.roots[theta]
+        # row k of the Cartan matrix is <alpha_k^vee, .>, and (theta | .)
+        # vanishes where <theta^vee, .> does: no per-root table is built
+        fixing = [(k, row) for k, row in enumerate(rs.cartan) if dot(row, top) == 0]
+        form = mat_vec(rs._gram, top)
+        seen: set[int] = set()
         for j in pool:
-            if rs.pairing(i, rs.roots[j]) == 0:
-                yield i, j
+            if j in seen or dot(form, rs.roots[j]):
+                continue
+            yield theta, j
+            seen.add(j)
+            orbit = [j]
+            while orbit:
+                x = rs.roots[orbit.pop()]
+                for k, row in fixing:
+                    s = dot(row, x)
+                    if s:
+                        y = rs._index[x[:k] + (x[k] - s,) + x[k + 1:]]
+                        if y not in seen:
+                            seen.add(y)
+                            orbit.append(y)
 
 
 def box_quotient(rs: FiniteRootSystem, left: str, right: str) -> FPAbelianGroup:

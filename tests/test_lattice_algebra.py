@@ -129,16 +129,30 @@ def test_box_form_kills_perpendicular_pairs():
                         assert value_roots(f, i, j) == 0, (fam, rk, f.left, f.right, i, j)
 
 
-def _all_perp_pairs(rs, left, right):
-    """Every perpendicular pair of the pool, each left root included."""
+def _pool(rs, left, right):
+    """The roots whose perpendicular pairs the box quotient kills."""
     n = len(rs.roots)
     if left != right:
-        pool = range(n)
-    elif left == "root":
-        pool = [i for i in range(n) if rs.lengths[i] == SHORT]
-    else:
-        pool = [i for i in range(n) if rs.coroot_length_class(i) == SHORT]
+        return list(range(n))
+    if left == "root":
+        return [i for i in range(n) if rs.lengths[i] == SHORT]
+    return [i for i in range(n) if rs.coroot_length_class(i) == SHORT]
+
+
+def _all_perp_pairs(rs, left, right):
+    """Every perpendicular pair of the pool, each left root included."""
+    pool = _pool(rs, left, right)
     return [(i, j) for i in pool for j in pool if rs.pairing(i, rs.roots[j]) == 0]
+
+
+def _first_root_perp_pairs(rs, left, right):
+    """The first pool root of each length class against every perpendicular
+    pool root: the pairs folded before the stabilizer-orbit reduction."""
+    pool = _pool(rs, left, right)
+    reps = {}
+    for i in pool:
+        reps.setdefault(rs.lengths[i], i)
+    return [(i, j) for i in reps.values() for j in pool if rs.pairing(i, rs.roots[j]) == 0]
 
 
 def test_class_representative_pairs_match_all_pairs(monkeypatch):
@@ -156,12 +170,65 @@ def test_class_representative_pairs_match_all_pairs(monkeypatch):
             assert BoxForm(rs, left, right).gram == oracle.gram, (fam, rk, left, right)
 
 
+def test_stabilizer_orbit_pairs_match_first_root_pairs(monkeypatch):
+    # the enumerator the orbit reduction replaced is the oracle: every
+    # type through rank 8 and B24 root,root keep their relations and form
+    cases = [(t, pair) for t in sweep_types(8) for pair in SIDES]
+    for (fam, rk), (left, right) in cases + [(("B", 24), ("root", "root"))]:
+        rs = build(fam, rk)
+        with monkeypatch.context() as m:
+            m.setattr(lattice_algebra, "_perp_relation_pairs", _first_root_perp_pairs)
+            oracle = BoxForm(rs, left, right)
+        got = BoxForm(rs, left, right)
+        assert got.fp.relations == oracle.fp.relations, (fam, rk, left, right)
+        assert got.gram == oracle.gram, (fam, rk, left, right)
+
+
+def _stabilizer_orbit_count(rs, theta, pool):
+    """Orbits of the pool roots perpendicular to theta under the simple
+    reflections that fix theta, found by reflecting whole root vectors."""
+    fixing = [b for b in rs.basis if rs.pairing(b, rs.roots[theta]) == 0]
+    left = {j for j in pool if rs.pairing(theta, rs.roots[j]) == 0}
+    count = 0
+    while left:
+        count += 1
+        orbit = [left.pop()]
+        while orbit:
+            x = rs.roots[orbit.pop()]
+            for b in fixing:
+                y = rs.index_of(rs.reflect(b, x))
+                if y in left:
+                    left.remove(y)
+                    orbit.append(y)
+    return count
+
+
+def test_perp_relation_pairs_one_per_stabilizer_orbit():
+    for fam, rk in sweep_types(8):
+        rs = build(fam, rk)
+        for pair in SIDES:
+            pairs = list(lattice_algebra._perp_relation_pairs(rs, *pair))
+            assert len(pairs) <= 10, (fam, rk, pair, len(pairs))
+            if fam == "E":
+                assert len(pairs) == 1, (fam, rk, pair, pairs)
+            pool = _pool(rs, *pair)
+            for i, j in pairs:
+                assert j in pool and rs.pairing(i, rs.roots[j]) == 0, (fam, rk, pair, i, j)
+            # each left root is dominant, and its right roots are one per orbit
+            for theta in {i for i, _ in pairs}:
+                assert all(rs.pairing(b, rs.roots[theta]) >= 0 for b in rs.basis)
+                got = sum(1 for i, _ in pairs if i == theta)
+                assert got == _stabilizer_orbit_count(rs, theta, pool), (fam, rk, pair)
+
+
 def test_box_quotient_builds_no_pairing_table():
-    # the perpendicular pairs are read for the class representatives only
+    # the perpendicular pairs are read for the class representatives only,
+    # and the stabilizer orbits are walked by one-coordinate moves
     rs = FiniteRootSystem(RootSystemType("E", 7))
     for left, right in SIDES:
         assert box_quotient(rs, left, right).descriptor() == "Z"
     assert "pairing_table" not in rs.__dict__
+    assert "reflection_table" not in rs.__dict__
 
 
 def test_streamed_relations_know_their_count(monkeypatch):
