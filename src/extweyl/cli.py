@@ -96,13 +96,13 @@ def cmd_tensor_type(args) -> int:
     # generator witness: a basis tensor with unit projection if one
     # exists, else an integer combination projecting onto a generator
     l = rs.rank
-    images = fp.generator_images()
     witness = None
-    for k, (free, tors) in enumerate(images):
+    for k, (free, tors) in enumerate(fp.generator_images()):
         if any(x in (1, -1) for x in free):
             witness = {"basis_pair": [k // l, k % l], "projection": list(free) + list(tors)}
             break
     if witness is None and fp.free_rank:
+        images = list(fp.generator_images())
         gram = tuple(
             tuple(images[i * l + j][0][0] for j in range(l)) for i in range(l)
         )

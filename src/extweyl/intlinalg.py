@@ -3,15 +3,17 @@
 Vectors are tuples of ints, matrices are tuples of row tuples.  All
 arithmetic uses Python's arbitrary-precision integers; intermediate
 entries in eliminations may grow and that is fine at the scales this
-package works with (matrices of a few hundred rows).
+package works with (matrices of a few hundred rows).  Internally the
+Hermite reduction keeps rows sparse, as relation rows are mostly zero,
+but every vector passed in or returned is a tuple.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import compress, islice
+from itertools import compress
 from math import prod
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 Vector = tuple[int, ...]
 Matrix = tuple[Vector, ...]
@@ -172,9 +174,10 @@ def smith_normal_form(
             row[i], row[j] = row[j], row[i]
 
     def add_row(src, dst, f):
-        # row dst += f * row src
-        a[dst] = [x + f * y for x, y in zip(a[dst], a[src])]
-        p[dst] = [x + f * y for x, y in zip(p[dst], p[src])]
+        # row dst += f * row src, in place, over the nonzero entries of src
+        for s, d in ((a[src], a[dst]), (p[src], p[dst])):
+            for k in compress(range(len(s)), s):
+                d[k] += f * s[k]
 
     def add_col(src, dst, f):
         for row in a:
@@ -283,32 +286,38 @@ def hermite_rows(rows: Iterable[Sequence[int]]) -> list[Vector]:
     generating sets span the same lattice iff they produce identical
     output.  Rows are folded in one at a time, so large redundant
     generating sets stay cheap, and an iterator of them is never held.
-    Every row operation acts on the suffix from the pivot column on:
-    left of it both rows are zero.
+    Each row is reduced as a {column: entry} dict of its nonzero
+    entries, so a step costs the pivot row's support, not the width.
     """
-    pivots: dict[int, list[int]] = {}
+    def fold(r: dict[int, int], f: int, b: dict[int, int]) -> None:
+        # r -= f * b, dropping the entries that cancel
+        for k, y in b.items():
+            x = r.get(k, 0) - f * y
+            if x:
+                r[k] = x
+            else:
+                del r[k]
+
+    pivots: dict[int, dict[int, int]] = {}
+    width = 0
     for row in rows:
-        r = list(row)
-        width = len(r)
-        # r is zero left of pcol; the scan resumes there after each step
-        pcol = 0
-        while True:
-            pcol = next(compress(range(pcol, width), islice(r, pcol, None)), None)
-            if pcol is None:
-                break
+        width = len(row)
+        r = dict(compress(enumerate(row), row))
+        while r:
+            pcol = min(r)
             b = pivots.get(pcol)
             if b is None:
                 if r[pcol] < 0:
-                    r[pcol:] = [-x for x in r[pcol:]]
+                    r = {k: -x for k, x in r.items()}
                 pivots[pcol] = r
                 break
             if abs(r[pcol]) < abs(b[pcol]):
                 if r[pcol] < 0:
-                    r[pcol:] = [-x for x in r[pcol:]]
+                    r = {k: -x for k, x in r.items()}
                 pivots[pcol], r, b = r, b, r
             f = r[pcol] // b[pcol]
             if f:
-                r[pcol:] = [x - f * y for x, y in zip(r[pcol:], b[pcol:])]
+                fold(r, f, b)
             # a nonzero remainder (signs made // round down) stays at
             # pcol for one more pass
     cols = sorted(pivots)
@@ -317,12 +326,17 @@ def hermite_rows(rows: Iterable[Sequence[int]]) -> list[Vector]:
     # already-normalized earlier columns untouched
     for i, pcol in enumerate(cols):
         prow = basis[i]
-        tail = prow[pcol:]
         for j in range(i):
-            f = basis[j][pcol] // prow[pcol]
+            f = basis[j].get(pcol, 0) // prow[pcol]
             if f:
-                basis[j][pcol:] = [x - f * y for x, y in zip(basis[j][pcol:], tail)]
-    return [tuple(r) for r in basis]
+                fold(basis[j], f, prow)
+    out = []
+    for r in basis:
+        dense = [0] * width
+        for k, x in r.items():
+            dense[k] = x
+        out.append(tuple(dense))
+    return out
 
 
 def lattice_reduce(hnf: Sequence[Sequence[int]], v: Sequence[int]) -> Vector:
@@ -451,9 +465,9 @@ class FPAbelianGroup:
         """Image of a generator-coordinate vector: (free part, torsion part)."""
         return self._split(mat_vec(self._p, coords))
 
-    def generator_images(self) -> list[tuple[Vector, Vector]]:
-        """project(e_k) for every generator k: the columns of the transform."""
-        return [self._split(col) for col in transpose(self._p)]
+    def generator_images(self) -> Iterator[tuple[Vector, Vector]]:
+        """project(e_k) for each generator k in turn, split as it is reached."""
+        return map(self._split, zip(*self._p))
 
     def _split(self, y: Vector) -> tuple[Vector, Vector]:
         free = []

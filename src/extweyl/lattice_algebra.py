@@ -207,7 +207,7 @@ class BoxForm:
                 "expected Z"
             )
         l = rs.rank
-        images = fp.generator_images()
+        images = list(fp.generator_images())
         gram = [
             [images[_tensor_index(l, i, j)][0][0] for j in range(l)] for i in range(l)
         ]

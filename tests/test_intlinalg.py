@@ -188,7 +188,7 @@ def test_snf_matches_full_scan_on_lattice_relations(monkeypatch):
                 fp = quotient(rs, *pair)
                 (m,) = matrices
                 assert smith_normal_form(m) == _smith_full_scan(m), (fam, rk, pair)
-                assert fp.generator_images() == [
+                assert list(fp.generator_images()) == [
                     fp.project(tuple(int(i == k) for i in range(n))) for k in range(n)
                 ], (fam, rk, pair)
 
@@ -254,8 +254,10 @@ dense_matrix = st.integers(0, 7).flatmap(
 )
 
 
-def _sparse_rows(width):
-    entry = st.tuples(st.integers(0, width - 1), st.integers(-6, 6))
+def _sparse_row(width, col=None):
+    if col is None:
+        col = st.integers(0, width - 1)
+    entry = st.tuples(col, st.integers(-6, 6))
 
     def row(entries):
         r = [0] * width
@@ -263,22 +265,84 @@ def _sparse_rows(width):
             r[k] += x
         return r
 
-    return st.lists(st.lists(entry, max_size=3).map(row), max_size=40)
+    return st.lists(entry, max_size=3).map(row)
+
+
+def _sparse_rows(width):
+    return st.lists(_sparse_row(width), max_size=40)
+
+
+def _dependent_rows(width):
+    """A few sparse rows crowded into the first columns, then a*u + b*v
+    for rows u, v among them, shuffled in: negatives, duplicates and
+    zero combinations cancel to zero, and scaled copies such as 4 and 6
+    at one pivot leave a remainder that stays at the pivot column."""
+    col = st.one_of(st.integers(0, min(3, width - 1)), st.integers(0, width - 1))
+
+    def with_combinations(rows):
+        n = len(rows)
+        combo = st.tuples(
+            st.integers(0, n - 1),
+            st.integers(0, n - 1),
+            st.sampled_from([-2, -1, 0, 1, 2, 3]),
+            st.sampled_from([-1, 0, 1]),
+        )
+        return st.lists(combo, max_size=24).flatmap(
+            lambda cs: st.permutations(
+                rows
+                + [[a * x + b * y for x, y in zip(rows[i], rows[j])] for i, j, a, b in cs]
+            )
+        )
+
+    return st.lists(_sparse_row(width, col), min_size=1, max_size=8).flatmap(
+        with_combinations
+    )
 
 
 # width up to 64, at most 3 nonzeros a row, zero and negative rows included
 wide_sparse_matrix = st.integers(1, 64).flatmap(_sparse_rows)
+dependent_sparse_matrix = st.integers(1, 64).flatmap(_dependent_rows)
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.one_of(dense_matrix, wide_sparse_matrix))
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(dense_matrix, wide_sparse_matrix, dependent_sparse_matrix))
 def test_hermite_matches_full_rows(rows):
     assert hermite_rows(rows) == _hermite_full_rows(rows)
 
 
+def test_hermite_edge_cases():
+    assert hermite_rows([]) == []
+    assert hermite_rows(iter([])) == []
+    assert hermite_rows([[0, 0, 0]]) == []
+    # columns with no pivot, trailing ones included, keep the input width
+    assert hermite_rows([[0, 2, 0, 0], [0, -3, 0, 0]]) == [(0, 1, 0, 0)]
+    assert hermite_rows([[4, 1, 0], [6, 0, 0]]) == [(2, 2, 0), (0, 3, 0)]
+
+
+# up to 40 x 40 with at most 3 nonzeros a row, and transposed Hermite
+# bases of sparse rows, as FPAbelianGroup hands them to the Smith reduction
+sparse_smith_matrix = st.one_of(
+    st.integers(1, 40).flatmap(
+        lambda r: st.integers(1, 40).flatmap(
+            lambda c: st.lists(_sparse_row(c), min_size=r, max_size=r)
+        )
+    ),
+    st.integers(1, 40)
+    .flatmap(lambda w: st.one_of(_sparse_rows(w), _dependent_rows(w)))
+    .map(lambda rows: transpose(hermite_rows(rows))),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_smith_matrix)
+def test_snf_matches_full_scan_on_sparse_matrices(rows):
+    m = freeze(rows)
+    assert smith_normal_form(m) == _smith_full_scan(m)
+
+
 def test_hermite_matches_full_rows_on_lattice_relations(monkeypatch):
     # every relation stream that coinvariants and box_quotient fold in
-    # on the lattice benchmark's systems
+    # on the lattice benchmark's systems, and on B8 and E8
     streams = []
 
     def recording(rows):
@@ -287,7 +351,7 @@ def test_hermite_matches_full_rows_on_lattice_relations(monkeypatch):
         return hermite_rows(rows)
 
     monkeypatch.setattr(intlinalg, "hermite_rows", recording)
-    for fam, rk in sweep_types(6) + [("E", 7)]:
+    for fam, rk in sweep_types(6) + [("E", 7), ("B", 8), ("E", 8)]:
         rs = build(fam, rk)
         for pair in (("root", "root"), ("root", "coroot"), ("coroot", "coroot")):
             for quotient in (coinvariants, box_quotient):
@@ -306,7 +370,7 @@ def test_hermite_and_presentations_take_iterators(rows):
     n = len(rows[0])
     streamed, listed = FPAbelianGroup(n, iter(rows)), FPAbelianGroup(n, rows)
     assert streamed.descriptor() == listed.descriptor()
-    assert streamed.generator_images() == listed.generator_images()
+    assert list(streamed.generator_images()) == list(listed.generator_images())
 
 
 def test_lattice_reduce_canonical():
