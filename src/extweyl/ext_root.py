@@ -418,10 +418,8 @@ def validate(ers: ExtRootSystem) -> ValidationReport:
     for cls in ers.classes():
         rep.add(f"R0' ({cls} nonempty)", len(ers.s_sets[cls].cosets) > 0)
 
-    span_gens: list[Vector] = []
-    for s in ers.s_sets.values():
-        span_gens.extend(s.span)
-    full = hermite_rows(span_gens)
+    spans = {c: s.span for c, s in ers.s_sets.items()}
+    full = hermite_rows([r for span in spans.values() for r in span])
     ok = len(full) == n and all(
         lattice_contains(full, tuple(int(i == j) for i in range(n))) for j in range(n)
     )
@@ -449,7 +447,7 @@ def validate(ers: ExtRootSystem) -> ValidationReport:
 
     if all(modulus_ok.values()):
         refined = ers.refined
-        rep.add("R3' (reflection stability)", *_reflection_stability(delta, refined))
+        rep.add("R3' (reflection stability)", *_reflection_stability(delta, refined, spans))
         if not delta.rs_type.is_single_length():
             k = k_delta(delta.rs_type)
             chains = []
@@ -485,16 +483,18 @@ def validate(ers: ExtRootSystem) -> ValidationReport:
 
 
 def _reflection_stability(
-    delta: FiniteRootSystem, refined: dict[str, SSet]
+    delta: FiniteRootSystem, refined: dict[str, SSet], spans: dict[str, tuple[Vector, ...]]
 ) -> tuple[bool, str]:
     """R3': S_beta - <alpha^vee, beta> * S_alpha <= S_beta for simple alpha.
 
     The condition depends only on the triple (class of alpha, class of
     beta, m = <alpha^vee, beta>), and for a triple it says that S_beta is
-    stable under subtracting each residue x of m * S_alpha.  Each triple
-    is decided once (m = 0 holds trivially), each (class, x) once.  On
-    failure the witness is the first one met by scanning every simple
-    alpha, every root beta, then the cosets of S_beta and S_alpha.
+    stable under subtracting each residue x of m * S_alpha.  In the finite
+    G/H*, S_beta - x <= S_beta forces equality, so these x form a subgroup:
+    it holds m * S_alpha iff it holds m * r for each row r of spans[class],
+    the basis of <S_alpha>.  Each triple is decided once (m = 0 holds
+    trivially).  On failure the witness is the first one met by scanning
+    every simple alpha, every root beta, then the cosets of S_beta and S_alpha.
     """
     hstar = next(iter(refined.values())).h_basis
     coset_sets = {c: set(s.cosets) for c, s in refined.items()}
@@ -523,8 +523,7 @@ def _reflection_stability(
             triple = (cls_a, cls_b, m)
             if triple not in holds:
                 holds[triple] = m == 0 or all(
-                    keeps(cls_b, lattice_reduce(hstar, vec_scale(m, da)))
-                    for da in coset_sets[cls_a]
+                    keeps(cls_b, lattice_reduce(hstar, vec_scale(m, r))) for r in spans[cls_a]
                 )
             if holds[triple]:
                 continue

@@ -386,6 +386,13 @@ class QuotientTooLarge(ValueError):
     """A finite quotient of Z^n that is too large to enumerate."""
 
 
+def check_quotient_index(index: int) -> None:
+    if index > MAX_QUOTIENT_INDEX:
+        raise QuotientTooLarge(
+            f"finite quotient of index {index} exceeds the cap {MAX_QUOTIENT_INDEX}"
+        )
+
+
 def coset_residues(
     hnf: Sequence[Sequence[int]],
     cosets: Sequence[Sequence[int]],
@@ -405,11 +412,7 @@ def coset_residues(
     n = len(hnf)
     if any(len(row) != n for row in hnf):
         raise ValueError("coset residues need a full-rank modulus")
-    index = prod(hnf[i][i] for i in range(n))
-    if index > MAX_QUOTIENT_INDEX:
-        raise QuotientTooLarge(
-            f"finite quotient of index {index} exceeds the cap {MAX_QUOTIENT_INDEX}"
-        )
+    check_quotient_index(prod(hnf[i][i] for i in range(n)))
     # generators inside hnf add nothing; with none left, L is hnf itself
     gens = [r for r in (lattice_reduce(hnf, g) for g in gens) if any(r)]
     if not gens:

@@ -19,14 +19,16 @@ decider live here as well.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, groupby, product
 
 from extweyl.ext_root import ExtRootError, ExtRootSystem
 from extweyl.intlinalg import (
     FPAbelianGroup,
     Matrix,
     Vector,
+    check_quotient_index,
     coset_residues,
     freeze,
     hermite_rows,
@@ -221,42 +223,53 @@ def closure_letters(ers: ExtRootSystem, m: int) -> list[tuple[tuple, tuple, Vect
     ]
 
 
+def closure_steps(ers: ExtRootSystem, m: int) -> tuple[list[Vector], list[list[tuple]]]:
+    """closure_letters(ers, m) on state codes: the sorted grid G/mG, where
+    (h, beta) has the code index(h) * N + beta for N roots, and per root
+    beta the steps (table, images[beta]), table[index(h)] = index(h -
+    pairs[beta]*d mod m), of the letters (pairs, images, d): one table per
+    shift, one step per shift and simple root.  Checks m^n before building."""
+    check_quotient_index(m**ers.n)
+    tables, steps = {}, [[] for _ in ers.delta.roots]
+    for (pairs, images), group in groupby(closure_letters(ers, m), lambda letter: letter[:2]):
+        ds = [d for _, _, d in group]
+        shifts = {c: {tuple(c * y % m for y in d) for d in ds} for c in set(pairs)}
+        for shift in set().union(*shifts.values()) - tables.keys():
+            tables[shift] = [0]
+            for t in shift:
+                tables[shift] = [a * m + (x - t) % m for a in tables[shift] for x in range(m)]
+        for row, c, image in zip(steps, pairs, images):
+            row += [(tables[s], image) for s in shifts[c]]
+    return list(product(range(m), repeat=ers.n)), steps
+
+
 def orbit_bruteforce(
-    ers: ExtRootSystem,
-    g,
-    root_idx: int,
-    modulus: int | None = None,
-    letters: list[tuple[tuple, tuple, Vector]] | None = None,
+    ers: ExtRootSystem, g, root_idx: int, modulus: int | None = None, steps=None
 ) -> set[tuple[Vector, int]]:
     """Closure of one extended root under closure_letters(ers, m),
-    computed in the finite quotient G/mG.
+    computed on the state codes of closure_steps in the finite G/mG.
 
     This is the independent oracle for orbit_of: the closure collects
     exactly the orbit as long as m*G sits inside T_cls (see
     closure_letters for why those letters suffice).  A caller closing
-    several starts of one system builds the letters once and passes
-    them in.
+    several starts of one system builds the steps once and passes them.
     """
     if not ers.delta.rs_type.is_reduced():
         raise ExtRootError("orbit closure needs a reduced type; trim first")
     m = modulus if modulus is not None else default_brute_modulus(ers)
-    if letters is None:
-        letters = closure_letters(ers, m)
+    grid, steps = steps if steps is not None else closure_steps(ers, m)
+    n_roots = len(steps)
     # the canonical residue modulo m*Z^n is the coordinatewise one
-    start = (tuple(x % m for x in g), root_idx)
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for h, beta in frontier:
-            for pairs, images, d in letters:
-                c = pairs[beta]
-                state = (tuple((x - c * y) % m for x, y in zip(h, d)), images[beta])
-                if state not in seen:
-                    seen.add(state)
-                    nxt.append(state)
-        frontier = nxt
-    return seen
+    start = bisect_left(grid, tuple(x % m for x in g)) * n_roots + root_idx
+    seen, stack = {start}, [start]
+    while stack:
+        h, beta = divmod(stack.pop(), n_roots)
+        for table, image in steps[beta]:
+            state = table[h] * n_roots + image
+            if state not in seen:
+                seen.add(state)
+                stack.append(state)
+    return {(grid[s // n_roots], s % n_roots) for s in seen}
 
 
 def orbit_classes(
@@ -287,10 +300,10 @@ def orbit_classes(
             class_of[cls, d] = key = (oc.length_class, oc.coset)
             classes.setdefault(key, (d, beta))
             grid_states[key] = grid_states.get(key, 0) + n_roots
-    letters = closure_letters(ers, m)
+    steps = closure_steps(ers, m)
     agree = True
     for key, (d, beta) in classes.items():
-        closure = orbit_bruteforce(ers, d, beta, m, letters)
+        closure = orbit_bruteforce(ers, d, beta, m, steps)
         inside = all(class_of.get((rs.lengths[b], h)) == key for h, b in closure)
         # inside the class and as large as it on the grid: equal to it
         if not inside or len(closure) != grid_states[key]:

@@ -2,6 +2,7 @@ import itertools
 import json
 import pathlib
 import random
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +19,7 @@ from extweyl.ext_root import (
     validate,
 )
 from extweyl.intlinalg import (
+    coset_residues,
     dot,
     hermite_rows,
     identity,
@@ -528,6 +530,106 @@ def test_r3_matches_exhaustive_scan():
         failures += not r3[0].passed
     assert all(validate(ers).ok for ers in coarse + fine)
     assert failures == len(broken) > 0
+
+
+def _r3_all_cosets(delta, refined):
+    """Reference for validate's R3': each triple (class of alpha, class of
+    beta, m) decided by subtracting m times every coset of S_alpha, each
+    (class, x) once; the same failure scan as validate."""
+    hstar = next(iter(refined.values())).h_basis
+    coset_sets = {c: set(s.cosets) for c, s in refined.items()}
+    lengths, table = delta.lengths, delta.pairing_table
+    n = len(hstar)
+    order = abs(prod(next(x for x in row if x) for row in hstar))  # |G/H*|
+
+    def shifted(c, x):
+        return lattice_reduce(hstar, tuple(c[i] - x[i] for i in range(n)))
+
+    stable = {}
+
+    def keeps(cls_b, x):
+        if (cls_b, x) not in stable:
+            sb = coset_sets[cls_b]
+            stable[cls_b, x] = len(sb) == order or all(shifted(cb, x) in sb for cb in sb)
+        return stable[cls_b, x]
+
+    holds = {}
+    for alpha in delta.basis:
+        cls_a = lengths[alpha]
+        for beta, m in enumerate(table[alpha]):
+            cls_b = lengths[beta]
+            triple = (cls_a, cls_b, m)
+            if triple not in holds:
+                holds[triple] = m == 0 or all(
+                    keeps(cls_b, lattice_reduce(hstar, vec_scale(m, da)))
+                    for da in coset_sets[cls_a]
+                )
+            if holds[triple]:
+                continue
+            for cb in coset_sets[cls_b]:
+                for da in coset_sets[cls_a]:
+                    img = shifted(cb, vec_scale(m, da))
+                    if img not in coset_sets[cls_b]:
+                        return False, (
+                            f"S_{cls_b} - ({m})*S_{cls_a} leaves S_{cls_b}: "
+                            f"{cb} - {m}*{da} = {img}"
+                        )
+    return True, ""
+
+
+_R3_TYPES = [
+    ("A", 1), ("A", 2), ("B", 2), ("B", 3), ("C", 3), ("D", 4), ("E", 6),
+    ("F", 4), ("G", 2), ("BC", 1), ("BC", 2), ("BC", 3),
+]
+
+
+def _random_slices_over_k_squared(rng, family, rank, n):
+    """A system whose slices are random unions of cosets of diagonal
+    moduli between k^2 * Z^n and Z^n: either random residues over a
+    random modulus per class, or one random subgroup and modulus shared
+    by the classes with some of them grown by a further coset, so that
+    R3' both holds and fails."""
+    delta = build(family, rank)
+    t = delta.rs_type
+    kk = 4 if t.is_single_length() else k_delta(t) ** 2
+    divisors = [d for d in range(1, kk + 1) if kk % d == 0]
+
+    def modulus():
+        return [[rng.choice(divisors) * (i == j) for j in range(n)] for i in range(n)]
+
+    def vec():
+        return tuple(rng.randrange(kk) for _ in range(n))
+
+    classes = sorted(set(delta.lengths))
+    if rng.random() < 0.5:
+        s_sets = {c: SSet(modulus(), [vec() for _ in range(rng.randint(1, 5))]) for c in classes}
+    else:
+        h = modulus()
+        group = coset_residues(h, [(0,) * n], [vec() for _ in range(rng.randint(0, 2))])
+        s_sets = {}
+        for cls in classes:
+            x = vec() if rng.random() < 0.3 else (0,) * n
+            grown = [tuple(a + b for a, b in zip(g, x)) for g in group]
+            s_sets[cls] = SSet(h, [*group, *grown])
+    return ExtRootSystem(delta, FreeAbelianGroup(n), s_sets)
+
+
+def test_r3_from_span_rows_matches_all_cosets():
+    # R3' tests m * r for the rows r of <S_alpha> only; the oracle tests
+    # every coset of S_alpha
+    rng = random.Random(18)
+    systems = [ers for _, ers in orbit_configurations()]
+    systems += [_refined_to_k_squared(ers) for ers in systems]
+    for family, rank in _R3_TYPES:
+        for n in (1, 2) if family == "G" else (1, 2, 3):
+            systems += [_random_slices_over_k_squared(rng, family, rank, n) for _ in range(20)]
+    verdicts = []
+    for ers in systems:
+        r3 = [c for c in validate(ers).checks if c.name.startswith("R3'")]
+        assert len(r3) == 1
+        assert (r3[0].passed, r3[0].witness) == _r3_all_cosets(ers.delta, ers.refined)
+        verdicts.append(r3[0].passed)
+    assert verdicts.count(True) > 100 and verdicts.count(False) > 100
 
 
 def _chains_oracle(ers):

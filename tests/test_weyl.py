@@ -14,6 +14,7 @@ from extweyl.ext_root import (
     validate,
 )
 from extweyl.intlinalg import (
+    QuotientTooLarge,
     coset_residues,
     determinant,
     hermite_rows,
@@ -33,6 +34,7 @@ from extweyl.weyl import (
     ab_a_properness,
     build_uab_kernel_word,
     closure_letters,
+    closure_steps,
     cocycle,
     conjugated_relator_product,
     cross_check_remark,
@@ -352,6 +354,13 @@ def _all_residue_closure(ers, g, root_idx, m):
         for alpha in rs.basis
         for d in residues[rs.lengths[alpha]]
     ]
+    return _tuple_closure(g, root_idx, m, letters)
+
+
+def _tuple_closure(g, root_idx, m, letters):
+    """The closure orbit_bruteforce ran before closure_steps: a search
+    over (residue tuple, root) states, one new tuple per state and
+    letter.  The oracle for the integer state codes."""
     start = (tuple(x % m for x in g), root_idx)
     seen = {start}
     frontier = [start]
@@ -389,13 +398,17 @@ def _starts(ers, m):
 
 
 def _assert_closures_match(name, ers, starts, m):
+    # orbit_bruteforce on state codes equals the tuple-state search under
+    # the same letters, and that equals the closure under every residue
     letters = closure_letters(ers, m)
+    steps = closure_steps(ers, m)
     oracle = {}
     for d, beta in starts:
         if (d, beta) not in oracle:
             orbit = _all_residue_closure(ers, d, beta, m)
             oracle.update(dict.fromkeys(orbit, orbit))
-        assert orbit_bruteforce(ers, d, beta, m, letters) == oracle[d, beta], (name, d, beta)
+        got = orbit_bruteforce(ers, d, beta, m, steps)
+        assert got == _tuple_closure(d, beta, m, letters) == oracle[d, beta], (name, d, beta)
 
 
 def test_generating_letters_close_the_same_orbits():
@@ -408,6 +421,47 @@ def test_generating_letters_close_the_same_orbits_b2_z10_sample():
     ers = _b2_over(10)
     starts = random.Random(10).sample(_starts(ers, 2), 40)
     _assert_closures_match("B2 over Z^10", ers, starts, 2)
+
+
+def test_state_codes_close_the_same_orbits_at_the_cap():
+    # G/2G of index 2^12 = MAX_QUOTIENT_INDEX
+    ers = _b2_over(12)
+    letters, steps = closure_letters(ers, 2), closure_steps(ers, 2)
+    for d, beta in random.Random(12).sample(_starts(ers, 2), 40):
+        assert orbit_bruteforce(ers, d, beta, 2, steps) == _tuple_closure(d, beta, 2, letters)
+
+
+def test_closure_steps_share_one_table_per_shift():
+    # each root's steps are the (table, image) of its letters, the table
+    # read off the grid, with one table object per shift c*d mod m
+    for name, ers in _closure_grids(max_n=4):
+        m = default_brute_modulus(ers)
+        letters = closure_letters(ers, m)
+        grid, steps = closure_steps(ers, m)
+        assert grid == sorted(grid) and len(grid) == m**ers.n, name
+        index = {h: i for i, h in enumerate(grid)}
+        shifts = set()
+        for beta, row in enumerate(steps):
+            want = set()
+            for pairs, images, d in letters:
+                shift = tuple(pairs[beta] * y % m for y in d)
+                table = tuple(index[tuple((x - y) % m for x, y in zip(h, shift))] for h in grid)
+                want.add((table, images[beta]))
+                shifts.add(shift)
+            assert {(tuple(table), image) for table, image in row} == want, (name, beta)
+        assert len({id(table) for row in steps for table, _ in row}) == len(shifts), name
+
+
+def test_closure_past_the_cap_raises_before_building(monkeypatch):
+    # G/2G of index 2^13: no letter and no table is built
+    ers = _b2_over(13)
+
+    def unbuilt(ers, m):
+        raise AssertionError("closure_letters called past the cap")
+
+    monkeypatch.setattr("extweyl.weyl.closure_letters", unbuilt)
+    with pytest.raises(QuotientTooLarge, match="index 8192 exceeds the cap 4096"):
+        orbit_bruteforce(ers, (0,) * 13, 0, 2)
 
 
 def test_generating_letters_are_few():
@@ -434,7 +488,7 @@ def _orbit_partitions_agree(ers, classify=orbit_of):
     m = default_brute_modulus(ers)
     rs = ers.delta
     residues = slice_residues_by_class(ers, m)
-    letters = closure_letters(ers, m)
+    steps = closure_steps(ers, m)
     states = [
         (d, beta) for beta in range(len(rs.roots)) for d in residues[rs.lengths[beta]]
     ]
@@ -444,7 +498,7 @@ def _orbit_partitions_agree(ers, classify=orbit_of):
     remaining = set(states)
     while remaining:
         d, beta = next(iter(remaining))
-        closure = orbit_bruteforce(ers, d, beta, m, letters)
+        closure = orbit_bruteforce(ers, d, beta, m, steps)
         if closure != by_class[classify(ers, d, beta)]:
             return by_class, False
         remaining -= closure
