@@ -27,9 +27,6 @@ from extweyl.intlinalg import (
     Vector,
     dot,
     freeze,
-    identity,
-    mat_inv,
-    mat_mul,
     mat_vec,
     hermite_rows,
     lattice_contains,
@@ -428,17 +425,14 @@ class FiniteRootSystem:
         return tuple(zip(*(self.roots[x] for x in images)))
 
     @cached_property
-    def _weyl_generators(self) -> dict[int, "WeylElement"]:
-        return {}
+    def coroot_basis(self) -> tuple[int, ...]:
+        """Indices of the roots whose coroots are the unit vectors of the
+        coroot basis; for BC the last one is the divisible root 2*alpha_l."""
+        l = self.rank
+        return tuple(self.coroots.index(tuple(int(i == k) for i in range(l))) for k in range(l))
 
     def weyl_generator(self, i: int) -> "WeylElement":
-        w = self._weyl_generators.get(i)
-        if w is None:
-            w = WeylElement(
-                *reflection_pair(self.pairing_matrix, self.roots[i], self.coroots[i])
-            )
-            self._weyl_generators[i] = w
-        return w
+        return WeylElement(self, self.reflection_table[i])
 
     def perpendicular(self, i: int, j: int) -> bool:
         """Distinct commuting reflections: r_i != r_j and <alpha_i^vee, alpha_j> = 0.
@@ -456,44 +450,52 @@ class FiniteRootSystem:
 
 
 class WeylElement:
-    """An element of the Weyl group, as matrices on both lattices.
+    """An element v of the Weyl group, as the permutation it makes of the roots.
 
-    `matrix` acts on root coordinates, `comatrix` on coroot coordinates;
-    the two are kept in lockstep so the pairing stays invariant.
+    perm[j] is the index of v(roots[j]); W acts faithfully on the roots,
+    so perm determines v, and its matrices on both lattices are read off.
     """
 
-    __slots__ = ("matrix", "comatrix")
+    __slots__ = ("_rs", "perm")
 
-    def __init__(self, matrix: Matrix, comatrix: Matrix):
-        self.matrix = matrix
-        self.comatrix = comatrix
+    def __init__(self, rs: FiniteRootSystem, perm: tuple[int, ...]):
+        self._rs = rs
+        self.perm = perm
 
     @staticmethod
-    def identity(rank: int) -> "WeylElement":
-        return WeylElement(identity(rank), identity(rank))
+    def identity(rs: FiniteRootSystem) -> "WeylElement":
+        return WeylElement(rs, tuple(range(len(rs.roots))))
 
     def __mul__(self, other: "WeylElement") -> "WeylElement":
-        return WeylElement(
-            mat_mul(self.matrix, other.matrix), mat_mul(self.comatrix, other.comatrix)
-        )
+        p = self.perm
+        return WeylElement(self._rs, tuple([p[x] for x in other.perm]))
 
     def inv(self) -> "WeylElement":
-        return WeylElement(mat_inv(self.matrix), mat_inv(self.comatrix))
+        # the root indices, ordered by the index each is sent to
+        p = self.perm
+        return WeylElement(self._rs, tuple(sorted(range(len(p)), key=p.__getitem__)))
 
-    def apply(self, x: Vector) -> Vector:
-        return mat_vec(self.matrix, x)
+    @property
+    def matrix(self) -> Matrix:
+        """The action on root coordinates."""
+        return self._rs.image_matrix([self.perm[b] for b in self._rs.basis])
+
+    @property
+    def coroot_images(self) -> Matrix:
+        """Row j is v applied to coroot-basis vector j, over that basis."""
+        return tuple(self._rs.coroots[self.perm[c]] for c in self._rs.coroot_basis)
 
     def is_identity(self) -> bool:
-        return self.matrix == identity(len(self.matrix))
+        return all(self.perm[b] == b for b in self._rs.basis)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, WeylElement) and self.matrix == other.matrix
+        return isinstance(other, WeylElement) and self.perm == other.perm
 
     def __hash__(self) -> int:
-        return hash(self.matrix)
+        return hash(self.perm)
 
     def __repr__(self) -> str:  # pragma: no cover
-        return f"WeylElement({self.matrix})"
+        return f"WeylElement({self.perm})"
 
 
 @lru_cache(maxsize=None)
@@ -512,7 +514,7 @@ def build(rs_type: RootSystemType | str, rank: int | None = None) -> FiniteRootS
 
 def coxeter_evaluate(rs: FiniteRootSystem, word: list[int]) -> WeylElement:
     """Product of the reflections named by root indices; [] gives the identity."""
-    out = WeylElement.identity(rs.rank)
+    out = WeylElement.identity(rs)
     for i in word:
         out = out * rs.weyl_generator(i)
     return out

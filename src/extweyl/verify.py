@@ -23,7 +23,7 @@ from extweyl.ext_root import (
     trim,
     validate,
 )
-from extweyl.intlinalg import is_zero_mat, mat_mul, transpose
+from extweyl.intlinalg import is_zero_mat, mat_mul
 from extweyl.lattice_algebra import (
     box_quotient,
     coinvariants,
@@ -367,8 +367,8 @@ def suite_cocycle(seed: int = 0, cases: int = 10000) -> SuiteReport:
         ers = systems[i % len(systems)]
         k1, k2 = _random_k(ers, rng), _random_k(ers, rng)
         w = _random_weyl(ers, rng)
-        m1 = mat_mul(k1, transpose(w.comatrix))
-        m2 = mat_mul(k2, transpose(w.comatrix))
+        m1 = mat_mul(k1, w.coroot_images)
+        m2 = mat_mul(k2, w.coroot_images)
         if cocycle(ers, m1, m2) != cocycle(ers, k1, k2):
             fails += 1
     rep.add(f"invariance c(v.k1,v.k2)=c(k1,k2) [{cases} cases]", fails == 0, f"{fails} failures")
@@ -379,7 +379,7 @@ def suite_cocycle(seed: int = 0, cases: int = 10000) -> SuiteReport:
         s = random_label(ers, rng)
         t = random_label(ers, rng)
         kt = label_k_part(ers, t)
-        moved = mat_mul(kt, transpose(ers.delta.weyl_generator(s.root).comatrix))
+        moved = mat_mul(kt, ers.delta.weyl_generator(s.root).coroot_images)
         if not is_zero_mat(cocycle(ers, moved, kt)):
             fails += 1
     rep.add(
@@ -422,7 +422,7 @@ def suite_cocycle(seed: int = 0, cases: int = 10000) -> SuiteReport:
     for i in range(cases):
         ers = systems[i % len(systems)]
         z0 = tuple(tuple(0 for _ in range(ers.n)) for _ in range(ers.n))
-        one = WeylElement.identity(ers.delta.rank)
+        one = WeylElement.identity(ers.delta)
         x = WElement(ers, z0, _random_k(ers, rng), one)
         y = WElement(ers, z0, _random_k(ers, rng), one)
         comm = x * y * x.inv() * y.inv()

@@ -66,7 +66,9 @@ def cocycle(ers: ExtRootSystem, k1: Matrix, k2: Matrix) -> Matrix:
 class WElement:
     """An element (z, k, v) of the cocycle-extended Weyl group.
 
-    z is an antisymmetric n x n integer matrix.  Dropping it gives the
+    z is an antisymmetric n x n integer matrix, k an n x l matrix over
+    the coroot basis, and v a WeylElement, the permutation of the roots;
+    v moves k's rows by its `coroot_images`.  Dropping z gives the
     element (k, v) of the terminal reflection group, the quotient by
     the centre; checks at that level compare (k, v) only.
     """
@@ -81,15 +83,11 @@ class WElement:
 
     @staticmethod
     def identity(ers: ExtRootSystem) -> "WElement":
-        return WElement(
-            ers,
-            zeros(ers.n, ers.n),
-            zeros(ers.n, ers.delta.rank),
-            WeylElement.identity(ers.delta.rank),
-        )
+        n, rs = ers.n, ers.delta
+        return WElement(ers, zeros(n, n), zeros(n, rs.rank), WeylElement.identity(rs))
 
     def __mul__(self, other: "WElement") -> "WElement":
-        moved = mat_mul(other.k, transpose(self.v.comatrix))
+        moved = mat_mul(other.k, self.v.coroot_images)
         zc = cocycle(self._ers, self.k, moved)
         z = tuple(
             tuple(a + b + c for a, b, c in zip(r1, r2, r3))
@@ -102,9 +100,7 @@ class WElement:
 
     def inv(self) -> "WElement":
         vi = self.v.inv()
-        k = tuple(
-            tuple(-x for x in row) for row in mat_mul(self.k, transpose(vi.comatrix))
-        )
+        k = tuple(tuple(-x for x in row) for row in mat_mul(self.k, vi.coroot_images))
         z = tuple(tuple(-x for x in row) for row in self.z)
         return WElement(self._ers, z, k, vi)
 
@@ -142,9 +138,9 @@ def evaluate_word_in_w(ers: ExtRootSystem, word) -> WElement:
 def act_on_root(ers: ExtRootSystem, w: WElement, h, root_idx: int) -> tuple[Vector, int]:
     """The action (h, beta) -> (h + k(v.beta), v.beta); z acts trivially."""
     rs = ers.delta
-    new_vec = w.v.apply(rs.roots[root_idx])
-    shift = mat_vec(w.k, mat_vec(rs.pairing_matrix, new_vec))
-    return tuple(x + y for x, y in zip(h, shift)), rs.index_of(new_vec)
+    new_idx = w.v.perm[root_idx]
+    shift = mat_vec(w.k, mat_vec(rs.pairing_matrix, rs.roots[new_idx]))
+    return tuple(x + y for x, y in zip(h, shift)), new_idx
 
 
 # ---------------------------------------------------------------------------

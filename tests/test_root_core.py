@@ -1,6 +1,9 @@
+import random
+
 import pytest
 
-from extweyl.intlinalg import determinant, dot, mat_mul, mat_vec, transpose
+from extweyl import root_core
+from extweyl.intlinalg import determinant, dot, identity, mat_inv, mat_mul, mat_vec, transpose
 from extweyl.root_core import (
     EXTRALONG,
     LONG,
@@ -17,7 +20,7 @@ from extweyl.root_core import (
     pairing_value_sets,
     reflection_pair,
 )
-from extweyl.verify import sweep_types
+from extweyl.verify import suite_cocycle, sweep_types, word_test_systems
 
 ROOT_COUNTS = {
     ("A", 1): 2,
@@ -257,11 +260,11 @@ def test_weyl_matrices_preserve_pairing():
     for k in range(rs.rank):
         w = rs.weyl_generator(rs.basis[k])
         for i in rs.basis:
-            moved = mat_vec(w.comatrix, rs.coroots[i])
+            moved = mat_vec(transpose(w.coroot_images), rs.coroots[i])
             for j in rs.basis:
                 assert rs.pairing(i, rs.roots[j]) == dot(
                     mat_vec(tuple(zip(*rs.pairing_matrix)), moved),
-                    w.apply(rs.roots[j]),
+                    mat_vec(w.matrix, rs.roots[j]),
                 )
 
 
@@ -333,17 +336,75 @@ def test_root_tables_match_slow_paths(fam, rank):
 
 @pytest.mark.parametrize("fam,rank", TABLE_TYPES)
 def test_reflection_pairs_match_tables(fam, rank):
-    # weyl_generator and the simple reflections built in __init__ come
-    # from one builder; both matrices must follow the reflection table
+    # the matrices read off weyl_generator's permutation follow the
+    # reflection table and equal the simple reflections built in __init__
     rs = build(fam, rank)
     for i in range(len(rs.roots)):
         w = rs.weyl_generator(i)
+        comatrix = transpose(w.coroot_images)
         for j, k in enumerate(rs.reflection_table[i]):
             assert mat_vec(w.matrix, rs.roots[j]) == rs.roots[k]
-            assert mat_vec(w.comatrix, rs.coroots[j]) == rs.coroots[k]
+            assert mat_vec(comatrix, rs.coroots[j]) == rs.coroots[k]
     for k, b in enumerate(rs.basis):
         w = rs.weyl_generator(b)
-        assert (rs._basis_reflections[k], rs._basis_coreflections[k]) == (w.matrix, w.comatrix)
+        assert (rs._basis_reflections[k], rs._basis_coreflections[k]) == (
+            w.matrix,
+            transpose(w.coroot_images),
+        )
+
+
+def _matrix_pair(rs, word):
+    """The product of the reflection_pair matrices along `word`: the
+    matrices on root and on coroot coordinates of its Weyl element."""
+    m = cm = identity(rs.rank)
+    for i in word:
+        r, cr = reflection_pair(rs.pairing_matrix, rs.roots[i], rs.coroots[i])
+        m, cm = mat_mul(m, r), mat_mul(cm, cr)
+    return m, cm
+
+
+@pytest.mark.parametrize("fam,rank", TABLE_TYPES)
+def test_weyl_elements_match_the_matrix_oracle(fam, rank):
+    # the permutation's derived views, inverse, identity test and equality
+    # agree with the matrix product, its Fraction inverse and matrix equality
+    rs = build(fam, rank)
+    rng = random.Random(f"{fam}{rank}")
+    words = [[]]
+    for _ in range(15):
+        word = [rng.randrange(len(rs.roots)) for _ in range(rng.randint(1, 8))]
+        cut, a = rng.randint(0, len(word)), rng.randrange(len(rs.roots))
+        words += [word, word[:cut] + [a, a] + word[cut:]]
+    seen = []
+    for word in words:
+        w = coxeter_evaluate(rs, word)
+        m, cm = _matrix_pair(rs, word)
+        assert w.matrix == m
+        assert w.coroot_images == transpose(cm)
+        assert w.inv().matrix == mat_inv(m)
+        assert w.inv().coroot_images == transpose(mat_inv(cm))
+        assert w.is_identity() == (m == identity(rank))
+        for x, mx in seen:
+            assert (w == x) == (m == mx)
+            if m == mx:
+                assert hash(w) == hash(x)
+        seen.append((w, m))
+    assert any(w == x and w is not x for w, _ in seen for x, _ in seen)
+
+
+def test_weyl_elements_take_no_matrix_path(monkeypatch):
+    # with the matrix product and inverse refused, Weyl elements still
+    # multiply and invert, and the cocycle suite still passes
+    def refuse(*args):
+        raise AssertionError("matrix path taken")
+
+    monkeypatch.setattr(root_core, "mat_inv", refuse, raising=False)
+    monkeypatch.setattr(root_core, "mat_mul", refuse, raising=False)
+    assert suite_cocycle(seed=0, cases=200).ok
+    for _, ers in word_test_systems():
+        rs = ers.delta
+        w = coxeter_evaluate(rs, range(len(rs.roots)))
+        assert (w * w.inv()).is_identity() and (w.inv() * w).is_identity()
+        assert w.inv().inv() == w
 
 
 def _closure_oracle(rs):

@@ -18,6 +18,7 @@ from extweyl.intlinalg import (
     coset_residues,
     determinant,
     hermite_rows,
+    identity,
     is_zero_mat,
     lattice_contains,
     mat_mul,
@@ -25,7 +26,15 @@ from extweyl.intlinalg import (
     zeros,
 )
 from extweyl.refl_groups import ReflectionLabel, conj_reflect, label_k_part
-from extweyl.root_core import LONG, SHORT, WeylElement, build, coxeter_evaluate, k_delta
+from extweyl.root_core import (
+    LONG,
+    SHORT,
+    WeylElement,
+    build,
+    coxeter_evaluate,
+    k_delta,
+    reflection_pair,
+)
 from extweyl.verify import orbit_configurations, suite_orbits, word_test_systems
 from extweyl.weyl import (
     AbKGroup,
@@ -83,15 +92,13 @@ def test_cocycle_rank_one_group_vanishes():
 
 
 def test_cocycle_reflection_condition():
-    from extweyl.intlinalg import mat_mul, transpose
-
     ers = b2()
     rng = random.Random(2)
     for _ in range(200):
         s = random_label(ers, rng)
         t = random_label(ers, rng)
         kt = label_k_part(ers, t)
-        moved = mat_mul(kt, transpose(ers.delta.weyl_generator(s.root).comatrix))
+        moved = mat_mul(kt, ers.delta.weyl_generator(s.root).coroot_images)
         assert is_zero_mat(cocycle(ers, moved, kt))
 
 
@@ -135,7 +142,7 @@ def test_w_projection_homomorphism():
         w = w_generator(ers, t1) * w_generator(ers, t2)
         # the product in the terminal group K x| V, written out
         v1 = ers.delta.weyl_generator(t1.root)
-        moved = mat_mul(label_k_part(ers, t2), transpose(v1.comatrix))
+        moved = mat_mul(label_k_part(ers, t2), v1.coroot_images)
         k = tuple(
             tuple(a + b for a, b in zip(r1, r2))
             for r1, r2 in zip(label_k_part(ers, t1), moved)
@@ -157,7 +164,7 @@ def test_w_conjugation():
 def test_w_commutator_identity():
     ers = b2()
     rng = random.Random(7)
-    one = WeylElement.identity(ers.delta.rank)
+    one = WeylElement.identity(ers.delta)
     z0 = zeros(ers.n, ers.n)
     for _ in range(200):
         k1 = label_k_part(ers, random_label(ers, rng))
@@ -172,7 +179,7 @@ def test_w_commutator_identity():
 def test_central_kernel_commutes_and_torsion_free():
     ers = b2()
     rng = random.Random(8)
-    one = WeylElement.identity(ers.delta.rank)
+    one = WeylElement.identity(ers.delta)
     z = ((0, 3), (-3, 0))
     central = WElement(ers, z, zeros(2, 2), one)
     for _ in range(50):
@@ -694,12 +701,50 @@ def test_word_images_match_the_matrix_evaluation(system, draws):
     assert (images == rs.basis) == v.is_identity()
 
 
+def _matrix_evaluate(ers, word):
+    """(z, k, matrix, comatrix) of a word, multiplied out letter by letter
+    with the reflection_pair matrices of each letter's root."""
+    rs = ers.delta
+    z, k = zeros(ers.n, ers.n), zeros(ers.n, rs.rank)
+    m = cm = identity(rs.rank)
+    for t in word:
+        r, cr = reflection_pair(rs.pairing_matrix, rs.roots[t.root], rs.coroots[t.root])
+        moved = mat_mul(label_k_part(ers, t), transpose(cm))
+        z = tuple(
+            tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(z, cocycle(ers, k, moved))
+        )
+        k = tuple(tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(k, moved))
+        m, cm = mat_mul(m, r), mat_mul(cm, cr)
+    return z, k, m, cm
+
+
+def test_evaluate_word_in_w_matches_the_matrix_evaluation():
+    rng = random.Random(16)
+    systems = word_test_systems() + [
+        ("A1 n=3", fully_extended("A", 1, n=3)),
+        ("B2 n=3", span_extended("B", 2, n=3, g1=(0, 1, 2))),
+    ]
+    kernels = 0
+    for name, ers in systems:
+        words = [conjugated_relator_product(ers, rng) for _ in range(3)]
+        words += [[random_label(ers, rng) for _ in range(rng.randint(0, 8))] for _ in range(5)]
+        kernel = build_uab_kernel_word(ers) if ers.n == 3 else None
+        if kernel:
+            words.append(kernel)
+            kernels += 1
+        for word in words:
+            w = evaluate_word_in_w(ers, word)
+            z, k, m, cm = _matrix_evaluate(ers, word)
+            assert (w.z, w.k, w.v.matrix, w.v.coroot_images) == (z, k, m, transpose(cm)), name
+    assert kernels == 2
+
+
 def test_v_rejected_words_skip_the_matrix_evaluation(monkeypatch):
     rng = random.Random(15)
     cases = []
     for _, ers in word_test_systems():
         for _ in range(5):
-            v = WeylElement.identity(ers.delta.rank)
+            v = WeylElement.identity(ers.delta)
             while v.is_identity():
                 word = [random_label(ers, rng) for _ in range(rng.randint(1, 12))]
                 v = evaluate_word_in_w(ers, word).v
