@@ -208,7 +208,8 @@ class ReflectionLabel:
     (g, alpha) and (-g, -alpha) name the same reflection, as do a short
     root with shift g and its double with shift 2g; canonicalization
     prefers the indivisible root and the lexicographically positive
-    root vector, so equal reflections get equal labels.
+    root vector, so equal reflections get equal labels; `make` reads
+    both choices from `FiniteRootSystem.label_table`.
     """
 
     g: Vector
@@ -216,19 +217,15 @@ class ReflectionLabel:
 
     @staticmethod
     def make(ers: ExtRootSystem, g, root: int) -> "ReflectionLabel":
-        g = tuple(int(x) for x in g)
-        rs = ers.delta
-        vec = rs.roots[root]
-        if all(x % 2 == 0 for x in vec):
-            half = tuple(x // 2 for x in vec)
-            if rs.is_root(half) and all(x % 2 == 0 for x in g):
-                vec = half
-                g = tuple(x // 2 for x in g)
-                root = rs.index_of(vec)
-        neg = tuple(-x for x in vec)
-        if vec < neg:
-            vec, g = neg, tuple(-x for x in g)
-            root = rs.index_of(vec)
+        g = tuple(map(int, g))
+        table = ers.delta.label_table
+        if not 0 <= root < len(table):
+            raise ExtRootError(f"root must be a root index in 0..{len(table) - 1}, got {root}")
+        (root, sign), half = table[root]
+        if half is not None and all(x % 2 == 0 for x in g):
+            (root, sign), g = half, tuple(x // 2 for x in g)
+        if sign < 0:
+            g = tuple(-x for x in g)
         return ReflectionLabel(g, root)
 
 

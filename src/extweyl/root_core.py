@@ -329,17 +329,31 @@ class FiniteRootSystem:
 
     def reduced_root_indices(self) -> tuple[int, ...]:
         """Indices of indivisible roots (drops 2*alpha for BC)."""
-        half = set()
-        for i, r in enumerate(self.roots):
-            if all(x % 2 == 0 for x in r):
-                h = tuple(x // 2 for x in r)
-                if h in self._index:
-                    half.add(i)
-        return tuple(i for i in range(len(self.roots)) if i not in half)
+        return tuple(i for i, (_, half) in enumerate(self.label_table) if half is None)
 
     def divisible_root_indices(self) -> tuple[int, ...]:
         red = set(self.reduced_root_indices())
         return tuple(i for i in range(len(self.roots)) if i not in red)
+
+    @cached_property
+    def label_table(self) -> tuple[tuple[tuple[int, int], tuple[int, int] | None], ...]:
+        """Per root index: (canonical index, sign) of the root, and of its
+        half when that is a root (BC's extralong roots), else None.
+
+        The canonical root of +-r is the lexicographically larger one;
+        sign -1 means it is -r, so a label's shift is negated.
+        """
+        index = self._index
+
+        def entry(r):
+            neg = tuple(-x for x in r)
+            return (index[r], 1) if r > neg else (index[neg], -1)
+
+        halves = [tuple(x // 2 for x in r) for r in self.roots]
+        return tuple(
+            (entry(r), entry(h) if all(x % 2 == 0 for x in r) and h in index else None)
+            for r, h in zip(self.roots, halves)
+        )
 
     def _norm(self, x: Vector) -> int:
         return dot(x, mat_vec(self._gram, x))

@@ -77,6 +77,7 @@ ORACLES = {
     "refl_groups.terminal_group": "the symmetric-system layer (test_refl_groups, test_ext_root)",
     "refl_groups.check_reflection_group": "the reflection-group axioms (test_refl_groups)",
     "weyl.act_on_root": "the action on extended roots (test_refl_groups, test_ext_root)",
+    "root_core.FiniteRootSystem.is_root": "the vector label oracle in test_refl_groups; test_root_core",
     "root_core.FiniteRootSystem.reflect_root_index": "traced by perfbench/tracing.py; test_root_core",
     "root_core.FiniteRootSystem.same_reflection": "traced by perfbench/tracing.py; test_root_core",
     "root_core.coroot_l_eff_lattice": "test_root_core.test_coroot_effective_quotient_is_dual",

@@ -1,8 +1,9 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from extweyl.ext_root import fully_extended, span_extended
+from extweyl.ext_root import ExtRootError, fully_extended, span_extended
 from extweyl.intlinalg import hermite_rows, is_zero_mat, lattice_contains, mat_vec, outer, transpose
 from extweyl.lattice_algebra import lattice_embedding_matrix
 from extweyl.refl_groups import (
@@ -16,7 +17,8 @@ from extweyl.refl_groups import (
     reflection_sym_system,
     terminal_group,
 )
-from extweyl.root_core import build
+from extweyl.root_core import FiniteRootSystem, build
+from extweyl.verify import word_test_systems
 from extweyl.weyl import WElement, act_on_root, evaluate_word_in_w, random_label, w_generator
 
 
@@ -154,6 +156,87 @@ def test_label_canonicalization():
     assert t.root in red
     t_odd = ReflectionLabel.make(bc, (1,), div)
     assert t_odd.root not in red
+
+
+def _make_by_vectors(ers, g, root):
+    """ReflectionLabel.make from the root vectors: halve a divisible root
+    when g is even, then take the lexicographically larger of +-root."""
+    g = tuple(int(x) for x in g)
+    rs = ers.delta
+    vec = rs.roots[root]
+    if all(x % 2 == 0 for x in vec):
+        half = tuple(x // 2 for x in vec)
+        if rs.is_root(half) and all(x % 2 == 0 for x in g):
+            vec = half
+            g = tuple(x // 2 for x in g)
+            root = rs.index_of(vec)
+    neg = tuple(-x for x in vec)
+    if vec < neg:
+        vec, g = neg, tuple(-x for x in g)
+        root = rs.index_of(vec)
+    return ReflectionLabel(g, root)
+
+
+# every family, BC1-BC3 for the halving
+LABEL_TYPES = [
+    ("A", 1), ("A", 3), ("B", 2), ("B", 3), ("C", 3), ("D", 4),
+    ("E", 6), ("F", 4), ("G", 2), ("BC", 1), ("BC", 2), ("BC", 3),
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    kind=st.sampled_from(LABEL_TYPES),
+    n=st.integers(1, 3),
+    roots=st.tuples(st.integers(min_value=0), st.integers(min_value=0)),
+    shifts=st.tuples(*[st.lists(st.integers(-5, 5), min_size=3, max_size=3)] * 2),
+)
+@example(kind=("BC", 1), n=1, roots=(0, 0), shifts=([2, 0, 0], [1, 0, 0]))
+def test_make_matches_the_vector_oracle(kind, n, roots, shifts):
+    # each shift is also tried doubled, so the halving branch is reached
+    ers = fully_extended(*kind, n=n)
+    rs = ers.delta
+    labels = []
+    for draw, shift in zip(roots, shifts):
+        root = draw % len(rs.roots)
+        for g in (shift[:n], [2 * x for x in shift[:n]]):
+            t = ReflectionLabel.make(ers, g, root)
+            assert t == _make_by_vectors(ers, g, root)
+            labels.append(t)
+    for t1 in labels:
+        for t2 in labels:
+            # t1.t2 = r_(h - <alpha^vee, beta> g, r_alpha(beta)), from vectors
+            beta = rs.roots[t2.root]
+            m = rs.pairing(t1.root, beta)
+            moved = rs.index_of(rs.reflect(t1.root, beta))
+            h = [x - m * y for x, y in zip(t2.g, t1.g)]
+            assert conj_reflect(ers, t1, t2) == _make_by_vectors(ers, h, moved)
+
+
+def test_make_reads_no_root_vectors(monkeypatch):
+    # with the vector lookups refused, every root still gets its label,
+    # the table included when it is built under the refusal
+    def refuse(*args):
+        raise AssertionError("root vector looked up")
+
+    systems = [ers for _, ers in word_test_systems()] + [fully_extended("BC", 2, n=2)]
+    cases = []
+    for ers in systems:
+        for root in range(len(ers.delta.roots)):
+            for g in [(0,) * ers.n, (1,) * ers.n, (-2,) * ers.n, tuple(range(ers.n))]:
+                cases.append((ers, g, root, _make_by_vectors(ers, g, root)))
+        monkeypatch.delitem(ers.delta.__dict__, "label_table", raising=False)
+    monkeypatch.setattr(FiniteRootSystem, "index_of", refuse)
+    monkeypatch.setattr(FiniteRootSystem, "is_root", refuse)
+    for ers, g, root, want in cases:
+        assert ReflectionLabel.make(ers, g, root) == want
+
+
+def test_make_rejects_a_root_outside_the_system():
+    ers = span_extended("B", 2, n=2, g1=(0,))
+    for root in (-1, -8, 8):
+        with pytest.raises(ExtRootError, match=rf"root index in 0\.\.7, got {root}$"):
+            ReflectionLabel.make(ers, (1, 0), root)
 
 
 def test_label_k_part():

@@ -131,6 +131,26 @@ def test_bc_divisible_roots():
     assert len(rs.reduced_root_indices()) == 8
 
 
+def test_label_table_invariants():
+    kinds = set(sweep_types(8)) | {("BC", l) for l in range(1, 5)}
+    for fam, rk in sorted(kinds):
+        rs = build(fam, rk)
+        table = rs.label_table
+        assert len(table) == len(rs.roots)
+        doubles = {tuple(2 * x for x in r) for r in rs.roots}
+        for r, (plain, half) in zip(rs.roots, table):
+            # each entry is a canonical root c with r = sign*c, or 2*sign*c
+            for entry, scale in ((plain, 1), (half, 2)):
+                if entry is None:
+                    continue
+                i, sign = entry
+                c = rs.roots[i]
+                assert c > tuple(-x for x in c)
+                assert tuple(scale * sign * x for x in c) == r
+            assert (half is not None) == (r in doubles)
+        assert build(fam, rk).label_table is table
+
+
 def test_k_delta():
     assert k_delta(RootSystemType("G", 2)) == 3
     assert k_delta(RootSystemType("B", 3)) == 2
