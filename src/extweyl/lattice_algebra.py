@@ -46,11 +46,16 @@ COROOT = "coroot"
 
 
 def _side_data(rs: FiniteRootSystem, side: str):
-    """(vectors per root index, reflection matrices per basis position)."""
+    """(vectors per root index, move table of the simple reflections).
+
+    Row k of the move table is m_k with r_k: x -> x - <m_k, x> e_k on
+    that side's coordinates: `cartan` on the root lattice and
+    `coroot_moves` on the coroot lattice.
+    """
     if side == ROOT:
-        return rs.roots, rs._basis_reflections
+        return rs.roots, rs.cartan
     if side == COROOT:
-        return rs.coroots, rs._basis_coreflections
+        return rs.coroots, rs.coroot_moves
     raise ValueError(f"side must be 'root' or 'coroot', got {side!r}")
 
 
@@ -77,33 +82,31 @@ def _coinvariant_relations(rs: FiniteRootSystem, left: str, right: str) -> _Rows
     """The nonzero rows (v.e_i) (x) (v.e_j) - e_i (x) e_j, v a simple reflection.
 
     The simple reflection v = r_k moves coordinate k only, on either
-    side: v.e_i = e_i + c_i e_k and v.e_j = e_j + d_j e_k, with
-    c_k = d_k = -2 since v negates its own root.  So the row is
-    c_i e_k(x)e_j + d_j e_i(x)e_k + c_i d_j e_k(x)e_k, at most three
-    entries.  It is zero exactly when c_i = d_j = 0, or when i = j = k
+    side: v.e_i = e_i - a_i e_k and v.e_j = e_j - b_j e_k, a and b being
+    row k of the left and right move tables (see `_side_data`), with
+    a_k = b_k = 2 since v negates its own root.  So the row is
+    -a_i e_k(x)e_j - b_j e_i(x)e_k + a_i b_j e_k(x)e_k, at most three
+    entries.  It is zero exactly when a_i = b_j = 0, or when i = j = k
     ((-e_k) (x) (-e_k) = e_k (x) e_k); those rows are skipped, which
-    leaves l^2 - 1 - #{i : c_i = 0} * #{j : d_j = 0} rows per k.
+    leaves l^2 - 1 - #{i : a_i = 0} * #{j : b_j = 0} rows per k.
     """
     l = rs.rank
-    _, refl_left = _side_data(rs, left)
-    _, refl_right = _side_data(rs, right)
-    moves = [
-        ([a[k][i] - (i == k) for i in range(l)], [b[k][j] - (j == k) for j in range(l)])
-        for k, (a, b) in enumerate(zip(refl_left, refl_right))
-    ]
+    _, moves_left = _side_data(rs, left)
+    _, moves_right = _side_data(rs, right)
+    moves = list(zip(moves_left, moves_right))
 
     def rows() -> Iterator[list[int]]:
-        for k, (c, d) in enumerate(moves):
+        for k, (a, b) in enumerate(moves):
             for i in range(l):
                 for j in range(l):
-                    if (c[i] or d[j]) and not i == j == k:
+                    if (a[i] or b[j]) and not i == j == k:
                         row = [0] * (l * l)
-                        row[_tensor_index(l, k, j)] += c[i]
-                        row[_tensor_index(l, i, k)] += d[j]
-                        row[_tensor_index(l, k, k)] += c[i] * d[j]
+                        row[_tensor_index(l, k, j)] -= a[i]
+                        row[_tensor_index(l, i, k)] -= b[j]
+                        row[_tensor_index(l, k, k)] += a[i] * b[j]
                         yield row
 
-    count = sum(l * l - 1 - c.count(0) * d.count(0) for c, d in moves)
+    count = sum(l * l - 1 - a.count(0) * b.count(0) for a, b in moves)
     return _Rows(count, rows())
 
 
@@ -159,7 +162,7 @@ def _perp_relation_pairs(rs: FiniteRootSystem, left: str, right: str):
     for members in classes.values():
         theta = max(members, key=lambda i: sum(rs.roots[i]))
         top = rs.roots[theta]
-        # row k of the Cartan matrix is <alpha_k^vee, .>, and (theta | .)
+        # row k of `cartan` is <alpha_k^vee, .>, r_k's move row, and (theta | .)
         # vanishes where <theta^vee, .> does: no per-root table is built
         fixing = [(k, row) for k, row in enumerate(rs.cartan) if dot(row, top) == 0]
         form = mat_vec(rs._gram, top)

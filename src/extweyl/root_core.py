@@ -31,7 +31,6 @@ from extweyl.intlinalg import (
     hermite_rows,
     lattice_contains,
     transpose,
-    vec_mat,
     vec_sub,
 )
 
@@ -182,24 +181,6 @@ _ROOT_COUNT = {
 }
 
 
-def reflection_pair(
-    pairing_matrix: Matrix, root: Vector, coroot: Vector
-) -> tuple[Matrix, Matrix]:
-    """The reflection in a root as matrices on root and on coroot coordinates.
-
-    x -> x - <alpha^vee, x> alpha and y -> y - <y, alpha> alpha^vee, with
-    <y, x> = y . pairing_matrix . x; the two act in lockstep, so the
-    pairing stays invariant.
-    """
-    row = vec_mat(coroot, pairing_matrix)
-    col = mat_vec(pairing_matrix, root)
-    n = len(root)
-    return (
-        freeze([[int(r == c) - root[r] * row[c] for c in range(n)] for r in range(n)]),
-        freeze([[int(r == c) - coroot[r] * col[c] for c in range(n)] for r in range(n)]),
-    )
-
-
 class FiniteRootSystem:
     """A finite irreducible root system with explicit coroots.
 
@@ -209,7 +190,13 @@ class FiniteRootSystem:
       coroots: parallel tuple of coroot vectors over the coroot basis.
       basis: indices of the simple roots inside `roots`.
       lengths: parallel tuple of length classes.
-      cartan: <alpha_i^vee, alpha_j> over the simple roots.
+      cartan: <alpha_i^vee, alpha_j> over the simple roots.  Row k is the
+        simple reflection r_k on root coordinates: it moves coordinate k
+        only, x -> x - <cartan[k], x> e_k.
+      coroot_moves: the same on coroot coordinates, y -> y -
+        <coroot_moves[k], y> e_k; entry a is s_k * pairing_matrix[a][k],
+        s_k e_k the coroot of alpha_k.  It equals `cartan` transposed, except
+        for BC_l, l >= 2, where it equals `cartan`.
       pairing_matrix: <m_i, alpha_j> for the coroot-lattice basis m_i;
         equals `cartan` except for BC, where the short simple coroot is
         halved to reach the full coroot lattice.
@@ -226,55 +213,37 @@ class FiniteRootSystem:
             [[sym[i] * cartan[i][j] for j in range(l)] for i in range(l)]
         )
 
+        # the coroot of alpha_k is s_k e_k over the coroot basis: BC halves
+        # the short simple coroot to reach the full coroot lattice, so its
+        # s_l is 2, and e_l is the coroot of the divisible root 2*alpha_l
+        e = [tuple(int(i == k) for i in range(l)) for k in range(l)]
+        scale = [1] * l
+        divisible = []
+        self.pairing_matrix = cartan
         if rs_type.family == "BC":
-            pairing = [list(row) for row in cartan]
-            pairing[l - 1] = [x // 2 for x in cartan[l - 1]]
-            self.pairing_matrix = freeze(pairing)
-            basis_coroot_coords = [
-                tuple(2 if (i == j == l - 1) else int(i == j) for j in range(l))
-                for i in range(l)
-            ]
-        else:
-            self.pairing_matrix = cartan
-            basis_coroot_coords = [tuple(int(i == j) for j in range(l)) for i in range(l)]
-
-        seeds = [
-            (tuple(int(i == k) for i in range(l)), basis_coroot_coords[k])
-            for k in range(l)
-        ]
-        simple = [reflection_pair(self.pairing_matrix, *seed) for seed in seeds]
-        self._basis_reflections = tuple(m for m, _ in simple)
-        self._basis_coreflections = tuple(c for _, c in simple)
-
-        if rs_type.family == "BC":
-            # the divisible root 2*alpha_l, whose coroot is half of the
-            # short simple coroot
-            double = tuple(2 * int(i == l - 1) for i in range(l))
-            half = tuple(int(i == l - 1) for i in range(l))
-            seeds.append((double, half))
-        # the simple reflection r_k moves coordinate k only:
-        # x -> x - <alpha_k^vee, x> e_k and y -> y - <y, alpha_k> c_k, with
-        # c_k the coroot seed; it fixes x when the pairing is 0
-        moves = [
-            (k, vec_mat(c, self.pairing_matrix), col, c)
-            for k, (c, col) in enumerate(
-                zip(basis_coroot_coords, transpose(self.pairing_matrix))
-            )
-        ]
+            scale[-1] = 2
+            self.pairing_matrix = cartan[:-1] + (tuple(x // 2 for x in cartan[-1]),)
+            divisible.append((tuple(2 * x for x in e[-1]), e[-1]))
+        # r_k(y) = y - <y, alpha_k> s_k e_k
+        self.coroot_moves = freeze(
+            [[s * x for x in col] for s, col in zip(scale, transpose(self.pairing_matrix))]
+        )
+        # r_k moves coordinate k only, on both lattices; it fixes the
+        # root when the pairing is 0
         seen = {}
-        queue = list(seeds)
+        queue = [(e[k], tuple(s * x for x in e[k])) for k, s in enumerate(scale)] + divisible
         while queue:
             root, coroot = queue.pop()
             if root in seen:
                 continue
             seen[root] = coroot
-            for k, row, col, c in moves:
+            for k, (row, corow) in enumerate(zip(cartan, self.coroot_moves)):
                 s = dot(row, root)
                 if s:
                     nr = root[:k] + (root[k] - s,) + root[k + 1:]
                     if nr not in seen:
-                        t = dot(coroot, col)
-                        queue.append((nr, tuple(y - t * x for y, x in zip(coroot, c))))
+                        t = coroot[k] - dot(corow, coroot)
+                        queue.append((nr, coroot[:k] + (t,) + coroot[k + 1:]))
         pairs = sorted(seen.items())
         self.roots: tuple[Vector, ...] = tuple(r for r, _ in pairs)
         self.coroots: tuple[Vector, ...] = tuple(c for _, c in pairs)
@@ -285,9 +254,7 @@ class FiniteRootSystem:
                 f"{rs_type}: generated {len(self.roots)} roots, expected {expected}"
             )
 
-        self.basis = tuple(
-            self._index[tuple(int(i == k) for i in range(l))] for k in range(l)
-        )
+        self.basis = tuple(self._index[x] for x in e)
         norms = [self._norm(r) for r in self.roots]
         levels = sorted(set(norms))
         if rs_type.family == "BC":
@@ -392,19 +359,13 @@ class FiniteRootSystem:
 
     @cached_property
     def reflection_ids(self) -> tuple[int, ...]:
-        """One id per reflection: the first index of a root on the same line.
+        """One id per reflection: the canonical index of the indivisible
+        root on the line, read from `label_table`.
 
         Proportional roots (alpha, -alpha and, for BC, +-2 alpha) share
         their reflection and nothing else does.
         """
-        first: dict[Vector, int] = {}
-        ids = []
-        for i, r in enumerate(self.roots):
-            g = gcd(*r)
-            if next(x for x in r if x) < 0:
-                g = -g
-            ids.append(first.setdefault(tuple(x // g for x in r), i))
-        return tuple(ids)
+        return tuple((half or entry)[0] for entry, half in self.label_table)
 
     def pairing(self, coroot_of: int, at: Vector) -> int:
         """<alpha^vee, lam> for alpha = roots[coroot_of] and lam in the root lattice."""
@@ -534,18 +495,19 @@ def coxeter_evaluate(rs: FiniteRootSystem, word: list[int]) -> WeylElement:
     return out
 
 
-def _moved_basis_vectors(mats: tuple[Matrix, ...]) -> list[Vector]:
-    """v.e_j - e_j for each matrix v and basis vector e_j.
+def _moved_basis_vectors(moves: Matrix) -> list[Vector]:
+    """v.e_j - e_j for each simple reflection v and basis vector e_j.
 
-    Over the simple reflections these span the sublattice of all
-    v.x - x, v in the Weyl group.
+    v = r_k moves coordinate k only, by the move table row m_k, so
+    v.e_j - e_j = -m_k[j] e_k.  Over the simple reflections these span
+    the sublattice of all v.x - x, v in the Weyl group.
     """
-    gens = []
-    for m in mats:
-        l = len(m)
-        for j in range(l):
-            gens.append(tuple(m[i][j] - int(i == j) for i in range(l)))
-    return gens
+    l = len(moves)
+    return [
+        tuple(-m[j] * int(i == k) for i in range(l))
+        for k, m in enumerate(moves)
+        for j in range(l)
+    ]
 
 
 def l_eff_quotient(rs: FiniteRootSystem):
@@ -554,19 +516,19 @@ def l_eff_quotient(rs: FiniteRootSystem):
     Returns (fp, images): fp is the FPAbelianGroup of the quotient and
     images maps each root index to its torsion coordinates there.
     """
-    fp = FPAbelianGroup(rs.rank, _moved_basis_vectors(rs._basis_reflections))
+    fp = FPAbelianGroup(rs.rank, _moved_basis_vectors(rs.cartan))
     images = {i: fp.project(rs.roots[i])[1] for i in range(len(rs.roots))}
     return fp, images
 
 
 def l_eff_lattice(rs: FiniteRootSystem) -> list[Vector]:
     """Hermite basis of the sublattice spanned by v.l - l in root coordinates."""
-    return hermite_rows(_moved_basis_vectors(rs._basis_reflections))
+    return hermite_rows(_moved_basis_vectors(rs.cartan))
 
 
 def coroot_l_eff_lattice(rs: FiniteRootSystem) -> list[Vector]:
     """Same as l_eff_lattice but on the coroot lattice."""
-    return hermite_rows(_moved_basis_vectors(rs._basis_coreflections))
+    return hermite_rows(_moved_basis_vectors(rs.coroot_moves))
 
 
 def invariant_form(rs: FiniteRootSystem) -> Matrix:

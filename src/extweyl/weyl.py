@@ -30,6 +30,7 @@ from extweyl.intlinalg import (
     Vector,
     check_quotient_index,
     coset_residues,
+    dot,
     freeze,
     hermite_rows,
     is_zero_mat,
@@ -351,17 +352,16 @@ class AbKGroup:
                     gens.append(tuple(x for row in mat for x in row))
         basis = hermite_rows(gens)
         self._k_basis = freeze(basis)
+        # r_k moves coroot coordinate k only, by the move row m_k: so
+        # b - b.r_k^T is zero except column k, which holds <m_k, b_a> in
+        # row a
         eff_rows = []
         for b in basis:
-            mat = [list(b[a * l : (a + 1) * l]) for a in range(n)]
-            for k in range(l):
-                r = rs._basis_coreflections[k]
-                moved = mat_mul(freeze(mat), transpose(r))
-                diff = tuple(
-                    mat[a][c] - moved[a][c] for a in range(n) for c in range(l)
-                )
-                coords = self._coords(diff)
-                eff_rows.append(coords)
+            rows = [b[a * l : (a + 1) * l] for a in range(n)]
+            for k, m in enumerate(rs.coroot_moves):
+                shift = [dot(m, row) for row in rows]
+                diff = tuple(shift[a] * (c == k) for a in range(n) for c in range(l))
+                eff_rows.append(self._coords(diff))
         self.fp = FPAbelianGroup(len(basis), eff_rows)
 
     def _coords(self, flat: Vector) -> Vector:

@@ -2,7 +2,7 @@ import json
 import pathlib
 
 from extweyl import lattice_algebra
-from extweyl.intlinalg import lattice_contains, hermite_rows
+from extweyl.intlinalg import lattice_contains, hermite_rows, transpose
 from extweyl.lattice_algebra import (
     BoxForm,
     box_quotient,
@@ -251,11 +251,12 @@ def test_streamed_relations_know_their_count(monkeypatch):
 
 def _dense_coinvariant_relations(rs, left, right):
     """The l^3 rows (v.e_i) (x) (v.e_j) - e_i (x) e_j, v a simple reflection,
-    each made from the full reflection matrices, zero rows included."""
+    each made from the full matrices of weyl_generator, zero rows included."""
     l = rs.rank
-    _, refl_left = lattice_algebra._side_data(rs, left)
-    _, refl_right = lattice_algebra._side_data(rs, right)
-    for a, b in zip(refl_left, refl_right):
+    for base in rs.basis:
+        w = rs.weyl_generator(base)
+        matrices = {"root": w.matrix, "coroot": transpose(w.coroot_images)}
+        a, b = matrices[left], matrices[right]
         for i in range(l):
             for j in range(l):
                 row = [0] * (l * l)
@@ -324,8 +325,8 @@ def test_box_form_invariance():
         f = boxtimes_form(rs)
         from extweyl.intlinalg import mat_mul
 
-        for k in range(rs.rank):
-            m = rs._basis_coreflections[k]
+        for b in rs.basis:
+            m = transpose(rs.weyl_generator(b).coroot_images)
             assert mat_mul(mat_mul(tuple(zip(*m)), f.gram), m) == f.gram
 
 

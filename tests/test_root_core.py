@@ -3,7 +3,19 @@ import random
 import pytest
 
 from extweyl import root_core
-from extweyl.intlinalg import determinant, dot, identity, mat_inv, mat_mul, mat_vec, transpose
+from extweyl.intlinalg import (
+    Matrix,
+    Vector,
+    determinant,
+    dot,
+    freeze,
+    identity,
+    mat_inv,
+    mat_mul,
+    mat_vec,
+    transpose,
+    vec_mat,
+)
 from extweyl.root_core import (
     EXTRALONG,
     LONG,
@@ -18,7 +30,6 @@ from extweyl.root_core import (
     k_delta,
     l_eff_quotient,
     pairing_value_sets,
-    reflection_pair,
 )
 from extweyl.verify import suite_cocycle, sweep_types, word_test_systems
 
@@ -215,8 +226,8 @@ def test_invariant_form_invariance_and_perp():
     for fam, rk in [("A", 2), ("B", 3), ("G", 2), ("D", 4)]:
         rs = build(fam, rk)
         f = invariant_form(rs)
-        for k in range(rs.rank):
-            m = rs._basis_reflections[k]
+        for b in rs.basis:
+            m = rs.weyl_generator(b).matrix
             # m^T f m == f
             lhs = mat_mul(mat_mul(tuple(zip(*m)), f), m)
             assert lhs == f
@@ -354,10 +365,33 @@ def test_root_tables_match_slow_paths(fam, rank):
             assert rs.perpendicular(i, j) == (not same and c == 0)
 
 
+def reflection_pair(
+    pairing_matrix: Matrix, root: Vector, coroot: Vector
+) -> tuple[Matrix, Matrix]:
+    """The reflection in a root as matrices on root and on coroot coordinates.
+
+    x -> x - <alpha^vee, x> alpha and y -> y - <y, alpha> alpha^vee, with
+    <y, x> = y . pairing_matrix . x; the two act in lockstep, so the
+    pairing stays invariant.
+    """
+    row = vec_mat(coroot, pairing_matrix)
+    col = mat_vec(pairing_matrix, root)
+    n = len(root)
+    return (
+        freeze([[int(r == c) - root[r] * row[c] for c in range(n)] for r in range(n)]),
+        freeze([[int(r == c) - coroot[r] * col[c] for c in range(n)] for r in range(n)]),
+    )
+
+
+def _unit(l, j):
+    return tuple(int(i == j) for i in range(l))
+
+
 @pytest.mark.parametrize("fam,rank", TABLE_TYPES)
 def test_reflection_pairs_match_tables(fam, rank):
     # the matrices read off weyl_generator's permutation follow the
-    # reflection table and equal the simple reflections built in __init__
+    # reflection table, equal the reflection_pair matrices, and the move
+    # tables reproduce them on every unit vector
     rs = build(fam, rank)
     for i in range(len(rs.roots)):
         w = rs.weyl_generator(i)
@@ -367,10 +401,34 @@ def test_reflection_pairs_match_tables(fam, rank):
             assert mat_vec(comatrix, rs.coroots[j]) == rs.coroots[k]
     for k, b in enumerate(rs.basis):
         w = rs.weyl_generator(b)
-        assert (rs._basis_reflections[k], rs._basis_coreflections[k]) == (
-            w.matrix,
-            transpose(w.coroot_images),
+        matrix, comatrix = w.matrix, transpose(w.coroot_images)
+        assert reflection_pair(rs.pairing_matrix, rs.roots[b], rs.coroots[b]) == (
+            matrix,
+            comatrix,
         )
+        for j in range(rank):
+            e = _unit(rank, j)
+            for moves, m in ((rs.cartan, matrix), (rs.coroot_moves, comatrix)):
+                moved = tuple(x - moves[k][j] * y for x, y in zip(e, _unit(rank, k)))
+                assert moved == mat_vec(m, e)
+    assert rs.coroot_moves == (
+        rs.cartan if fam == "BC" and rank >= 2 else transpose(rs.cartan)
+    )
+
+
+@pytest.mark.parametrize("fam,rank", TABLE_TYPES)
+def test_moved_basis_vectors_match_the_generator_matrices(fam, rank):
+    # v.e_j - e_j with v the simple reflections, read off the matrices of
+    # weyl_generator, on both lattices
+    rs = build(fam, rank)
+    for moves, side in ((rs.cartan, "root"), (rs.coroot_moves, "coroot")):
+        want = []
+        for b in rs.basis:
+            w = rs.weyl_generator(b)
+            m = w.matrix if side == "root" else transpose(w.coroot_images)
+            for j in range(rank):
+                want.append(tuple(m[i][j] - int(i == j) for i in range(rank)))
+        assert root_core._moved_basis_vectors(moves) == want, side
 
 
 def _matrix_pair(rs, word):

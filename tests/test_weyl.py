@@ -14,9 +14,11 @@ from extweyl.ext_root import (
     validate,
 )
 from extweyl.intlinalg import (
+    FPAbelianGroup,
     QuotientTooLarge,
     coset_residues,
     determinant,
+    freeze,
     hermite_rows,
     identity,
     is_zero_mat,
@@ -33,7 +35,6 @@ from extweyl.root_core import (
     build,
     coxeter_evaluate,
     k_delta,
-    reflection_pair,
 )
 from extweyl.verify import orbit_configurations, suite_orbits, word_test_systems
 from extweyl.weyl import (
@@ -63,6 +64,7 @@ from extweyl.weyl import (
 )
 
 from test_ext_root import _refined_to_k_squared, _swapped_b2, _untame_b2
+from test_root_core import reflection_pair
 
 
 def b2():
@@ -573,6 +575,30 @@ def test_ab_k_cases():
     for ers, want in cases:
         assert AbKGroup(ers).descriptor() == want
         assert expected_ab_k_descriptor(ers) == want
+
+
+def _ab_k_by_matrices(ers, abk):
+    """K_eff of AbKGroup's K basis by the matrix formula b - b.r_k^T,
+    r_k the reflection_pair matrix of the k-th simple root on coroot
+    coordinates."""
+    rs = ers.delta
+    n, l = ers.n, rs.rank
+    rows = []
+    for b in abk._k_basis:
+        mat = freeze([b[a * l : (a + 1) * l] for a in range(n)])
+        for base in rs.basis:
+            _, r = reflection_pair(rs.pairing_matrix, rs.roots[base], rs.coroots[base])
+            moved = mat_mul(mat, transpose(r))
+            rows.append(
+                abk._coords(tuple(mat[a][c] - moved[a][c] for a in range(n) for c in range(l)))
+            )
+    return FPAbelianGroup(len(abk._k_basis), rows)
+
+
+def test_ab_k_relations_match_the_matrix_formula():
+    for name, ers in word_test_systems():
+        abk = AbKGroup(ers)
+        assert abk.fp.relations == _ab_k_by_matrices(ers, abk).relations, name
 
 
 def test_decide_word_examples():
