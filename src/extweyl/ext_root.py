@@ -31,6 +31,7 @@ from extweyl.intlinalg import (
     mat_vec,
     smith_normal_form,
     solve_integer,
+    sparse_rows,
     transpose,
     vec_mat,
     vec_scale,
@@ -88,7 +89,7 @@ class SSet:
     """
 
     def __init__(self, h_basis, cosets):
-        hnf = hermite_rows(h_basis)
+        hnf = hermite_rows(len(h_basis[0]) if h_basis else 0, sparse_rows(h_basis))
         n = len(hnf[0]) if hnf else 0
         if len(hnf) != n:
             raise ExtRootError("H must be a full-rank sublattice")
@@ -109,11 +110,11 @@ class SSet:
     @cached_property
     def span(self) -> tuple[Vector, ...]:
         """Hermite basis of the lattice generated by the whole set."""
-        return tuple(hermite_rows(list(self.h_basis) + list(self.cosets)))
+        return tuple(hermite_rows(self.rank, sparse_rows(self.h_basis + self.cosets)))
 
     def rebase(self, h_basis) -> "SSet":
         """Express the same set over a finer modulus (h_basis inside H)."""
-        fine = hermite_rows(h_basis)
+        fine = hermite_rows(self.rank, sparse_rows(h_basis))
         if not lattice_subset(fine, self.h_basis):
             raise ExtRootError("new modulus must refine the old one")
         return SSet(fine, coset_residues(fine, self.cosets, self.h_basis))
@@ -290,7 +291,7 @@ class ExtRootSystem:
             for alpha in rs.basis:
                 g = gcd(*(m for m, c in zip(rs.pairing_table[alpha], rs.lengths) if c == cls))
                 rows += [vec_scale(g, r) for r in self.s_of_root(alpha).span]
-            out[cls] = hermite_rows(rows)
+            out[cls] = hermite_rows(self.n, sparse_rows(rows))
         return out
 
     @cached_property
@@ -419,7 +420,7 @@ def validate(ers: ExtRootSystem) -> ValidationReport:
         rep.add(f"R0' ({cls} nonempty)", len(ers.s_sets[cls].cosets) > 0)
 
     spans = {c: s.span for c, s in ers.s_sets.items()}
-    full = hermite_rows([r for span in spans.values() for r in span])
+    full = hermite_rows(n, sparse_rows(r for span in spans.values() for r in span))
     ok = len(full) == n and all(
         lattice_contains(full, tuple(int(i == j) for i in range(n))) for j in range(n)
     )
@@ -566,7 +567,7 @@ def _members_in_subspace(sset: SSet, idx: set[int], n: int) -> tuple[set[Vector]
         if sol is not None:
             met.add(c)
             gens.append(tuple(x + y for x, y in zip(c, vec_mat(sol, sset.h_basis))))
-    return met, hermite_rows(gens)
+    return met, hermite_rows(n, sparse_rows(gens))
 
 
 def check_twist(ers: ExtRootSystem) -> ValidationReport:
@@ -629,19 +630,19 @@ def check_twist(ers: ExtRootSystem) -> ValidationReport:
     )
     rep.add(
         "(iii) <G2 cap S_lg> = G2",
-        hermite_rows(span_lg_cap_g2) == hermite_rows(g2_gens),
+        span_lg_cap_g2 == hermite_rows(n, sparse_rows(g2_gens)),
     )
     rep.add(
         "(iv) <G1 cap S_sh> = G1",
-        hermite_rows(span_sh_cap_g1) == hermite_rows(g1_gens),
+        span_sh_cap_g1 == hermite_rows(n, sparse_rows(g1_gens)),
     )
     rep.add(
         "(v) <S_sh> = G1 + G2",
-        ers.s_sets[SHORT].span == tuple(hermite_rows(g1_gens + g2_gens)),
+        ers.s_sets[SHORT].span == tuple(hermite_rows(n, sparse_rows(g1_gens + g2_gens))),
     )
     rep.add(
         "(v) <S_lg> = k*G1 + G2",
-        ers.s_sets[LONG].span == tuple(hermite_rows(k_g1 + g2_gens)),
+        ers.s_sets[LONG].span == tuple(hermite_rows(n, sparse_rows(k_g1 + g2_gens))),
     )
     return rep
 
@@ -706,7 +707,7 @@ def trim(ers: ExtRootSystem) -> TrimResult:
     span_gens: list[Vector] = []
     for s in new_raw.values():
         span_gens.extend(s.span)
-    g_matrix = freeze(hermite_rows(span_gens))
+    g_matrix = freeze(hermite_rows(n, sparse_rows(span_gens)))
     if len(g_matrix) != n:
         raise ExtRootError("trimmed slices do not span a finite-index subgroup")
 

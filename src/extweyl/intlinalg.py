@@ -3,9 +3,11 @@
 Vectors are tuples of ints, matrices are tuples of row tuples.  All
 arithmetic uses Python's arbitrary-precision integers; intermediate
 entries in eliminations may grow and that is fine at the scales this
-package works with (matrices of a few hundred rows).  Internally the
-Hermite reduction keeps rows sparse, as relation rows are mostly zero,
-but every vector passed in or returned is a tuple.
+package works with (matrices of a few hundred rows).  Relation rows are
+mostly zero, so the Hermite reduction and the presentations built on it
+take each row as the {column: entry} dict of its nonzero entries, with
+the width passed in; `sparse_rows` turns dense rows into that form.
+Everything returned is a tuple.
 """
 
 from __future__ import annotations
@@ -13,10 +15,11 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import compress
 from math import prod
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 Vector = tuple[int, ...]
 Matrix = tuple[Vector, ...]
+SparseRow = Mapping[int, int]
 
 
 def freeze(rows: Sequence[Sequence[int]]) -> Matrix:
@@ -278,16 +281,22 @@ def solve_integer(m: Sequence[Sequence[int]], w: Sequence[int]) -> Vector | None
 # ---------------------------------------------------------------------------
 
 
-def hermite_rows(rows: Iterable[Sequence[int]]) -> list[Vector]:
+def sparse_rows(rows: Iterable[Sequence[int]]) -> list[dict[int, int]]:
+    """Each dense row as the {column: entry} dict of its nonzero entries."""
+    return [dict(compress(enumerate(row), row)) for row in rows]
+
+
+def hermite_rows(width: int, rows: Iterable[SparseRow]) -> list[Vector]:
     """Canonical echelon basis of the integer row span of `rows`.
 
+    Each row is a {column: entry} mapping of its nonzero entries, columns
+    in range(width); the basis comes back as dense tuples of that width.
     Rows come back with strictly increasing pivot columns, positive
     pivots, and entries above each pivot reduced into [0, pivot).  Two
     generating sets span the same lattice iff they produce identical
     output.  Rows are folded in one at a time, so large redundant
     generating sets stay cheap, and an iterator of them is never held.
-    Each row is reduced as a {column: entry} dict of its nonzero
-    entries, so a step costs the pivot row's support, not the width.
+    A step costs the pivot row's support, not the width.
     """
     def fold(r: dict[int, int], f: int, b: dict[int, int]) -> None:
         # r -= f * b, dropping the entries that cancel
@@ -299,10 +308,9 @@ def hermite_rows(rows: Iterable[Sequence[int]]) -> list[Vector]:
                 del r[k]
 
     pivots: dict[int, dict[int, int]] = {}
-    width = 0
     for row in rows:
-        width = len(row)
-        r = dict(compress(enumerate(row), row))
+        # a copy: folding rewrites it, and it may become a pivot row
+        r = dict(row)
         while r:
             pcol = min(r)
             b = pivots.get(pcol)
@@ -376,7 +384,7 @@ def lattice_intersection(
     for w in lk:
         u = w[: len(a)]
         gens.append(vec_mat(u, freeze(a)))
-    return hermite_rows(gens)
+    return hermite_rows(len(a[0]), sparse_rows(gens))
 
 
 MAX_QUOTIENT_INDEX = 4096
@@ -417,7 +425,7 @@ def coset_residues(
     gens = [r for r in (lattice_reduce(hnf, g) for g in gens) if any(r)]
     if not gens:
         return {lattice_reduce(hnf, c) for c in cosets}
-    big = hermite_rows([*hnf, *gens])
+    big = hermite_rows(n, sparse_rows([*hnf, *gens]))
     offsets = [(0,) * n]
     for i, row in enumerate(big):
         offsets = [
@@ -439,15 +447,16 @@ class FPAbelianGroup:
     The canonical form (free rank plus invariant factors d1 | d2 | ...)
     comes from the Smith normal form of the relation matrix; the
     projection map sends a generator-coordinate vector to its image in
-    Z^rank x prod Z_{di}.  Relation entries must be ints; like the Smith
+    Z^rank x prod Z_{di}.  Relations are {column: entry} rows, as
+    `hermite_rows` takes them, with int entries; like the Smith
     reduction, the presentation copies them without converting them.
     """
 
-    def __init__(self, n_generators: int, relations: Iterable[Sequence[int]]):
+    def __init__(self, n_generators: int, relations: Iterable[SparseRow]):
         # reduce the (possibly huge, redundant) relations to a lattice
         # basis first, one row at a time; the Smith reduction then works
         # on a matrix no larger than n_generators squared
-        rel = hermite_rows(relations)
+        rel = hermite_rows(n_generators, relations)
         rel_matrix: Matrix = tuple(rel) if rel else zeros(0, n_generators)
         self.relations = rel_matrix
         # quotient Z^n / im(rel^T): run SNF on the transpose so the

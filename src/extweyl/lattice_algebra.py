@@ -21,7 +21,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import chain
 from math import gcd
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from extweyl.intlinalg import (
     FPAbelianGroup,
@@ -68,61 +68,81 @@ class _Rows:
     that know their number: len() counts them without making them (the
     benchmark's tracer records it per presentation)."""
 
-    def __init__(self, count: int, rows: Iterator[Sequence[int]]):
+    def __init__(self, count: int, rows: Iterator[dict[int, int]]):
         self.count, self.rows = count, rows
 
     def __len__(self) -> int:
         return self.count
 
-    def __iter__(self) -> Iterator[Sequence[int]]:
+    def __iter__(self) -> Iterator[dict[int, int]]:
         return self.rows
 
 
 def _coinvariant_relations(rs: FiniteRootSystem, left: str, right: str) -> _Rows:
-    """The nonzero rows (v.e_i) (x) (v.e_j) - e_i (x) e_j, v a simple reflection.
+    """{column: entry} rows spanning the (v.e_i) (x) (v.e_j) - e_i (x) e_j,
+    v a simple reflection.
 
     The simple reflection v = r_k moves coordinate k only, on either
     side: v.e_i = e_i - a_i e_k and v.e_j = e_j - b_j e_k, a and b being
     row k of the left and right move tables (see `_side_data`), with
     a_k = b_k = 2 since v negates its own root.  So the row is
     -a_i e_k(x)e_j - b_j e_i(x)e_k + a_i b_j e_k(x)e_k, at most three
-    entries.  It is zero exactly when a_i = b_j = 0, or when i = j = k
-    ((-e_k) (x) (-e_k) = e_k (x) e_k); those rows are skipped, which
-    leaves l^2 - 1 - #{i : a_i = 0} * #{j : b_j = 0} rows per k.
+    entries.  Where a_i = 0 the rows over j are the -b_j e_i(x)e_k, which
+    span gcd(b) e_i(x)e_k, so that one row stands for them; likewise
+    gcd(a) e_k(x)e_j for each j with b_j = 0.  The rows with a_i and b_j
+    both nonzero are never zero except at i = j = k ((-e_k) (x) (-e_k) =
+    e_k (x) e_k), which is skipped.  That leaves z_a + z_b + (l - z_a)(l
+    - z_b) - 1 rows per k, z_a and z_b being the numbers of zeros in a
+    and b.
     """
     l = rs.rank
     _, moves_left = _side_data(rs, left)
     _, moves_right = _side_data(rs, right)
     moves = list(zip(moves_left, moves_right))
 
-    def rows() -> Iterator[list[int]]:
+    def rows() -> Iterator[dict[int, int]]:
         for k, (a, b) in enumerate(moves):
-            for i in range(l):
-                for j in range(l):
-                    if (a[i] or b[j]) and not i == j == k:
-                        row = [0] * (l * l)
-                        row[_tensor_index(l, k, j)] -= a[i]
-                        row[_tensor_index(l, i, k)] -= b[j]
-                        row[_tensor_index(l, k, k)] += a[i] * b[j]
-                        yield row
+            kl, kk = k * l, k * l + k
+            ga, gb = gcd(*a), gcd(*b)
+            live_b = []
+            for j, y in enumerate(b):
+                if not y:
+                    yield {kl + j: ga}
+                elif j != k:
+                    live_b.append((j, y))
+            for i, x in enumerate(a):
+                if not x:
+                    yield {i * l + k: gb}
+                elif i == k:
+                    # -2 e_k(x)e_j - b_j e_k(x)e_k + 2 b_j e_k(x)e_k
+                    for j, y in live_b:
+                        yield {kl + j: -2, kk: y}
+                else:
+                    ik = i * l + k
+                    # j = k: -a_i e_k(x)e_k - 2 e_i(x)e_k + 2 a_i e_k(x)e_k
+                    yield {ik: -2, kk: x}
+                    for j, y in live_b:
+                        yield {kl + j: -x, ik: -y, kk: x * y}
 
-    count = sum(l * l - 1 - a.count(0) * b.count(0) for a, b in moves)
+    count = 0
+    for a, b in moves:
+        za, zb = a.count(0), b.count(0)
+        count += za + zb + (l - za) * (l - zb) - 1
     return _Rows(count, rows())
 
 
-def _tensor_of(rs: FiniteRootSystem, left: str, right: str, i: int, j: int) -> Vector:
+def _tensor_of(
+    rs: FiniteRootSystem, left: str, right: str, i: int, j: int
+) -> dict[int, int]:
+    """The tensor of root i (left) and root j (right) as a {column: entry} row."""
     l = rs.rank
     vec_left, _ = _side_data(rs, left)
     vec_right, _ = _side_data(rs, right)
-    x, y = vec_left[i], vec_right[j]
-    row = [0] * (l * l)
-    for p in range(l):
-        if x[p] == 0:
-            continue
-        for q in range(l):
-            if y[q]:
-                row[_tensor_index(l, p, q)] += x[p] * y[q]
-    return tuple(row)
+    return {
+        p * l + q: x * y
+        for p, x in enumerate(vec_left[i]) if x
+        for q, y in enumerate(vec_right[j]) if y
+    }
 
 
 def coinvariants(rs: FiniteRootSystem, left: str, right: str) -> FPAbelianGroup:
@@ -159,26 +179,36 @@ def _perp_relation_pairs(rs: FiniteRootSystem, left: str, right: str):
     classes: dict[str, list[int]] = {}
     for i in pool:
         classes.setdefault(rs.lengths[i], []).append(i)
+    roots, index = rs.roots, rs._index
     for members in classes.values():
-        theta = max(members, key=lambda i: sum(rs.roots[i]))
-        top = rs.roots[theta]
+        theta = max(members, key=lambda i: sum(roots[i]))
+        top = roots[theta]
         # row k of `cartan` is <alpha_k^vee, .>, r_k's move row, and (theta | .)
-        # vanishes where <theta^vee, .> does: no per-root table is built
-        fixing = [(k, row) for k, row in enumerate(rs.cartan) if dot(row, top) == 0]
-        form = mat_vec(rs._gram, top)
+        # vanishes where <theta^vee, .> does: no per-root table is built.
+        # Both are read through their nonzero entries, the moves' 2-4 and
+        # the 1-2 of gram.theta
+        fixing = [
+            (k, [(c, m) for c, m in enumerate(row) if m])
+            for k, row in enumerate(rs.cartan)
+            if dot(row, top) == 0
+        ]
+        form = [(c, f) for c, f in enumerate(mat_vec(rs._gram, top)) if f]
         seen: set[int] = set()
         for j in pool:
-            if j in seen or dot(form, rs.roots[j]):
+            if j in seen:
+                continue
+            x = roots[j]
+            if sum(f * x[c] for c, f in form):
                 continue
             yield theta, j
             seen.add(j)
             orbit = [j]
             while orbit:
-                x = rs.roots[orbit.pop()]
-                for k, row in fixing:
-                    s = dot(row, x)
+                x = roots[orbit.pop()]
+                for k, move in fixing:
+                    s = sum(m * x[c] for c, m in move)
                     if s:
-                        y = rs._index[x[:k] + (x[k] - s,) + x[k + 1:]]
+                        y = index[x[:k] + (x[k] - s,) + x[k + 1:]]
                         if y not in seen:
                             seen.add(y)
                             orbit.append(y)

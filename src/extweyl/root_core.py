@@ -30,6 +30,7 @@ from extweyl.intlinalg import (
     mat_vec,
     hermite_rows,
     lattice_contains,
+    sparse_rows,
     transpose,
     vec_sub,
 )
@@ -41,8 +42,9 @@ EXTRALONG = "extralong"
 FAMILIES = ("A", "B", "C", "D", "E", "F", "G", "BC")
 
 # the largest rank any type may have: building a rank-24 system takes
-# about 0.2 s on a 2-vCPU x86-64 host, `tensor-type` at rank 24 about 3 s,
-# and the root count and tables grow as rank^2 and rank^4
+# about 0.2 s on a 2-vCPU x86-64 host, `tensor-type` at rank 24 at most
+# about 0.7 s as a fresh process, and the root count and tables grow as
+# rank^2 and rank^4
 MAX_RANK = 24
 
 _RANK_OK = {
@@ -516,19 +518,19 @@ def l_eff_quotient(rs: FiniteRootSystem):
     Returns (fp, images): fp is the FPAbelianGroup of the quotient and
     images maps each root index to its torsion coordinates there.
     """
-    fp = FPAbelianGroup(rs.rank, _moved_basis_vectors(rs.cartan))
+    fp = FPAbelianGroup(rs.rank, sparse_rows(_moved_basis_vectors(rs.cartan)))
     images = {i: fp.project(rs.roots[i])[1] for i in range(len(rs.roots))}
     return fp, images
 
 
 def l_eff_lattice(rs: FiniteRootSystem) -> list[Vector]:
     """Hermite basis of the sublattice spanned by v.l - l in root coordinates."""
-    return hermite_rows(_moved_basis_vectors(rs.cartan))
+    return hermite_rows(rs.rank, sparse_rows(_moved_basis_vectors(rs.cartan)))
 
 
 def coroot_l_eff_lattice(rs: FiniteRootSystem) -> list[Vector]:
     """Same as l_eff_lattice but on the coroot lattice."""
-    return hermite_rows(_moved_basis_vectors(rs.coroot_moves))
+    return hermite_rows(rs.rank, sparse_rows(_moved_basis_vectors(rs.coroot_moves)))
 
 
 def invariant_form(rs: FiniteRootSystem) -> Matrix:

@@ -39,8 +39,8 @@ from extweyl.intlinalg import (
     mat_mul,
     mat_vec,
     solve_integer,
+    sparse_rows,
     transpose,
-    vec_scale,
     zeros,
 )
 from extweyl.lattice_algebra import boxtimes_form
@@ -184,7 +184,7 @@ def default_brute_modulus(ers: ExtRootSystem) -> int:
 def slice_residues_by_class(ers: ExtRootSystem, m: int) -> dict[str, list[Vector]]:
     """The sorted image of every slice in G/mG, keyed by length class."""
     n = ers.n
-    mod_h = hermite_rows([vec_scale(m, ers.group.basis_vector(i)) for i in range(n)])
+    mod_h = hermite_rows(n, [{i: m} for i in range(n)])
     out = {}
     for cls in ers.classes():
         s = ers.s_sets[cls]
@@ -342,15 +342,19 @@ class AbKGroup:
         if not rs.rs_type.is_reduced():
             raise ExtRootError("the abelianized translation part needs a reduced type")
         n, l = ers.n, rs.rank
-        gens: list[Vector] = []
+        # the n x l matrices u (x) coroot, flattened row by row
+        gens: list[dict[int, int]] = []
         for cls in ers.classes():
             span = ers.s_sets[cls].span
             roots_in_cls = [i for i in range(len(rs.roots)) if rs.lengths[i] == cls]
             for u in span:
                 for i in roots_in_cls:
-                    mat = [[u[a] * rs.coroots[i][b] for b in range(l)] for a in range(n)]
-                    gens.append(tuple(x for row in mat for x in row))
-        basis = hermite_rows(gens)
+                    gens.append({
+                        a * l + b: x * y
+                        for a, x in enumerate(u) if x
+                        for b, y in enumerate(rs.coroots[i]) if y
+                    })
+        basis = hermite_rows(n * l, gens)
         self._k_basis = freeze(basis)
         # r_k moves coroot coordinate k only, by the move row m_k: so
         # b - b.r_k^T is zero except column k, which holds <m_k, b_a> in
@@ -362,7 +366,7 @@ class AbKGroup:
                 shift = [dot(m, row) for row in rows]
                 diff = tuple(shift[a] * (c == k) for a in range(n) for c in range(l))
                 eff_rows.append(self._coords(diff))
-        self.fp = FPAbelianGroup(len(basis), eff_rows)
+        self.fp = FPAbelianGroup(len(basis), sparse_rows(eff_rows))
 
     def _coords(self, flat: Vector) -> Vector:
         if not self._k_basis:

@@ -51,7 +51,7 @@ def test_sset_basics():
     assert s.cosets == ((0, 0), (1, 1))
     assert s.contains((4, 2)) and s.contains((3, -1))
     assert not s.contains((1, 0))
-    assert s.span == tuple(hermite_rows([[1, 1], [0, 2]]))
+    assert s.span == tuple(hermite_rows(2, [{0: 1, 1: 1}, {1: 2}]))
     assert s.same_set(SSet([[2, 0], [0, 2]], [(1, 1), (0, 0)]))
     d = s.scale(2)
     assert d.contains((2, 2)) and not d.contains((1, 1))

@@ -21,6 +21,7 @@ from extweyl.intlinalg import (
     mat_vec,
     smith_normal_form,
     solve_integer,
+    sparse_rows,
     transpose,
     zeros,
 )
@@ -37,6 +38,17 @@ small_matrix = st.integers(1, 4).flatmap(
         )
     )
 )
+
+
+def hermite_of(rows):
+    """hermite_rows of dense rows of one width (no rows, no width)."""
+    rows = list(rows)
+    return hermite_rows(len(rows[0]) if rows else 0, sparse_rows(rows))
+
+
+def dense(row, width):
+    """A {column: entry} row written out as a tuple of the given width."""
+    return tuple(row.get(k, 0) for k in range(width))
 
 
 def is_smith(d):
@@ -196,8 +208,8 @@ def test_snf_matches_full_scan_on_lattice_relations(monkeypatch):
 @settings(max_examples=100, deadline=None)
 @given(small_matrix)
 def test_hermite_is_canonical_and_spans(rows):
-    h = hermite_rows(rows)
-    assert hermite_rows(h) == h
+    h = hermite_of(rows)
+    assert hermite_of(h) == h
     for r in rows:
         assert lattice_contains(h, r)
     for b in h:
@@ -307,16 +319,62 @@ dependent_sparse_matrix = st.integers(1, 64).flatmap(_dependent_rows)
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(dense_matrix, wide_sparse_matrix, dependent_sparse_matrix))
 def test_hermite_matches_full_rows(rows):
-    assert hermite_rows(rows) == _hermite_full_rows(rows)
+    assert hermite_of(rows) == _hermite_full_rows(rows)
 
 
 def test_hermite_edge_cases():
-    assert hermite_rows([]) == []
-    assert hermite_rows(iter([])) == []
-    assert hermite_rows([[0, 0, 0]]) == []
-    # columns with no pivot, trailing ones included, keep the input width
-    assert hermite_rows([[0, 2, 0, 0], [0, -3, 0, 0]]) == [(0, 1, 0, 0)]
-    assert hermite_rows([[4, 1, 0], [6, 0, 0]]) == [(2, 2, 0), (0, 3, 0)]
+    assert hermite_rows(0, []) == []
+    assert hermite_rows(3, iter([])) == []
+    assert hermite_rows(3, [{}]) == []
+    # columns with no pivot, trailing ones included, keep the given width
+    assert hermite_rows(4, [{1: 2}, {1: -3}]) == [(0, 1, 0, 0)]
+    rows = [{0: 4, 1: 1}, {0: 6}]
+    assert hermite_rows(3, rows) == [(2, 2, 0), (0, 3, 0)]
+    # the input rows are read, never rewritten
+    assert rows == [{0: 4, 1: 1}, {0: 6}]
+    assert sparse_rows([[0, 2, 0], [0, 0, 0], [-1, 0, 3]]) == [{1: 2}, {}, {0: -1, 2: 3}]
+
+
+def _dict_row(width):
+    """A {column: entry} row of up to three entries: entries drawn at one
+    column add up, and a sum of zero is dropped, so rows may be empty."""
+    entry = st.tuples(st.integers(0, width - 1), st.integers(-6, 6))
+
+    def row(entries):
+        r = {}
+        for k, x in entries:
+            r[k] = r.get(k, 0) + x
+        return {k: x for k, x in r.items() if x}
+
+    return st.lists(entry, max_size=3).map(row)
+
+
+# a width up to 40 and {column: entry} rows for it: independent ones, or
+# dependent ones whose combinations cancel to zero; the empty stream too
+sparse_relations = st.integers(1, 40).flatmap(
+    lambda w: st.tuples(
+        st.just(w),
+        st.one_of(
+            st.lists(_dict_row(w), max_size=40),
+            _dependent_rows(w).map(sparse_rows),
+            st.just([]),
+        ),
+    )
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_relations)
+def test_hermite_on_sparse_rows_matches_full_rows_on_dense(case):
+    width, rows = case
+    full = [dense(r, width) for r in rows]
+    assert hermite_rows(width, iter(rows)) == _hermite_full_rows(full)
+    fp = FPAbelianGroup(width, iter(rows))
+    assert fp.relations == (tuple(_hermite_full_rows(full)) or zeros(0, width))
+    assert list(fp.generator_images()) == [
+        fp.project(tuple(int(i == k) for i in range(width))) for k in range(width)
+    ]
+    assert all(projects_to_zero(fp, r) for r in full)
 
 
 # up to 40 x 40 with at most 3 nonzeros a row, and transposed Hermite
@@ -329,7 +387,7 @@ sparse_smith_matrix = st.one_of(
     ),
     st.integers(1, 40)
     .flatmap(lambda w: st.one_of(_sparse_rows(w), _dependent_rows(w)))
-    .map(lambda rows: transpose(hermite_rows(rows))),
+    .map(lambda rows: transpose(hermite_of(rows))),
 )
 
 
@@ -345,10 +403,10 @@ def test_hermite_matches_full_rows_on_lattice_relations(monkeypatch):
     # on the lattice benchmark's systems, and on B8 and E8
     streams = []
 
-    def recording(rows):
+    def recording(width, rows):
         rows = list(rows)
-        streams.append(rows)
-        return hermite_rows(rows)
+        streams.append([dense(r, width) for r in rows])
+        return hermite_rows(width, rows)
 
     monkeypatch.setattr(intlinalg, "hermite_rows", recording)
     for fam, rk in sweep_types(6) + [("E", 7), ("B", 8), ("E", 8)]:
@@ -366,15 +424,16 @@ def test_hermite_matches_full_rows_on_lattice_relations(monkeypatch):
 def test_hermite_and_presentations_take_iterators(rows):
     # relations may be streamed: an iterator of them gives the same
     # echelon basis and the same group as the list
-    assert hermite_rows(iter(rows)) == hermite_rows(rows)
     n = len(rows[0])
+    rows = sparse_rows(rows)
+    assert hermite_rows(n, iter(rows)) == hermite_rows(n, rows)
     streamed, listed = FPAbelianGroup(n, iter(rows)), FPAbelianGroup(n, rows)
     assert streamed.descriptor() == listed.descriptor()
     assert list(streamed.generator_images()) == list(listed.generator_images())
 
 
 def test_lattice_reduce_canonical():
-    h = hermite_rows([[2, 0], [0, 3]])
+    h = hermite_of([[2, 0], [0, 3]])
     assert lattice_reduce(h, (5, 7)) == (1, 1)
     assert lattice_reduce(h, (-1, -1)) == (1, 2)
     assert lattice_contains(h, (4, -3))
@@ -402,7 +461,7 @@ def _full_rank_lattice(n, diagonal):
         rows = st.lists(
             st.lists(st.integers(-9, 9), min_size=n, max_size=n), min_size=n, max_size=n
         ).filter(lambda r: determinant(freeze(r)) != 0)
-    return rows.map(hermite_rows)
+    return rows.map(hermite_of)
 
 
 lattice_and_vector = st.integers(1, 4).flatmap(
@@ -428,17 +487,17 @@ def test_lattice_reduce_matches_generator_oracle(case):
 
 
 def test_lattice_intersection():
-    a = hermite_rows([[2, 0], [0, 1]])
-    b = hermite_rows([[1, 0], [0, 3]])
+    a = hermite_of([[2, 0], [0, 1]])
+    b = hermite_of([[1, 0], [0, 3]])
     got = lattice_intersection(a, b)
-    assert got == hermite_rows([[2, 0], [0, 3]])
+    assert got == hermite_of([[2, 0], [0, 3]])
 
 
 def test_quotient_reps():
-    h = hermite_rows([[2, 0], [0, 2]])
+    h = hermite_of([[2, 0], [0, 2]])
     reps = coset_residues(h, [(0, 0)], identity(2))
     assert sorted(reps) == [(0, 0), (0, 1), (1, 0), (1, 1)]
-    h2 = hermite_rows([[1, 1], [0, 2]])
+    h2 = hermite_of([[1, 1], [0, 2]])
     assert len(coset_residues(h2, [(0, 0)], identity(2))) == 2
 
 
@@ -489,13 +548,13 @@ def test_coset_residues_matches_bfs(case):
 
 def test_coset_residues_index_cap():
     assert MAX_QUOTIENT_INDEX == 2 ** 12
-    at_cap = hermite_rows([[2 ** 12, 0], [0, 1]])
+    at_cap = hermite_of([[2 ** 12, 0], [0, 1]])
     assert len(coset_residues(at_cap, [(0, 0)], identity(2))) == 2 ** 12
-    over = hermite_rows([[2 * (i == j) for j in range(13)] for i in range(13)])
+    over = hermite_of([[2 * (i == j) for j in range(13)] for i in range(13)])
     with pytest.raises(QuotientTooLarge, match="index 8192 exceeds the cap 4096"):
         coset_residues(over, [])
     with pytest.raises(ValueError, match="full-rank"):
-        coset_residues(hermite_rows([[2, 0]]), [(0, 0)])
+        coset_residues(hermite_of([[2, 0]]), [(0, 0)])
 
 
 def test_kernel_basis():
@@ -527,7 +586,7 @@ def projects_to_zero(fp, coords):
 
 def test_fp_abelian_group_basic():
     # Z^2 / <(2,0),(0,3)> = Z2 x Z3 -> invariant factor 6 after SNF
-    fp = FPAbelianGroup(2, [(2, 0), (0, 3)])
+    fp = FPAbelianGroup(2, [{0: 2}, {1: 3}])
     assert fp.free_rank == 0
     assert sorted(fp.torsion) == [6]
     assert fp.descriptor() == "Z6"
@@ -539,7 +598,7 @@ def test_fp_abelian_group_free():
     fp = FPAbelianGroup(3, [])
     assert fp.free_rank == 3
     assert fp.torsion == ()
-    fp2 = FPAbelianGroup(2, [(2, 2)])
+    fp2 = FPAbelianGroup(2, [{0: 2, 1: 2}])
     assert fp2.free_rank == 1
     assert fp2.torsion == (2,)
     assert fp2.descriptor() == "Z x Z2"

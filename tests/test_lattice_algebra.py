@@ -2,7 +2,7 @@ import json
 import pathlib
 
 from extweyl import lattice_algebra
-from extweyl.intlinalg import lattice_contains, hermite_rows, transpose
+from extweyl.intlinalg import lattice_contains, hermite_rows, sparse_rows, transpose
 from extweyl.lattice_algebra import (
     BoxForm,
     box_quotient,
@@ -24,7 +24,7 @@ from extweyl.root_core import (
 )
 from extweyl.verify import sweep_types
 
-from test_intlinalg import projects_to_zero
+from test_intlinalg import dense, hermite_of, projects_to_zero
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "tensor_types.json"
 
@@ -63,12 +63,12 @@ def test_root_combination_identities():
     for fam, rk in [("A", 2), ("B", 2), ("G", 2)]:
         rs = build(fam, rk)
         fp = coinvariants(rs, "root", "root")
-        n = len(rs.roots)
+        n, w = len(rs.roots), rs.rank * rs.rank
         for a in range(n):
-            ta = _tensor_of(rs, "root", "root", a, a)
+            ta = dense(_tensor_of(rs, "root", "root", a, a), w)
             for b in range(n):
                 m = rs.pairing(a, rs.roots[b])
-                tab = _tensor_of(rs, "root", "root", a, b)
+                tab = dense(_tensor_of(rs, "root", "root", a, b), w)
                 diff = tuple(2 * x - m * y for x, y in zip(tab, ta))
                 assert projects_to_zero(fp, diff)
 
@@ -80,7 +80,7 @@ def test_nonadjacent_basis_tensors_vanish():
     i, k = rs.basis[0], rs.basis[2]
     assert rs.pairing(i, rs.roots[k]) == 0
     t = _tensor_of(rs, "root", "root", i, k)
-    assert projects_to_zero(fp, t)
+    assert projects_to_zero(fp, dense(t, l * l))
 
 
 def test_generating_set_claim():
@@ -89,18 +89,19 @@ def test_generating_set_claim():
         rs = build(fam, rk)
         fp = coinvariants(rs, "root", "root")
         shorts = [i for i in range(len(rs.roots)) if rs.lengths[i] == SHORT]
+        w = rs.rank * rs.rank
         images = []
         for a in shorts:
-            images.append(fp.project(_tensor_of(rs, "root", "root", a, a)))
+            images.append(fp.project(dense(_tensor_of(rs, "root", "root", a, a), w)))
             for b in range(len(rs.roots)):
                 rb = rs.index_of(rs.reflect(b, rs.roots[a]))
-                images.append(fp.project(_tensor_of(rs, "root", "root", a, rb)))
+                images.append(fp.project(dense(_tensor_of(rs, "root", "root", a, rb), w)))
         # the image subgroup of Z^free x prod Z_d must be everything
         width = fp.free_rank + len(fp.torsion)
         rows = [list(f) + list(t) for f, t in images]
         for i, d in enumerate(fp.torsion):
             rows.append([0] * fp.free_rank + [0] * i + [d] + [0] * (len(fp.torsion) - i - 1))
-        h = hermite_rows(rows)
+        h = hermite_of(rows)
         for j in range(width):
             assert lattice_contains(h, tuple(int(t == j) for t in range(width)))
 
@@ -267,16 +268,19 @@ def _dense_coinvariant_relations(rs, left, right):
                 yield row
 
 
-def test_coinvariant_relations_are_the_nonzero_dense_rows():
-    # every type through rank 8, E6-E8, F4, G2 and BC1-BC8 included
+def test_coinvariant_relations_span_the_nonzero_dense_rows():
+    # every type through rank 8, E6-E8, F4, G2 and BC1-BC8 included: the
+    # gcd rows are 2 e_i (x) e_k on B, C and BC, and 3 e_i (x) e_k on G2
     for fam, rk in sweep_types(8):
         rs = build(fam, rk)
+        w = rs.rank * rs.rank
         for pair in SIDES:
             rels = lattice_algebra._coinvariant_relations(rs, *pair)
             rows = list(rels)
             assert len(rels) == len(rows), (fam, rk, pair)
+            assert all(1 <= len(r) <= 3 and all(r.values()) for r in rows), (fam, rk, pair)
             want = [r for r in _dense_coinvariant_relations(rs, *pair) if any(r)]
-            assert rows == want, (fam, rk, pair)
+            assert hermite_rows(w, rows) == hermite_rows(w, sparse_rows(want)), (fam, rk, pair)
 
 
 def test_streamed_relations_know_their_count_through_rank_8(monkeypatch):
@@ -363,14 +367,14 @@ def test_lattice_embedding_chain():
         rs = build(fam, rk)
         k = k_delta(rs.rs_type)
         phi = lattice_embedding_matrix(rs)
-        image = hermite_rows(list(zip(*phi)))
+        image = hermite_rows(rs.rank, sparse_rows(zip(*phi)))
         l = rs.rank
         for j in range(l):
             scaled = tuple(k * int(i == j) for i in range(l))
             assert lattice_contains(image, scaled)
         # the image is the span of the short-root coroots
         shorts = hermite_rows(
-            [rs.coroots[i] for i in range(len(rs.roots)) if rs.lengths[i] == SHORT]
+            l, sparse_rows(rs.coroots[i] for i in range(len(rs.roots)) if rs.lengths[i] == SHORT)
         )
         assert image == shorts
 

@@ -4,7 +4,15 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from extweyl.ext_root import ExtRootError, fully_extended, span_extended
-from extweyl.intlinalg import hermite_rows, is_zero_mat, lattice_contains, mat_vec, outer, transpose
+from extweyl.intlinalg import (
+    hermite_rows,
+    is_zero_mat,
+    lattice_contains,
+    mat_vec,
+    outer,
+    sparse_rows,
+    transpose,
+)
 from extweyl.lattice_algebra import lattice_embedding_matrix
 from extweyl.refl_groups import (
     ClosureCapError,
@@ -254,7 +262,7 @@ def k_in_twist_decomposition(ers, k):
     embedding, so rows indexed by G1 must lie in that sublattice.
     """
     phi = lattice_embedding_matrix(ers.delta)
-    image = hermite_rows(list(transpose(phi)))
+    image = hermite_rows(ers.delta.rank, sparse_rows(transpose(phi)))
     return all(lattice_contains(image, k[i]) for i in ers.group.g1)
 
 

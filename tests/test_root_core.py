@@ -308,13 +308,13 @@ def test_build_errors_and_cache():
 def test_reduction_keeps_lattice_and_reflections():
     # dropping divisible roots changes neither the root lattice nor the
     # reflection set
-    from extweyl.intlinalg import hermite_rows
+    from extweyl.intlinalg import hermite_rows, sparse_rows
 
     for l in (1, 2, 3):
         rs = build("BC", l)
         red = rs.reduced_root_indices()
-        full_span = hermite_rows([rs.roots[i] for i in range(len(rs.roots))])
-        red_span = hermite_rows([rs.roots[i] for i in red])
+        full_span = hermite_rows(l, sparse_rows(rs.roots))
+        red_span = hermite_rows(l, sparse_rows(rs.roots[i] for i in red))
         assert full_span == red_span
         refl_all = {rs.weyl_generator(i) for i in range(len(rs.roots))}
         refl_red = {rs.weyl_generator(i) for i in red}
@@ -324,12 +324,12 @@ def test_reduction_keeps_lattice_and_reflections():
 def test_coroot_effective_quotient_is_dual():
     # the coroot lattice behaves like the dual type: torsion moves from
     # the B side to the C side
-    from extweyl.intlinalg import FPAbelianGroup
+    from extweyl.intlinalg import FPAbelianGroup, sparse_rows
     from extweyl.root_core import coroot_l_eff_lattice
 
     for fam, rk, want in [("A", 1, "Z2"), ("B", 2, "Z2"), ("B", 3, "0"), ("C", 3, "Z2"), ("G", 2, "0")]:
         rs = build(fam, rk)
-        fp = FPAbelianGroup(rs.rank, coroot_l_eff_lattice(rs))
+        fp = FPAbelianGroup(rs.rank, sparse_rows(coroot_l_eff_lattice(rs)))
         assert fp.descriptor() == want, (fam, rk)
 
 

@@ -24,6 +24,7 @@ from extweyl.intlinalg import (
     is_zero_mat,
     lattice_contains,
     mat_mul,
+    sparse_rows,
     transpose,
     zeros,
 )
@@ -291,10 +292,10 @@ def valid_reduced_systems(draw):
     rs = build(family, rank)
     kk = 4 if rs.rs_type.is_single_length() else k_delta(rs.rs_type) ** 2
     residue = st.lists(st.integers(0, kk - 1), min_size=n, max_size=n).map(tuple)
-    fine = hermite_rows([[kk * (i == j) for j in range(n)] for i in range(n)])
+    fine = hermite_rows(n, [{i: kk} for i in range(n)])
     h, res = {}, {}
     for cls in [c for c in (SHORT, LONG) if c in rs.lengths]:
-        h[cls] = hermite_rows(fine + draw(st.lists(residue, max_size=2)))
+        h[cls] = hermite_rows(n, sparse_rows(fine + draw(st.lists(residue, max_size=2))))
         cosets = [(0,) * n] + draw(st.lists(residue, max_size=4))
         res[cls] = coset_residues(fine, cosets, h[cls])
     _saturated(rs, kk, res)
@@ -592,7 +593,7 @@ def _ab_k_by_matrices(ers, abk):
             rows.append(
                 abk._coords(tuple(mat[a][c] - moved[a][c] for a in range(n) for c in range(l)))
             )
-    return FPAbelianGroup(len(abk._k_basis), rows)
+    return FPAbelianGroup(len(abk._k_basis), sparse_rows(rows))
 
 
 def test_ab_k_relations_match_the_matrix_formula():
