@@ -89,8 +89,8 @@ class SSet:
     """
 
     def __init__(self, h_basis, cosets):
-        hnf = hermite_rows(len(h_basis[0]) if h_basis else 0, sparse_rows(h_basis))
-        n = len(hnf[0]) if hnf else 0
+        n = len(h_basis[0]) if h_basis else 0
+        hnf = hermite_rows(n, sparse_rows(h_basis))
         if len(hnf) != n:
             raise ExtRootError("H must be a full-rank sublattice")
         self.h_basis: Matrix = freeze(hnf)
@@ -131,10 +131,6 @@ class SSet:
         a = self.rebase(common)
         b = other.rebase(common)
         return SSet(common, list(a.cosets) + list(b.cosets))
-
-    def same_set(self, other: "SSet") -> bool:
-        common = lattice_intersection(self.h_basis, other.h_basis)
-        return set(self.rebase(common).cosets) == set(other.rebase(common).cosets)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"SSet(H={self.h_basis}, cosets={self.cosets})"
@@ -339,10 +335,18 @@ class ExtRootSystem:
         key = {"sh": SHORT, "lg": LONG, "ex": EXTRALONG}
         raw = data.get("s_sets")
         _check_slice_shapes(raw, [k for k, c in key.items() if c in rs.lengths], rank)
-        s_sets = {
-            key[k]: SSet(v["H"], [tuple(c) for c in v["cosets"]])
-            for k, v in raw.items()
-        }
+        s_sets = {}
+        for k, v in raw.items():
+            # SSet refuses an H of lower rank than its rows are long; an
+            # empty H has no row to read that length from, so it passes
+            # there as a rank-0 modulus
+            try:
+                s = SSet(v["H"], [tuple(c) for c in v["cosets"]])
+            except ExtRootError:
+                s = None
+            if s is None or s.rank != rank:
+                raise ExtRootError(f"s_sets.{k}.H must span a full-rank sublattice of Z^{rank}")
+            s_sets[key[k]] = s
         return ExtRootSystem(rs, FreeAbelianGroup(rank, g1, g2), s_sets)
 
     @staticmethod
@@ -665,18 +669,6 @@ class TrimResult:
     g_matrix: Matrix
     root_map: dict[int, int]
     source: ExtRootSystem
-
-    def map_group(self, g_old) -> Vector:
-        sol = _solve_combination(self.g_matrix, tuple(g_old))
-        if sol is None:
-            raise ExtRootError(f"{tuple(g_old)} is not in the trimmed group")
-        return sol
-
-    def map_extended_root(self, g_old, root_idx: int) -> tuple[Vector, int]:
-        g_old = tuple(g_old)
-        if self.source.delta.lengths[root_idx] == SHORT:
-            g_old = vec_scale(2, g_old)
-        return self.map_group(g_old), self.root_map[root_idx]
 
 
 def trim(ers: ExtRootSystem) -> TrimResult:

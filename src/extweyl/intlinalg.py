@@ -85,31 +85,6 @@ def is_zero_mat(m: Sequence[Sequence[int]]) -> bool:
     return all(is_zero_vec(r) for r in m)
 
 
-def determinant(m: Sequence[Sequence[int]]) -> int:
-    """Exact determinant by fraction-free Bareiss elimination."""
-    n = len(m)
-    if n == 0:
-        return 1
-    a = [list(r) for r in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
 def mat_inv(m: Sequence[Sequence[int]]) -> Matrix:
     """Inverse of an integer matrix that is invertible over the integers.
 

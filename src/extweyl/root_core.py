@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import gcd
 
 from extweyl.intlinalg import (
     FPAbelianGroup,
@@ -28,8 +27,6 @@ from extweyl.intlinalg import (
     dot,
     freeze,
     mat_vec,
-    hermite_rows,
-    lattice_contains,
     sparse_rows,
     transpose,
     vec_sub,
@@ -209,8 +206,8 @@ class FiniteRootSystem:
         l = rs_type.rank
         cartan, sym = _cartan_and_symmetrizer(rs_type.family, l)
         self.cartan = cartan
-        # Gram matrix of the invariant form on root coordinates (one
-        # global integer scale, normalized later by invariant_form()).
+        # Gram matrix of the invariant form on root coordinates, up to one
+        # global integer scale: only the ratios of root lengths are read.
         self._gram = freeze(
             [[sym[i] * cartan[i][j] for j in range(l)] for i in range(l)]
         )
@@ -284,9 +281,6 @@ class FiniteRootSystem:
         except KeyError:
             raise RootSystemError(f"{tuple(root)} is not a root of {self.rs_type}")
 
-    def is_root(self, v: Vector) -> bool:
-        return tuple(v) in self._index
-
     def coroot_length_class(self, i: int) -> str:
         """Length class of coroots[i] inside the coroot system."""
         if self.rs_type.is_single_length():
@@ -359,16 +353,6 @@ class FiniteRootSystem:
             for ai, prow in zip(self.roots, self.pairing_table)
         )
 
-    @cached_property
-    def reflection_ids(self) -> tuple[int, ...]:
-        """One id per reflection: the canonical index of the indivisible
-        root on the line, read from `label_table`.
-
-        Proportional roots (alpha, -alpha and, for BC, +-2 alpha) share
-        their reflection and nothing else does.
-        """
-        return tuple((half or entry)[0] for entry, half in self.label_table)
-
     def pairing(self, coroot_of: int, at: Vector) -> int:
         """<alpha^vee, lam> for alpha = roots[coroot_of] and lam in the root lattice."""
         return dot(self._coroot_rows[coroot_of], at)
@@ -376,9 +360,6 @@ class FiniteRootSystem:
     def reflect(self, alpha: int, lam: Vector) -> Vector:
         c = self.pairing(alpha, lam)
         return vec_sub(lam, tuple(c * x for x in self.roots[alpha]))
-
-    def reflect_root_index(self, alpha: int, beta: int) -> int:
-        return self.reflection_table[alpha][beta]
 
     def word_images(self, word) -> tuple[int, ...]:
         """The root indices of w(alpha_1), ..., w(alpha_l), w the product of
@@ -418,9 +399,6 @@ class FiniteRootSystem:
         already implies distinct reflections.
         """
         return self.pairing_table[i][j] == 0
-
-    def same_reflection(self, i: int, j: int) -> bool:
-        return self.reflection_ids[i] == self.reflection_ids[j]
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"FiniteRootSystem({self.rs_type}, {len(self.roots)} roots)"
@@ -521,39 +499,6 @@ def l_eff_quotient(rs: FiniteRootSystem):
     fp = FPAbelianGroup(rs.rank, sparse_rows(_moved_basis_vectors(rs.cartan)))
     images = {i: fp.project(rs.roots[i])[1] for i in range(len(rs.roots))}
     return fp, images
-
-
-def l_eff_lattice(rs: FiniteRootSystem) -> list[Vector]:
-    """Hermite basis of the sublattice spanned by v.l - l in root coordinates."""
-    return hermite_rows(rs.rank, sparse_rows(_moved_basis_vectors(rs.cartan)))
-
-
-def coroot_l_eff_lattice(rs: FiniteRootSystem) -> list[Vector]:
-    """Same as l_eff_lattice but on the coroot lattice."""
-    return hermite_rows(rs.rank, sparse_rows(_moved_basis_vectors(rs.coroot_moves)))
-
-
-def invariant_form(rs: FiniteRootSystem) -> Matrix:
-    """The invariant symmetric form on root coordinates, value gcd 1.
-
-    Unique up to sign once normalized; the positive-definite choice is
-    taken, so (alpha|alpha) > 0.
-    """
-    g = 0
-    for row in rs._gram:
-        for x in row:
-            g = gcd(g, x)
-    return freeze([[x // g for x in row] for row in rs._gram])
-
-
-def doubled_lattice_inside_l_eff(rs: FiniteRootSystem) -> bool:
-    """Check 2L ⊆ L_eff, needed for the fixed-point lemma."""
-    leff = l_eff_lattice(rs)
-    l = rs.rank
-    return all(
-        lattice_contains(leff, tuple(2 * int(i == j) for i in range(l)))
-        for j in range(l)
-    )
 
 
 def pairing_value_sets(rs: FiniteRootSystem) -> dict[tuple[str, str], frozenset[int]]:

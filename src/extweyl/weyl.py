@@ -37,7 +37,6 @@ from extweyl.intlinalg import (
     lattice_contains,
     lattice_reduce,
     mat_mul,
-    mat_vec,
     solve_integer,
     sparse_rows,
     transpose,
@@ -134,14 +133,6 @@ def evaluate_word_in_w(ers: ExtRootSystem, word) -> WElement:
     for t in word:
         out = out * w_generator(ers, t)
     return out
-
-
-def act_on_root(ers: ExtRootSystem, w: WElement, h, root_idx: int) -> tuple[Vector, int]:
-    """The action (h, beta) -> (h + k(v.beta), v.beta); z acts trivially."""
-    rs = ers.delta
-    new_idx = w.v.perm[root_idx]
-    shift = mat_vec(w.k, mat_vec(rs.pairing_matrix, rs.roots[new_idx]))
-    return tuple(x + y for x, y in zip(h, shift)), new_idx
 
 
 # ---------------------------------------------------------------------------

@@ -390,6 +390,9 @@ _A1_Z2_SLICE = {"H": [[1, 0], [0, 1]], "cosets": [[0, 0]]}
         ({"sh": [_A1_Z2_SLICE]}, "s_sets.sh must be an object"),
         ({"sh": {"H": [[1, 0], [0, 1]]}}, "s_sets.sh.cosets must be a list"),
         ({"xx": _A1_Z2_SLICE}, "s_sets.xx: unknown length class"),
+        ({"sh": {**_A1_Z2_SLICE, "H": [[0, 0]]}}, "s_sets.sh.H must span"),
+        ({"sh": {**_A1_Z2_SLICE, "H": []}}, "s_sets.sh.H must span"),
+        ({"sh": {**_A1_Z2_SLICE, "H": [[1, 0], [1, 0]]}}, "s_sets.sh.H must span"),
     ],
 )
 def test_malformed_slices_exit_2(capsys, tmp_path, command, s_sets, path):
@@ -403,6 +406,21 @@ def test_malformed_slices_exit_2(capsys, tmp_path, command, s_sets, path):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and path in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["orbits", "word"])
+def test_rank_0_group_runs(capsys, tmp_path, command):
+    # an empty H is the full-rank modulus of Z^0
+    data = fully_extended("A", 1, n=2).to_json()
+    data["g"] = {"rank": 0}
+    data["s_sets"] = {"sh": {"H": [], "cosets": [[]]}}
+    p = tmp_path / "system.json"
+    p.write_text(json.dumps(data))
+    w = tmp_path / "w.json"
+    w.write_text(json.dumps([{"g": [], "alpha": 0}]))
+    argv = ["orbits", str(p)] if command == "orbits" else ["word", str(p), str(w)]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("command", ["orbits", "word"])

@@ -12,6 +12,8 @@ from extweyl.ext_root import (
     ExtRootSystem,
     FreeAbelianGroup,
     SSet,
+    TrimResult,
+    _solve_combination,
     check_twist,
     fully_extended,
     span_extended,
@@ -19,6 +21,7 @@ from extweyl.ext_root import (
     validate,
 )
 from extweyl.intlinalg import (
+    Vector,
     coset_residues,
     dot,
     hermite_rows,
@@ -32,7 +35,8 @@ from extweyl.intlinalg import (
 from extweyl.refl_groups import ReflectionLabel
 from extweyl.root_core import EXTRALONG, LONG, SHORT, RootSystemType, build, k_delta
 from extweyl.verify import orbit_configurations, word_test_systems
-from extweyl.weyl import act_on_root, w_generator
+from extweyl.weyl import w_generator
+from support import act_on_root, reflection_sym_system, terminal_group
 
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -46,13 +50,32 @@ def short_index(ers):
     return next(i for i, c in enumerate(ers.delta.lengths) if c == SHORT)
 
 
+def same_set(a: SSet, b: SSet) -> bool:
+    """Whether two S-sets hold the same elements, compared over the
+    intersection of their moduli."""
+    common = lattice_intersection(a.h_basis, b.h_basis)
+    return set(a.rebase(common).cosets) == set(b.rebase(common).cosets)
+
+
+def map_extended_root(tr: TrimResult, g_old, root_idx: int) -> tuple[Vector, int]:
+    """The trimmed extended root that the source's (g_old, root_idx)
+    lands on; a short root's shift is doubled with it."""
+    g_old = tuple(g_old)
+    if tr.source.delta.lengths[root_idx] == SHORT:
+        g_old = vec_scale(2, g_old)
+    sol = _solve_combination(tr.g_matrix, g_old)
+    if sol is None:
+        raise ExtRootError(f"{g_old} is not in the trimmed group")
+    return sol, tr.root_map[root_idx]
+
+
 def test_sset_basics():
     s = SSet([[2, 0], [0, 2]], [(0, 0), (1, 1), (3, 3)])
     assert s.cosets == ((0, 0), (1, 1))
     assert s.contains((4, 2)) and s.contains((3, -1))
     assert not s.contains((1, 0))
     assert s.span == tuple(hermite_rows(2, [{0: 1, 1: 1}, {1: 2}]))
-    assert s.same_set(SSet([[2, 0], [0, 2]], [(1, 1), (0, 0)]))
+    assert same_set(s, SSet([[2, 0], [0, 2]], [(1, 1), (0, 0)]))
     d = s.scale(2)
     assert d.contains((2, 2)) and not d.contains((1, 1))
 
@@ -61,12 +84,15 @@ def test_sset_rebase_roundtrip():
     s = SSet([[2]], [(0,), (1,)])
     fine = s.rebase([[4]])
     assert set(fine.cosets) == {(0,), (1,), (2,), (3,)}
-    assert fine.same_set(s)
+    assert same_set(fine, s)
 
 
 def test_sset_rejects_bad_modulus():
     with pytest.raises(ExtRootError):
         SSet([[2, 0]], [(0, 0)])
+    # rank 0 in Z^2, not a modulus of Z^0
+    with pytest.raises(ExtRootError, match="full-rank"):
+        SSet([[0, 0]], [(0, 0)])
     with pytest.raises(ExtRootError):
         SSet([[2]], [])
 
@@ -86,7 +112,7 @@ def test_validate_fully_extended_a2():
 
 def test_validate_b2_span_example():
     ers = span_extended("B", 2, n=2, g1=(0,))
-    assert ers.s_sets[LONG].same_set(SSet([[2, 0], [0, 1]], [(0, 0)]))
+    assert same_set(ers.s_sets[LONG], SSet([[2, 0], [0, 1]], [(0, 0)]))
     assert validate(ers).ok
     assert check_twist(ers).ok
 
@@ -209,12 +235,12 @@ def test_trim_reflection_preservation():
         a = w_generator(ers, t)
         h2, b2 = act_on_root(ers, a, h, beta)
         # same action computed in the trimmed system
-        g_new, root_new = tr.map_extended_root(g, root)
+        g_new, root_new = map_extended_root(tr, g, root)
         t_new = ReflectionLabel.make(tr.system, g_new, root_new)
         a_new = w_generator(tr.system, t_new)
-        hh, bb = tr.map_extended_root(h, beta)
+        hh, bb = map_extended_root(tr, h, beta)
         h3, b3 = act_on_root(tr.system, a_new, hh, bb)
-        assert (h3, b3) == tr.map_extended_root(h2, b2)
+        assert (h3, b3) == map_extended_root(tr, h2, b2)
 
 
 def test_trim_equivariance_on_basis_pairs():
@@ -224,8 +250,8 @@ def test_trim_equivariance_on_basis_pairs():
     new = tr.system.delta
     for a in old.basis:
         for b in range(len(old.roots)):
-            lhs = tr.root_map[old.reflect_root_index(a, b)]
-            rhs = new.reflect_root_index(tr.root_map[a], tr.root_map[b])
+            lhs = tr.root_map[old.reflection_table[a][b]]
+            rhs = new.reflection_table[tr.root_map[a]][tr.root_map[b]]
             assert lhs == rhs
 
 
@@ -371,7 +397,7 @@ def test_json_roundtrip(tmp_path):
     assert back.delta.rs_type == ers.delta.rs_type
     assert back.group == ers.group
     for cls in ers.classes():
-        assert back.s_sets[cls].same_set(ers.s_sets[cls])
+        assert same_set(back.s_sets[cls], ers.s_sets[cls])
     p = tmp_path / "sys.json"
     p.write_text(json.dumps(data))
     again = ExtRootSystem.load(str(p))
@@ -388,8 +414,6 @@ def test_class_mismatch_rejected():
 
 
 def test_trim_weyl_group_order_unchanged():
-    from extweyl.refl_groups import reflection_sym_system, terminal_group
-
     ers = fully_extended("BC", 2, n=1)
     tr = trim(ers)
     # conjugation realization: the Weyl group modulo its center
@@ -424,8 +448,8 @@ def test_trim_consistent_on_divisible_pairs():
     short = next(i for i, c in enumerate(old.lengths) if c == SHORT)
     double = old.index_of(tuple(2 * x for x in old.roots[short]))
     for g in [(0, 0), (1, 2), (-1, 3)]:
-        img1 = tr.map_extended_root(g, short)
-        img2 = tr.map_extended_root(tuple(2 * x for x in g), double)
+        img1 = map_extended_root(tr, g, short)
+        img2 = map_extended_root(tr, tuple(2 * x for x in g), double)
         assert img1 == img2
 
 
@@ -436,8 +460,8 @@ def test_trim_orbits_well_defined_on_source():
     tr = trim(ers)
     old = ers.delta
     short = next(i for i, c in enumerate(old.lengths) if c == SHORT)
-    a = orbit_of(tr.system, *tr.map_extended_root((0, 0), short))
-    b = orbit_of(tr.system, *tr.map_extended_root((1, 0), short))
+    a = orbit_of(tr.system, *map_extended_root(tr, (0, 0), short))
+    b = orbit_of(tr.system, *map_extended_root(tr, (1, 0), short))
     # doubling the shift part lands every short root in one class
     assert a == b
 
@@ -455,7 +479,7 @@ def test_twist_failure_carries_witness():
 def test_sset_rebase_preserves_set(cosets, refine):
     s = SSet([[2, 0], [0, 2]], [tuple(c) for c in cosets])
     finer = s.rebase([[2 * refine, 0], [0, 2 * refine]])
-    assert finer.same_set(s)
+    assert same_set(finer, s)
     for c in cosets:
         assert finer.contains(tuple(c)) == s.contains(tuple(c))
 

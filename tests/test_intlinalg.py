@@ -7,7 +7,6 @@ from extweyl.intlinalg import (
     FPAbelianGroup,
     QuotientTooLarge,
     coset_residues,
-    determinant,
     dims,
     freeze,
     hermite_rows,
@@ -28,6 +27,7 @@ from extweyl.intlinalg import (
 from extweyl.lattice_algebra import box_quotient, coinvariants
 from extweyl.root_core import build
 from extweyl.verify import sweep_types
+from support import determinant
 
 small_matrix = st.integers(1, 4).flatmap(
     lambda r: st.integers(1, 4).flatmap(

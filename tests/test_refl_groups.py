@@ -14,20 +14,20 @@ from extweyl.intlinalg import (
     transpose,
 )
 from extweyl.lattice_algebra import lattice_embedding_matrix
-from extweyl.refl_groups import (
+from extweyl.refl_groups import ReflectionLabel, conj_reflect, label_k_part
+from extweyl.root_core import FiniteRootSystem, build
+from extweyl.verify import word_test_systems
+from extweyl.weyl import WElement, evaluate_word_in_w, random_label, w_generator
+from support import (
     ClosureCapError,
-    ReflectionLabel,
     SymSystem,
+    act_on_root,
     check_reflection_group,
     check_sym_axioms,
-    conj_reflect,
-    label_k_part,
+    reflection_ids,
     reflection_sym_system,
     terminal_group,
 )
-from extweyl.root_core import FiniteRootSystem, build
-from extweyl.verify import word_test_systems
-from extweyl.weyl import WElement, act_on_root, evaluate_word_in_w, random_label, w_generator
 
 
 def a_part(w):
@@ -102,6 +102,7 @@ def test_check_reflection_group_weyl_on_a2():
     sym, reps = reflection_sym_system(rs)
     images = [rs.weyl_generator(r) for r in reps]
     ident = rs.weyl_generator(reps[0]) * rs.weyl_generator(reps[0])
+    ids = reflection_ids(rs)
 
     def mul(x, y):
         return x * y
@@ -110,7 +111,7 @@ def test_check_reflection_group_weyl_on_a2():
         target = mat_vec(x.matrix, rs.roots[reps[t]])
         i = rs.index_of(target)
         for k, r in enumerate(reps):
-            if rs.same_reflection(i, r):
+            if ids[i] == ids[r]:
                 return k
         raise AssertionError
 
@@ -174,7 +175,7 @@ def _make_by_vectors(ers, g, root):
     vec = rs.roots[root]
     if all(x % 2 == 0 for x in vec):
         half = tuple(x // 2 for x in vec)
-        if rs.is_root(half) and all(x % 2 == 0 for x in g):
+        if half in rs._index and all(x % 2 == 0 for x in g):
             vec = half
             g = tuple(x // 2 for x in g)
             root = rs.index_of(vec)
@@ -235,7 +236,6 @@ def test_make_reads_no_root_vectors(monkeypatch):
                 cases.append((ers, g, root, _make_by_vectors(ers, g, root)))
         monkeypatch.delitem(ers.delta.__dict__, "label_table", raising=False)
     monkeypatch.setattr(FiniteRootSystem, "index_of", refuse)
-    monkeypatch.setattr(FiniteRootSystem, "is_root", refuse)
     for ers, g, root, want in cases:
         assert ReflectionLabel.make(ers, g, root) == want
 
@@ -338,7 +338,7 @@ def test_act_on_root():
         h2, b2 = act_on_root(ers, a, h, beta)
         m = ers.delta.pairing(t.root, ers.delta.roots[beta])
         assert h2 == tuple(x - m * g for x, g in zip(h, t.g))
-        assert b2 == ers.delta.reflect_root_index(t.root, beta)
+        assert b2 == ers.delta.reflection_table[t.root][beta]
 
 
 def test_center_trivial():

@@ -1,18 +1,22 @@
 import random
+from math import gcd
 
 import pytest
 
 from extweyl import root_core
 from extweyl.intlinalg import (
+    FPAbelianGroup,
     Matrix,
     Vector,
-    determinant,
     dot,
     freeze,
+    hermite_rows,
     identity,
+    lattice_contains,
     mat_inv,
     mat_mul,
     mat_vec,
+    sparse_rows,
     transpose,
     vec_mat,
 )
@@ -23,15 +27,15 @@ from extweyl.root_core import (
     FiniteRootSystem,
     RootSystemError,
     RootSystemType,
+    _moved_basis_vectors,
     build,
     coxeter_evaluate,
-    doubled_lattice_inside_l_eff,
-    invariant_form,
     k_delta,
     l_eff_quotient,
     pairing_value_sets,
 )
 from extweyl.verify import suite_cocycle, sweep_types, word_test_systems
+from support import determinant, reflection_ids
 
 ROOT_COUNTS = {
     ("A", 1): 2,
@@ -119,7 +123,7 @@ def test_reflect_involution_and_stability():
         for i in range(len(rs.roots)):
             assert rs.reflect(i, rs.roots[i]) == tuple(-x for x in rs.roots[i])
             for j in range(len(rs.roots)):
-                assert rs.is_root(rs.reflect(i, rs.roots[j]))
+                assert rs.reflect(i, rs.roots[j]) in rs._index
 
 
 def test_coroot_bijection_and_negation():
@@ -138,7 +142,7 @@ def test_bc_divisible_roots():
     for i in div:
         assert rs.lengths[i] == EXTRALONG
         half = tuple(x // 2 for x in rs.roots[i])
-        assert rs.is_root(half)
+        assert half in rs._index
     assert len(rs.reduced_root_indices()) == 8
 
 
@@ -195,6 +199,29 @@ def test_l_eff_quotient_cases():
                     assert images[i] == (0,)
 
 
+def invariant_form(rs: FiniteRootSystem) -> Matrix:
+    """The invariant symmetric form on root coordinates, value gcd 1.
+
+    Unique up to sign once normalized; the positive-definite choice is
+    taken, so (alpha|alpha) > 0.
+    """
+    g = 0
+    for row in rs._gram:
+        for x in row:
+            g = gcd(g, x)
+    return freeze([[x // g for x in row] for row in rs._gram])
+
+
+def doubled_lattice_inside_l_eff(rs: FiniteRootSystem) -> bool:
+    """Check 2L ⊆ L_eff, needed for the fixed-point lemma."""
+    leff = hermite_rows(rs.rank, sparse_rows(_moved_basis_vectors(rs.cartan)))
+    l = rs.rank
+    return all(
+        lattice_contains(leff, tuple(2 * int(i == j) for i in range(l)))
+        for j in range(l)
+    )
+
+
 def test_doubled_lattice_inside_l_eff():
     for fam, rk in [("A", 1), ("A", 4), ("B", 3), ("C", 4), ("D", 5), ("E", 6), ("F", 4), ("G", 2), ("BC", 2)]:
         assert doubled_lattice_inside_l_eff(build(fam, rk))
@@ -209,8 +236,6 @@ def test_invariant_form_values():
     # A2: normalize the symmetrized form by the gcd over all root pairs
     rs = build("A", 2)
     f = invariant_form(rs)
-    from math import gcd
-
     g = 0
     vals = []
     for x in rs.roots:
@@ -324,12 +349,10 @@ def test_reduction_keeps_lattice_and_reflections():
 def test_coroot_effective_quotient_is_dual():
     # the coroot lattice behaves like the dual type: torsion moves from
     # the B side to the C side
-    from extweyl.intlinalg import FPAbelianGroup, sparse_rows
-    from extweyl.root_core import coroot_l_eff_lattice
-
     for fam, rk, want in [("A", 1, "Z2"), ("B", 2, "Z2"), ("B", 3, "0"), ("C", 3, "Z2"), ("G", 2, "0")]:
         rs = build(fam, rk)
-        fp = FPAbelianGroup(rs.rank, sparse_rows(coroot_l_eff_lattice(rs)))
+        rows = hermite_rows(rs.rank, sparse_rows(_moved_basis_vectors(rs.coroot_moves)))
+        fp = FPAbelianGroup(rs.rank, sparse_rows(rows))
         assert fp.descriptor() == want, (fam, rk)
 
 
@@ -354,6 +377,7 @@ def _same_reflection_oracle(rs, i, j):
 @pytest.mark.parametrize("fam,rank", TABLE_TYPES)
 def test_root_tables_match_slow_paths(fam, rank):
     rs = build(fam, rank)
+    ids = reflection_ids(rs)
     for i, ai in enumerate(rs.roots):
         for j, aj in enumerate(rs.roots):
             c = _pairing_oracle(rs, i, aj)
@@ -361,7 +385,7 @@ def test_root_tables_match_slow_paths(fam, rank):
             image = tuple(y - c * x for x, y in zip(ai, aj))
             assert rs.reflection_table[i][j] == rs.index_of(image)
             same = _same_reflection_oracle(rs, i, j)
-            assert rs.same_reflection(i, j) == same
+            assert (ids[i] == ids[j]) == same
             assert rs.perpendicular(i, j) == (not same and c == 0)
 
 
@@ -520,7 +544,7 @@ def test_root_closure_matches_reflection_matrices(fam, rank):
 
 def test_root_tables_are_lazy():
     rs = FiniteRootSystem(RootSystemType("E", 7))
-    lazy = {"_coroot_rows", "pairing_table", "reflection_table", "reflection_ids"}
+    lazy = {"_coroot_rows", "pairing_table", "reflection_table"}
     assert not lazy & set(vars(rs))
-    assert rs.reflect_root_index(0, 1) == rs.reflection_table[0][1]
+    assert rs.reflection_table[0][1] == rs.index_of(rs.reflect(0, rs.roots[1]))
     assert "reflection_table" in vars(rs)

@@ -17,7 +17,6 @@ from extweyl.intlinalg import (
     FPAbelianGroup,
     QuotientTooLarge,
     coset_residues,
-    determinant,
     freeze,
     hermite_rows,
     identity,
@@ -64,6 +63,7 @@ from extweyl.weyl import (
     w_generator,
 )
 
+from support import determinant
 from test_ext_root import _refined_to_k_squared, _swapped_b2, _untame_b2
 from test_root_core import reflection_pair
 
