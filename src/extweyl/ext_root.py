@@ -18,6 +18,7 @@ from math import gcd, prod
 from extweyl.intlinalg import (
     Matrix,
     Vector,
+    augmented_rows,
     coset_residues,
     freeze,
     hermite_rows,
@@ -89,14 +90,18 @@ class SSet:
     """
 
     def __init__(self, h_basis, cosets):
-        n = len(h_basis[0]) if h_basis else 0
+        cosets = list(cosets)
+        if not cosets:
+            raise ExtRootError("an S-set needs at least one coset")
+        # Z^n is read from the cosets: an empty H has no row to read it from
+        n = len(cosets[0])
+        if any(len(v) != n for v in (*h_basis, *cosets)):
+            raise ExtRootError("H and the cosets must have one width")
         hnf = hermite_rows(n, sparse_rows(h_basis))
         if len(hnf) != n:
             raise ExtRootError("H must be a full-rank sublattice")
         self.h_basis: Matrix = freeze(hnf)
         reduced = sorted({lattice_reduce(hnf, c) for c in cosets})
-        if not reduced:
-            raise ExtRootError("an S-set needs at least one coset")
         self.cosets: tuple[Vector, ...] = tuple(reduced)
         self._set = set(reduced)
 
@@ -337,16 +342,12 @@ class ExtRootSystem:
         _check_slice_shapes(raw, [k for k, c in key.items() if c in rs.lengths], rank)
         s_sets = {}
         for k, v in raw.items():
-            # SSet refuses an H of lower rank than its rows are long; an
-            # empty H has no row to read that length from, so it passes
-            # there as a rank-0 modulus
             try:
-                s = SSet(v["H"], [tuple(c) for c in v["cosets"]])
+                s_sets[key[k]] = SSet(v["H"], [tuple(c) for c in v["cosets"]])
             except ExtRootError:
-                s = None
-            if s is None or s.rank != rank:
-                raise ExtRootError(f"s_sets.{k}.H must span a full-rank sublattice of Z^{rank}")
-            s_sets[key[k]] = s
+                raise ExtRootError(
+                    f"s_sets.{k}.H must span a full-rank sublattice of Z^{rank}"
+                ) from None
         return ExtRootSystem(rs, FreeAbelianGroup(rank, g1, g2), s_sets)
 
     @staticmethod
@@ -548,29 +549,27 @@ def _reflection_stability(
 # ---------------------------------------------------------------------------
 
 
-def _solve_combination(rows, target) -> Vector | None:
-    """Integer coefficients c with sum c_i * rows_i = target, or None."""
-    if not rows:
-        return () if not any(target) else None
-    m = freeze(list(zip(*rows)))
-    return solve_integer(m, target)
-
-
 def _members_in_subspace(sset: SSet, idx: set[int], n: int) -> tuple[set[Vector], list[Vector]]:
     """S cap G_idx, G_idx spanned by the basis vectors in idx: the cosets of
     S that meet it, and the Hermite basis of its span, which H cap G_idx
-    and one member of each such coset generate."""
-    axis = [tuple(int(j == i) for j in range(n)) for i in sorted(idx)]
-    gens = lattice_intersection(sset.h_basis, axis)
+    and one member of each such coset generate.
+
+    In the Hermite basis of the rows (h off idx | h), h in H, the rows
+    with a zero left part are H cap G_idx; reducing (c off idx | c)
+    against it leaves a zero left part exactly when c + H meets G_idx,
+    and then a member of c + H in G_idx on the right.
+    """
     proj = [i for i in range(n) if i not in idx]
-    rows = [tuple(r[i] for i in proj) for r in sset.h_basis]
+    w = len(proj)
+    h = sset.h_basis
+    basis = hermite_rows(w + n, augmented_rows(w, ([r[i] for i in proj] for r in h), h))
+    gens = [r[w:] for r in basis if not any(r[:w])]
     met = set()
     for c in sset.cosets:
-        # a member c + sol.H vanishes off idx
-        sol = _solve_combination(rows, tuple(-c[i] for i in proj))
-        if sol is not None:
+        r = lattice_reduce(basis, (*(c[i] for i in proj), *c))
+        if not any(r[:w]):
             met.add(c)
-            gens.append(tuple(x + y for x, y in zip(c, vec_mat(sol, sset.h_basis))))
+            gens.append(r[w:])
     return met, hermite_rows(n, sparse_rows(gens))
 
 
@@ -704,7 +703,7 @@ def trim(ers: ExtRootSystem) -> TrimResult:
         raise ExtRootError("trimmed slices do not span a finite-index subgroup")
 
     def to_new(v: Vector) -> Vector:
-        sol = _solve_combination(g_matrix, v)
+        sol = solve_integer(g_matrix, v)
         if sol is None:
             raise ExtRootError("trimmed S-set leaves the trimmed group")
         return sol

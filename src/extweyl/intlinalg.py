@@ -8,11 +8,16 @@ mostly zero, so the Hermite reduction and the presentations built on it
 take each row as the {column: entry} dict of its nonzero entries, with
 the width passed in; `sparse_rows` turns dense rows into that form.
 Everything returned is a tuple.
+
+One elimination engine, `hermite_rows`, gives lattice bases, and run on
+augmented rows (r | t) also integer solves, intersections and inverses:
+the tag t records the combination, or the image, that each reduced row
+came from (Cohen, A Course in Computational Algebraic Number Theory,
+2.4).  `smith_normal_form` only reads off invariant factors.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import compress
 from math import prod
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -61,10 +66,6 @@ def vec_sub(u: Sequence[int], v: Sequence[int]) -> Vector:
     return tuple(x - y for x, y in zip(u, v))
 
 
-def vec_neg(u: Sequence[int]) -> Vector:
-    return tuple(-x for x in u)
-
-
 def vec_scale(c: int, u: Sequence[int]) -> Vector:
     return tuple(c * x for x in u)
 
@@ -83,38 +84,6 @@ def is_zero_vec(v: Sequence[int]) -> bool:
 
 def is_zero_mat(m: Sequence[Sequence[int]]) -> bool:
     return all(is_zero_vec(r) for r in m)
-
-
-def mat_inv(m: Sequence[Sequence[int]]) -> Matrix:
-    """Inverse of an integer matrix that is invertible over the integers.
-
-    Raises ValueError if the matrix is singular or the inverse is not
-    integral (determinant not a unit).
-    """
-    n = len(m)
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(m)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if a[i][col] != 0), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        a[col], a[piv] = a[piv], a[col]
-        inv = a[col][col]
-        a[col] = [x / inv for x in a[col]]
-        for i in range(n):
-            if i != col and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n, 2 * n):
-            x = a[i][j]
-            if x.denominator != 1:
-                raise ValueError("inverse is not integral")
-            row.append(int(x))
-        out.append(tuple(row))
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -222,35 +191,6 @@ def smith_normal_form(
     return tuple(map(tuple, a)), tuple(map(tuple, p)), tuple(map(tuple, q))
 
 
-def kernel_basis(m: Sequence[Sequence[int]]) -> list[Vector]:
-    """Integer basis of {x : m @ x = 0} (column vectors, returned as tuples)."""
-    nr, nc = dims(m)
-    if nc == 0:
-        return []
-    d, _, q = smith_normal_form(m)
-    rank = sum(1 for i in range(min(nr, nc)) if d[i][i] != 0)
-    qt = transpose(q)
-    return [qt[j] for j in range(rank, nc)]
-
-
-def solve_integer(m: Sequence[Sequence[int]], w: Sequence[int]) -> Vector | None:
-    """One integer solution x of m @ x = w, or None if there is none."""
-    nr, nc = dims(m)
-    d, p, q = smith_normal_form(m)
-    pw = mat_vec(p, w)
-    y = [0] * nc
-    for i in range(nr):
-        di = d[i][i] if i < min(nr, nc) else 0
-        if di == 0:
-            if pw[i] != 0:
-                return None
-        else:
-            if pw[i] % di != 0:
-                return None
-            y[i] = pw[i] // di
-    return mat_vec(q, y)
-
-
 # ---------------------------------------------------------------------------
 # Row Hermite form: lattices as row spans
 # ---------------------------------------------------------------------------
@@ -344,22 +284,62 @@ def lattice_subset(a_hnf: Sequence[Sequence[int]], b_hnf: Sequence[Sequence[int]
     return all(lattice_contains(b_hnf, row) for row in a_hnf)
 
 
+def augmented_rows(
+    width: int, rows: Iterable[Sequence[int]], tags: Iterable[Sequence[int]]
+) -> Iterator[dict[int, int]]:
+    """Each row r beside its tag t as the {column: entry} row (r | t), with
+    r in columns range(width) and t in the columns after them."""
+    for r, t in zip(rows, tags):
+        row = dict(compress(enumerate(r), r))
+        row.update(compress(enumerate(t, width), t))
+        yield row
+
+
+def solve_integer(rows: Sequence[Sequence[int]], target: Sequence[int]) -> Vector | None:
+    """Integer coefficients c with sum c_i * rows_i = target, or None if
+    target is not in the row span.
+
+    Each row of the Hermite basis of the rows (rows_i | e_i) carries the
+    combination of the inputs it equals, so reducing (target | 0)
+    against it leaves (0 | -c) exactly when target is in the span.
+    """
+    n, m = len(target), len(rows)
+    basis = hermite_rows(n + m, augmented_rows(n, rows, identity(m)))
+    r = lattice_reduce(basis, (*target, *(0,) * m))
+    if any(r[:n]):
+        return None
+    return tuple(-x for x in r[n:])
+
+
 def lattice_intersection(
     a_rows: Sequence[Sequence[int]], b_rows: Sequence[Sequence[int]]
 ) -> list[Vector]:
-    """Basis (hermite rows) of the intersection of two row-span lattices."""
-    a = [tuple(r) for r in a_rows]
-    b = [tuple(r) for r in b_rows]
-    if not a or not b:
+    """Basis (hermite rows) of the intersection of two row-span lattices.
+
+    Zassenhaus: the Hermite basis of the rows (a_i | a_i) and (b_j | 0)
+    ends in the rows (0 | x) with x in the intersection, and their right
+    halves are its Hermite basis.
+    """
+    if not a_rows or not b_rows:
         return []
-    stacked = freeze(list(a) + [vec_neg(r) for r in b])
-    # left kernel of `stacked`: rows (u | v) with u @ a == v @ b
-    lk = kernel_basis(transpose(stacked))
-    gens = []
-    for w in lk:
-        u = w[: len(a)]
-        gens.append(vec_mat(u, freeze(a)))
-    return hermite_rows(len(a[0]), sparse_rows(gens))
+    n = len(a_rows[0])
+    tags = [*a_rows, *[()] * len(b_rows)]
+    basis = hermite_rows(2 * n, augmented_rows(n, [*a_rows, *b_rows], tags))
+    return [r[n:] for r in basis if not any(r[:n])]
+
+
+def mat_inv(m: Sequence[Sequence[int]]) -> Matrix:
+    """Inverse of an integer matrix that is invertible over the integers.
+
+    The Hermite basis of the rows (m_i | e_i) is (I | m^-1) exactly when
+    m is unimodular; otherwise (m singular, or its determinant not a
+    unit) raises ValueError.
+    """
+    n = len(m)
+    basis = hermite_rows(2 * n, augmented_rows(n, m, identity(n)))
+    if [r[:n] for r in basis] != list(identity(n)):
+        raise ValueError("matrix is not invertible over the integers")
+    return tuple(r[n:] for r in basis)
 
 
 MAX_QUOTIENT_INDEX = 4096

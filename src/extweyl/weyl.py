@@ -360,9 +360,7 @@ class AbKGroup:
         self.fp = FPAbelianGroup(len(basis), sparse_rows(eff_rows))
 
     def _coords(self, flat: Vector) -> Vector:
-        if not self._k_basis:
-            return ()
-        sol = solve_integer(transpose(self._k_basis), flat)
+        sol = solve_integer(self._k_basis, flat)
         if sol is None:
             raise ExtRootError("matrix outside the translation lattice")
         return sol

@@ -1,17 +1,31 @@
 """Reference implementations that more than one test module compares against.
 
-The package never calls these: the determinant, the reflection id of a
-root, the action on extended roots, and the paper's symmetric systems with
-their reflection-group axioms and permutation closures for small finite
-systems (the terminal group).
+The package never calls these: the determinant, the Smith and Fraction
+eliminations that integer solves, lattice intersections and inverses
+used before they ran on the augmented Hermite reduction, the reflection
+id of a root, the action on extended roots, and the paper's symmetric
+systems with their reflection-group axioms and permutation closures for
+small finite systems (the terminal group).
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Sequence
 
-from extweyl.ext_root import ExtRootSystem, ValidationReport
-from extweyl.intlinalg import Vector, mat_vec
+from extweyl.ext_root import ExtRootSystem, SSet, ValidationReport
+from extweyl.intlinalg import (
+    Matrix,
+    Vector,
+    dims,
+    freeze,
+    hermite_rows,
+    mat_vec,
+    smith_normal_form,
+    sparse_rows,
+    transpose,
+    vec_mat,
+)
 from extweyl.root_core import FiniteRootSystem
 from extweyl.weyl import WElement
 
@@ -39,6 +53,104 @@ def determinant(m: Sequence[Sequence[int]]) -> int:
             a[i][k] = 0
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
+
+
+def kernel_basis(m: Sequence[Sequence[int]]) -> list[Vector]:
+    """Integer basis of {x : m @ x = 0} (column vectors, returned as tuples)."""
+    nr, nc = dims(m)
+    if nc == 0:
+        return []
+    d, _, q = smith_normal_form(m)
+    rank = sum(1 for i in range(min(nr, nc)) if d[i][i] != 0)
+    qt = transpose(q)
+    return [qt[j] for j in range(rank, nc)]
+
+
+def solve_integer_smith(rows: Sequence[Sequence[int]], target: Sequence[int]) -> Vector | None:
+    """Integer c with sum c_i * rows_i = target, or None: the Smith form
+    of the matrix whose columns are the rows."""
+    if not rows or not target:
+        return None if any(target) else (0,) * len(rows)
+    m = transpose(freeze(rows))
+    nr, nc = dims(m)
+    d, p, q = smith_normal_form(m)
+    pw = mat_vec(p, target)
+    y = [0] * nc
+    for i in range(nr):
+        di = d[i][i] if i < min(nr, nc) else 0
+        if di == 0:
+            if pw[i] != 0:
+                return None
+        else:
+            if pw[i] % di != 0:
+                return None
+            y[i] = pw[i] // di
+    return mat_vec(q, y)
+
+
+def lattice_intersection_smith(
+    a_rows: Sequence[Sequence[int]], b_rows: Sequence[Sequence[int]]
+) -> list[Vector]:
+    """Hermite basis of the intersection of two row-span lattices, from
+    the left kernel of the stacked rows (a | -b)."""
+    a = freeze(a_rows)
+    b = freeze(b_rows)
+    if not a or not b:
+        return []
+    stacked = a + tuple(tuple(-x for x in r) for r in b)
+    # left kernel of `stacked`: rows (u | v) with u @ a == v @ b
+    gens = [vec_mat(w[: len(a)], a) for w in kernel_basis(transpose(stacked))]
+    return hermite_rows(len(a[0]), sparse_rows(gens))
+
+
+def mat_inv_fraction(m: Sequence[Sequence[int]]) -> Matrix:
+    """Inverse of an integer matrix by Gauss-Jordan over the rationals;
+    ValueError if it is singular or the inverse is not integral."""
+    n = len(m)
+    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(m)]
+    for col in range(n):
+        piv = next((i for i in range(col, n) if a[i][col] != 0), None)
+        if piv is None:
+            raise ValueError("matrix is singular")
+        a[col], a[piv] = a[piv], a[col]
+        inv = a[col][col]
+        a[col] = [x / inv for x in a[col]]
+        for i in range(n):
+            if i != col and a[i][col] != 0:
+                f = a[i][col]
+                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(n, 2 * n):
+            x = a[i][j]
+            if x.denominator != 1:
+                raise ValueError("inverse is not integral")
+            row.append(int(x))
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def members_in_subspace_smith(
+    sset: SSet, idx: set[int], n: int
+) -> tuple[set[Vector], list[Vector]]:
+    """The cosets of S that meet G_idx and the Hermite basis of the span
+    of S cap G_idx, one Smith solve per coset."""
+    axis = [tuple(int(j == i) for j in range(n)) for i in sorted(idx)]
+    gens = lattice_intersection_smith(sset.h_basis, axis)
+    proj = [i for i in range(n) if i not in idx]
+    rows = [tuple(r[i] for i in proj) for r in sset.h_basis]
+    met = set()
+    for c in sset.cosets:
+        # a member c + sol.H vanishes off idx
+        sol = solve_integer_smith(rows, tuple(-c[i] for i in proj))
+        if sol is not None:
+            met.add(c)
+            gens.append(tuple(
+                x + sum(s * r[j] for s, r in zip(sol, sset.h_basis)) for j, x in enumerate(c)
+            ))
+    return met, hermite_rows(n, sparse_rows(gens))
 
 
 def reflection_ids(rs: FiniteRootSystem) -> tuple[int, ...]:

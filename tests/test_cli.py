@@ -423,6 +423,19 @@ def test_rank_0_group_runs(capsys, tmp_path, command):
     assert capsys.readouterr().err == ""
 
 
+def test_rank_0_twisted_group_decides_words(capsys, tmp_path):
+    # two root lengths: the decider runs the twist check over Z^0
+    data = fully_extended("B", 2, n=2).to_json()
+    data["g"] = {"rank": 0}
+    data["s_sets"] = {k: {"H": [], "cosets": [[]]} for k in ("sh", "lg")}
+    p = tmp_path / "system.json"
+    p.write_text(json.dumps(data))
+    w = tmp_path / "w.json"
+    w.write_text(json.dumps([{"g": [], "alpha": 0}, {"g": [], "alpha": 0}]))
+    assert main(["word", str(p), str(w), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["trivial"] is True
+
+
 @pytest.mark.parametrize("command", ["orbits", "word"])
 @pytest.mark.parametrize(
     "field, value, message",

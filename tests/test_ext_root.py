@@ -13,7 +13,6 @@ from extweyl.ext_root import (
     FreeAbelianGroup,
     SSet,
     TrimResult,
-    _solve_combination,
     check_twist,
     fully_extended,
     span_extended,
@@ -29,6 +28,7 @@ from extweyl.intlinalg import (
     lattice_intersection,
     lattice_reduce,
     mat_vec,
+    solve_integer,
     transpose,
     vec_scale,
 )
@@ -63,7 +63,7 @@ def map_extended_root(tr: TrimResult, g_old, root_idx: int) -> tuple[Vector, int
     g_old = tuple(g_old)
     if tr.source.delta.lengths[root_idx] == SHORT:
         g_old = vec_scale(2, g_old)
-    sol = _solve_combination(tr.g_matrix, g_old)
+    sol = solve_integer(tr.g_matrix, g_old)
     if sol is None:
         raise ExtRootError(f"{g_old} is not in the trimmed group")
     return sol, tr.root_map[root_idx]
@@ -95,6 +95,12 @@ def test_sset_rejects_bad_modulus():
         SSet([[0, 0]], [(0, 0)])
     with pytest.raises(ExtRootError):
         SSet([[2]], [])
+    # Z^n is read from the cosets: an empty H is no modulus of Z^1
+    with pytest.raises(ExtRootError, match="full-rank"):
+        SSet([], [(0,)])
+    with pytest.raises(ExtRootError, match="one width"):
+        SSet([[1, 0], [0, 1]], [(0, 0), (0,)])
+    assert SSet([], [()]).rank == 0
 
 
 def test_free_abelian_group_split():

@@ -69,6 +69,35 @@ def test_function_import_is_reported():
     assert _function_imports(tree) == ["line 3", "line 5", "line 8"]
 
 
+def _imported_modules(tree: ast.Module) -> set[str]:
+    """Top-level package names of every module the tree imports."""
+    names = set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in n.names)
+        elif isinstance(n, ast.ImportFrom) and n.module and not n.level:
+            names.add(n.module.split(".")[0])
+    return names
+
+
+def test_package_does_not_import_fractions():
+    # exact arithmetic here means integers: rationals stay in the tests
+    users = [
+        path.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        if "fractions" in _imported_modules(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert users == []
+
+
+def test_imported_module_is_reported():
+    tree = ast.parse(
+        "import os.path\nfrom fractions import Fraction\nfrom . import sibling\n"
+        "def f():\n    import json\n"
+    )
+    assert _imported_modules(tree) == {"os", "fractions", "json"}
+
+
 # Definitions that nothing in the package calls, and attributes that
 # nothing in the package reads, each kept for the tests or the benchmark
 # workload named here.

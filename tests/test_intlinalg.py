@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from extweyl import intlinalg
+from extweyl.ext_root import SSet, _members_in_subspace
 from extweyl.intlinalg import (
     MAX_QUOTIENT_INDEX,
     FPAbelianGroup,
@@ -11,13 +12,11 @@ from extweyl.intlinalg import (
     freeze,
     hermite_rows,
     identity,
-    kernel_basis,
     lattice_contains,
     lattice_intersection,
     lattice_reduce,
     mat_inv,
     mat_mul,
-    mat_vec,
     smith_normal_form,
     solve_integer,
     sparse_rows,
@@ -27,7 +26,13 @@ from extweyl.intlinalg import (
 from extweyl.lattice_algebra import box_quotient, coinvariants
 from extweyl.root_core import build
 from extweyl.verify import sweep_types
-from support import determinant
+from support import (
+    determinant,
+    lattice_intersection_smith,
+    mat_inv_fraction,
+    members_in_subspace_smith,
+    solve_integer_smith,
+)
 
 small_matrix = st.integers(1, 4).flatmap(
     lambda r: st.integers(1, 4).flatmap(
@@ -214,8 +219,8 @@ def test_hermite_is_canonical_and_spans(rows):
         assert lattice_contains(h, r)
     for b in h:
         # every basis row is an integer combination of the inputs
-        if any(any(x) for x in rows):
-            assert solve_integer(transpose(freeze(rows)), b) is not None
+        c = solve_integer(rows, b)
+        assert c is not None and _combine(c, rows, len(b)) == b
 
 
 def _hermite_full_rows(rows):
@@ -557,12 +562,100 @@ def test_coset_residues_index_cap():
         coset_residues(hermite_of([[2, 0]]), [(0, 0)])
 
 
-def test_kernel_basis():
-    m = freeze([[1, 2, 3]])
-    ker = kernel_basis(m)
-    assert len(ker) == 2
-    for v in ker:
-        assert mat_vec(m, v) == (0,)
+def _combine(coeffs, rows, width):
+    """sum coeffs_i * rows_i, a tuple of the given width."""
+    return tuple(sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(width))
+
+
+def _unimodular(draw, size):
+    """The identity of the given size after a few random row additions and
+    negations."""
+    m = [list(r) for r in identity(size)]
+    ops = st.tuples(st.integers(0, size - 1), st.integers(0, size - 1), st.integers(-2, 2))
+    for i, j, f in draw(st.lists(ops, max_size=6)) if size else ():
+        if i == j:
+            m[i] = [-x for x in m[i]]
+        else:
+            m[i] = [x + f * y for x, y in zip(m[i], m[j])]
+    return m
+
+
+@st.composite
+def augmented_case(draw):
+    """Rows of width 0-4 and a target that is zero, in their span or
+    arbitrary; two more row lattices of that width; a square matrix that
+    is unimodular, singular or arbitrary; and a full-rank S-set with the
+    basis indices of a subgroup G_idx."""
+    n = draw(st.integers(0, 4))
+    vec = st.lists(st.integers(-4, 4), min_size=n, max_size=n).map(tuple)
+
+    def spanned(width, count):
+        # combinations of fewer base rows than the width, or of more rows
+        # than the base has, are rank-deficient; count 0 gives no rows
+        base = draw(st.lists(st.lists(st.integers(-4, 4), min_size=width, max_size=width),
+                             max_size=width))
+        coeffs = st.lists(st.integers(-3, 3), min_size=len(base), max_size=len(base))
+        return [_combine(draw(coeffs), base, width) for _ in range(count)]
+
+    def full_rank(width):
+        # D.U with D diagonal and U unimodular: every full-rank lattice
+        diag = draw(st.lists(st.integers(1, 5), min_size=width, max_size=width))
+        return [[d * x for x in r] for d, r in zip(diag, _unimodular(draw, width))]
+
+    def lattice(width):
+        if draw(st.booleans()):
+            return full_rank(width)
+        return spanned(width, draw(st.integers(0, 4)))
+
+    rows = spanned(n, draw(st.integers(0, 5)))
+    kind = draw(st.sampled_from(["zero", "span", "any"]))
+    if kind == "zero":
+        target = (0,) * n
+    elif kind == "span":
+        target = _combine(draw(st.lists(st.integers(-3, 3), min_size=len(rows),
+                                        max_size=len(rows))), rows, n)
+    else:
+        target = draw(vec)
+    pair = lattice(n), lattice(n)
+
+    size = draw(st.integers(0, 4))
+    kind = draw(st.sampled_from(["unimodular", "singular", "any"]))
+    if kind == "unimodular":
+        square = _unimodular(draw, size)
+    elif kind == "singular" and size:
+        # the last row a combination of the others
+        square = spanned(size, size - 1)
+        coeffs = draw(st.lists(st.integers(-2, 2), min_size=size - 1, max_size=size - 1))
+        square.append(_combine(coeffs, square, size))
+    else:
+        square = [draw(st.lists(st.integers(-3, 3), min_size=size, max_size=size))
+                  for _ in range(size)]
+
+    m = draw(st.integers(0, 3))
+    h = full_rank(m)
+    cosets = draw(st.lists(st.lists(st.integers(-9, 9), min_size=m, max_size=m).map(tuple),
+                           min_size=1, max_size=4))
+    idx = draw(st.sets(st.integers(0, m - 1))) if m else set()
+    return rows, target, pair, square, (SSet(h, cosets), idx, m)
+
+
+@settings(max_examples=300, deadline=None)
+@given(augmented_case())
+def test_augmented_hermite_matches_smith_and_fraction_oracles(case):
+    rows, target, (a, b), square, (sset, idx, m) = case
+    c = solve_integer(rows, target)
+    assert (c is None) == (solve_integer_smith(rows, target) is None)
+    if c is not None:
+        assert len(c) == len(rows) and _combine(c, rows, len(target)) == tuple(target)
+    assert lattice_intersection(a, b) == lattice_intersection_smith(a, b)
+    try:
+        want = mat_inv_fraction(square)
+    except ValueError:
+        with pytest.raises(ValueError):
+            mat_inv(square)
+    else:
+        assert mat_inv(square) == want
+    assert _members_in_subspace(sset, idx, m) == members_in_subspace_smith(sset, idx, m)
 
 
 def test_solve_integer():
