@@ -13,11 +13,15 @@ One elimination engine, `hermite_rows`, gives lattice bases, and run on
 augmented rows (r | t) also integer solves, intersections and inverses:
 the tag t records the combination, or the image, that each reduced row
 came from (Cohen, A Course in Computational Algebraic Number Theory,
-2.4).  `smith_normal_form` only reads off invariant factors.
+2.4).  `smith_normal_form` classifies presentations: `FPAbelianGroup`
+reads its invariant factors off the Smith form of the few Hermite rows
+whose pivot is not 1, and reduces the whole basis only when a
+projection is asked for.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import compress
 from math import prod
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -399,48 +403,68 @@ def coset_residues(
 class FPAbelianGroup:
     """Finitely presented abelian group Z^n / (row span of relations).
 
-    The canonical form (free rank plus invariant factors d1 | d2 | ...)
-    comes from the Smith normal form of the relation matrix; the
-    projection map sends a generator-coordinate vector to its image in
-    Z^rank x prod Z_{di}.  Relations are {column: entry} rows, as
-    `hermite_rows` takes them, with int entries; like the Smith
-    reduction, the presentation copies them without converting them.
+    Relations are {column: entry} rows, as `hermite_rows` takes them,
+    with int entries; like the Smith reduction, the presentation copies
+    them without converting them.  They are reduced to their Hermite
+    basis first, and the canonical form (free rank plus invariant
+    factors d1 | d2 | ...) is read off that basis.  A unit pivot's
+    column is zero in every other basis row (entries above a pivot p
+    lie in [0, p), rows below are zero there), so each unit-pivot row
+    splits off a trivial factor, and only the rows whose pivot is not 1,
+    on the columns that hold no unit pivot, go through
+    `smith_normal_form`.  The projection map sends a generator-coordinate
+    vector to its image in Z^rank x prod Z_{di}; it reads the transform
+    of the Smith form of the whole transposed basis, which is built the
+    first time a projection is asked for.
     """
 
     def __init__(self, n_generators: int, relations: Iterable[SparseRow]):
+        n = self.n_generators = n_generators
         # reduce the (possibly huge, redundant) relations to a lattice
-        # basis first, one row at a time; the Smith reduction then works
-        # on a matrix no larger than n_generators squared
-        rel = hermite_rows(n_generators, relations)
-        rel_matrix: Matrix = tuple(rel) if rel else zeros(0, n_generators)
-        self.relations = rel_matrix
-        # quotient Z^n / im(rel^T): run SNF on the transpose so the
-        # column transform acts on generator coordinates
-        n = n_generators
-        rt = transpose(rel_matrix) if rel_matrix else zeros(n, 0)
-        if dims(rt) == (n, 0):
-            rt = zeros(n, 1)
-        d, p, _ = smith_normal_form(rt)
-        diag = [d[i][i] for i in range(min(dims(d)))]
-        self._p = p
-        self._diag = diag
-        self.torsion = tuple(x for x in diag if x > 1)
-        self.free_rank = n - sum(1 for x in diag if x != 0)
+        # basis first, one row at a time
+        rel = hermite_rows(n, relations)
+        self.relations: Matrix = tuple(rel)
+        keep = [1] * n
+        block = []
+        pcol = 0
+        for row in rel:
+            # pivots strictly increase, so each search resumes at the last
+            while not row[pcol]:
+                pcol += 1
+            if row[pcol] == 1:
+                keep[pcol] = 0
+            else:
+                block.append(row)
+        # the block rows are independent, so no diagonal entry is zero
+        block = [tuple(compress(row, keep)) for row in block]
+        d = smith_normal_form(block)[0] if block else ()
+        self.torsion = tuple(d[i][i] for i in range(len(d)) if d[i][i] > 1)
+        self.free_rank = n - len(rel)
         self.invariant_factors = list(self.torsion) + [0] * self.free_rank
+
+    @cached_property
+    def _transform(self) -> tuple[Matrix, list[int]]:
+        """(p, diagonal) of the Smith form of the transposed relations:
+        the quotient is Z^n / im(rel^T), so p acts on generator
+        coordinates."""
+        rt = transpose(self.relations) or zeros(self.n_generators, 1)
+        d, p, _ = smith_normal_form(rt)
+        return p, [d[i][i] for i in range(min(dims(d)))]
 
     def project(self, coords: Sequence[int]) -> tuple[Vector, Vector]:
         """Image of a generator-coordinate vector: (free part, torsion part)."""
-        return self._split(mat_vec(self._p, coords))
+        return self._split(mat_vec(self._transform[0], coords))
 
     def generator_images(self) -> Iterator[tuple[Vector, Vector]]:
         """project(e_k) for each generator k in turn, split as it is reached."""
-        return map(self._split, zip(*self._p))
+        return map(self._split, zip(*self._transform[0]))
 
     def _split(self, y: Vector) -> tuple[Vector, Vector]:
+        diag = self._transform[1]
         free = []
         tors = []
         for i, x in enumerate(y):
-            di = self._diag[i] if i < len(self._diag) else 0
+            di = diag[i] if i < len(diag) else 0
             if di == 0:
                 free.append(x)
             elif di > 1:

@@ -2,16 +2,17 @@
 
 The package never calls these: the determinant, the Smith and Fraction
 eliminations that integer solves, lattice intersections and inverses
-used before they ran on the augmented Hermite reduction, the reflection
-id of a root, the action on extended roots, and the paper's symmetric
-systems with their reflection-group axioms and permutation closures for
-small finite systems (the terminal group).
+used before they ran on the augmented Hermite reduction, the Smith
+classification of a presentation from its whole transposed basis, the
+reflection id of a root, the action on extended roots, and the paper's
+symmetric systems with their reflection-group axioms and permutation
+closures for small finite systems (the terminal group).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from extweyl.ext_root import ExtRootSystem, SSet, ValidationReport
 from extweyl.intlinalg import (
@@ -25,6 +26,7 @@ from extweyl.intlinalg import (
     sparse_rows,
     transpose,
     vec_mat,
+    zeros,
 )
 from extweyl.root_core import FiniteRootSystem
 from extweyl.weyl import WElement
@@ -101,6 +103,27 @@ def lattice_intersection_smith(
     # left kernel of `stacked`: rows (u | v) with u @ a == v @ b
     gens = [vec_mat(w[: len(a)], a) for w in kernel_basis(transpose(stacked))]
     return hermite_rows(len(a[0]), sparse_rows(gens))
+
+
+def classify_smith(
+    n: int, relations: Sequence[Mapping[int, int]]
+) -> tuple[list[int], tuple[int, ...], int, list[tuple[Vector, Vector]]]:
+    """Z^n / (row span of relations) from the Smith form of its whole
+    transposed Hermite basis: (invariant_factors, torsion, free_rank) as
+    `FPAbelianGroup` reads them, and the image (free part, torsion part)
+    of each generator e_k under the Smith transform p."""
+    rel = hermite_rows(n, relations)
+    d, p, _ = smith_normal_form(transpose(rel) or zeros(n, 1))
+    diag = [d[i][i] for i in range(min(dims(d)))]
+    torsion = tuple(x for x in diag if x > 1)
+    free_rank = n - sum(1 for x in diag if x != 0)
+    images = []
+    for k in range(n):
+        y = [row[k] for row in p]
+        free = tuple(x for i, x in enumerate(y) if i >= len(diag) or diag[i] == 0)
+        tors = tuple(x % diag[i] for i, x in enumerate(y) if i < len(diag) and diag[i] > 1)
+        images.append((free, tors))
+    return list(torsion) + [0] * free_rank, torsion, free_rank, images
 
 
 def mat_inv_fraction(m: Sequence[Sequence[int]]) -> Matrix:

@@ -102,7 +102,6 @@ def test_imported_module_is_reported():
 # nothing in the package reads, each kept for the tests or the benchmark
 # workload named here.
 ORACLES = {
-    "intlinalg.FPAbelianGroup.relations": "the relation-set oracles in test_lattice_algebra",
     "lattice_algebra.BoxForm.rs": "test_lattice_algebra.value_roots",
     "lattice_algebra.BoxForm.left": "test_lattice_algebra.value_roots",
     "lattice_algebra.BoxForm.right": "test_lattice_algebra.value_roots",

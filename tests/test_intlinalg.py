@@ -1,5 +1,7 @@
+from functools import partial
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from extweyl import intlinalg
 from extweyl.ext_root import SSet, _members_in_subspace
@@ -27,6 +29,7 @@ from extweyl.lattice_algebra import box_quotient, coinvariants
 from extweyl.root_core import build
 from extweyl.verify import sweep_types
 from support import (
+    classify_smith,
     determinant,
     lattice_intersection_smith,
     mat_inv_fraction,
@@ -186,9 +189,10 @@ def test_snf_matches_full_scan(rows):
 
 
 def test_snf_matches_full_scan_on_lattice_relations(monkeypatch):
-    # every relation matrix that coinvariants and box_quotient reduce on
-    # the lattice benchmark's systems, and the generator images read off
-    # the transform against one projection per generator
+    # every matrix that coinvariants and box_quotient reduce on the
+    # lattice benchmark's systems, the non-unit block and the full
+    # transposed basis alike, and the generator images read off the
+    # transform against one projection per generator
     matrices = []
 
     def recording(m):
@@ -203,9 +207,11 @@ def test_snf_matches_full_scan_on_lattice_relations(monkeypatch):
             for quotient in (coinvariants, box_quotient):
                 matrices.clear()
                 fp = quotient(rs, *pair)
-                (m,) = matrices
-                assert smith_normal_form(m) == _smith_full_scan(m), (fam, rk, pair)
-                assert list(fp.generator_images()) == [
+                images = list(fp.generator_images())
+                assert matrices, (fam, rk, pair)
+                for m in matrices:
+                    assert smith_normal_form(m) == _smith_full_scan(m), (fam, rk, pair)
+                assert images == [
                     fp.project(tuple(int(i == k) for i in range(n))) for k in range(n)
                 ], (fam, rk, pair)
 
@@ -699,3 +705,95 @@ def test_fp_abelian_group_free():
     assert projects_to_zero(fp2, (2, 2))
     assert projects_to_zero(fp2, (-4, -4))
     assert not projects_to_zero(fp2, (1, 1))
+
+
+def _relation_sets(width):
+    """{column: entry} rows for Z^width: sparse ones (empty rows too),
+    dependent ones, and rows scaled by a non-unit or a negative factor,
+    each given twice, so pivots are often neither 1 nor positive."""
+    if width == 0:
+        return st.lists(st.just({}), max_size=3)
+    scaled = st.tuples(_dict_row(width), st.sampled_from([-3, -2, -1, 2, 4, 6]))
+    return st.one_of(
+        st.lists(_dict_row(width), max_size=40),
+        _dependent_rows(width).map(sparse_rows),
+        st.lists(scaled, max_size=10).map(
+            lambda rs: [{k: f * x for k, x in r.items()} for r, f in rs for _ in "ab"]
+        ),
+    )
+
+
+def assert_classified_as_full_smith(fp, n, rows, case=None):
+    """fp against the full Smith oracle: its classification, its generator
+    images, and project(e_k) for every k, or for 4 spread-out k when n
+    is large (a projection costs n^2)."""
+    factors, torsion, free_rank, images = classify_smith(n, rows)
+    assert (fp.invariant_factors, fp.torsion, fp.free_rank) == (
+        factors, torsion, free_rank
+    ), case
+    assert list(fp.generator_images()) == images, case
+    ks = range(n) if n <= 64 else (0, n // 3, 2 * n // 3, n - 1)
+    for k in ks:
+        assert fp.project(tuple(int(i == k) for i in range(n))) == images[k], (case, k)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 24).flatmap(lambda w: st.tuples(st.just(w), _relation_sets(w))))
+@example((0, []))
+@example((0, [{}, {}]))
+@example((4, []))
+@example((3, [{}, {}, {}]))
+@example((3, [{0: -2, 2: 5}, {0: -2, 2: 5}, {1: 4, 2: -6}, {0: 4, 1: -8, 2: 22}]))
+@example((2, [{0: -1}, {1: -4}, {1: 6}]))
+def test_fp_abelian_group_matches_full_smith_oracle(case):
+    n, rows = case
+    assert_classified_as_full_smith(FPAbelianGroup(n, iter(rows)), n, rows)
+
+
+def _lattice_quotients():
+    """coinvariants and box_quotient, on all three side pairs, of every
+    sweep_types(8) type and of B, C, D and BC at rank 24."""
+    for fam, rk in sweep_types(8) + [("B", 24), ("C", 24), ("D", 24), ("BC", 24)]:
+        rs = build(fam, rk)
+        for pair in (("root", "root"), ("root", "coroot"), ("coroot", "coroot")):
+            for quotient in (coinvariants, box_quotient):
+                yield (fam, rk, *pair, quotient.__name__), partial(quotient, rs, *pair)
+
+
+def test_lattice_quotients_match_full_smith_oracle(monkeypatch):
+    rows = []
+
+    def recording(width, relations):
+        rows.append(list(relations))
+        return hermite_rows(width, rows[-1])
+
+    monkeypatch.setattr(intlinalg, "hermite_rows", recording)
+    for case, make in _lattice_quotients():
+        rows.clear()
+        fp = make()
+        (relations,) = rows
+        assert_classified_as_full_smith(fp, fp.n_generators, relations, case)
+
+
+def test_descriptor_reduces_only_the_non_unit_block(monkeypatch):
+    # the descriptor reads the Smith form of the rows whose pivot is not
+    # 1; the transform is built once, on the first projection asked for
+    shapes = []
+
+    def recording(m):
+        shapes.append(dims(m))
+        return smith_normal_form(m)
+
+    monkeypatch.setattr(intlinalg, "smith_normal_form", recording)
+    for case, make in _lattice_quotients():
+        shapes.clear()
+        fp = make()
+        fp.descriptor()
+        assert all(rows <= 3 for rows, _ in shapes), (case, shapes)
+        before = len(shapes)
+        list(fp.generator_images())
+        # with no relations the transposed basis is one zero column
+        assert shapes[before:] == [(fp.n_generators, len(fp.relations) or 1)], case
+        list(fp.generator_images())
+        fp.project((0,) * fp.n_generators)
+        assert len(shapes) == before + 1, case
