@@ -5,7 +5,10 @@ L (x) L' by the diagonal V-action, L, L' being the root or the coroot
 lattice, and computes their invariant factors by Smith reduction.  The
 box quotient additionally kills the tensors of perpendicular reflection
 pairs; it is infinite cyclic for every type, and its projection to Z is
-the bilinear form that powers the Weyl-group cocycle.
+the bilinear form that powers the Weyl-group cocycle.  That form needs
+no reduction: it is the primitive integral multiple of the invariant
+form ( | ) on the two lattices (see `BoxForm`), so Smith reduction here
+only classifies the quotients.
 
 Presentations use the simple reflections only: they generate the Weyl
 group, and the relation subgroup they span is the full one because it
@@ -20,7 +23,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import chain
-from math import gcd
+from math import gcd, lcm
 from typing import Iterator
 
 from extweyl.intlinalg import (
@@ -29,11 +32,11 @@ from extweyl.intlinalg import (
     Vector,
     dot,
     freeze,
+    mat_mul,
     mat_vec,
     transpose,
 )
 from extweyl.root_core import (
-    LONG,
     SHORT,
     FiniteRootSystem,
     RootSystemError,
@@ -57,10 +60,6 @@ def _side_data(rs: FiniteRootSystem, side: str):
     if side == COROOT:
         return rs.coroots, rs.coroot_moves
     raise ValueError(f"side must be 'root' or 'coroot', got {side!r}")
-
-
-def _tensor_index(l: int, i: int, j: int) -> int:
-    return i * l + j
 
 
 class _Rows:
@@ -223,46 +222,49 @@ def box_quotient(rs: FiniteRootSystem, left: str, right: str) -> FPAbelianGroup:
     return FPAbelianGroup(l * l, _Rows(len(coinv) + len(pairs), chain(coinv, perp)))
 
 
+def _basis_denominators(rs: FiniteRootSystem, side: str) -> list[int]:
+    """d with the side's k-th basis vector e_k = alpha_k / d_k: 1 on the
+    root lattice; sym_k * s_k on the coroot lattice, e_k being the coroot
+    alpha_k / sym_k, sym_k = (alpha_k | alpha_k) / 2, over s_k, which is 2
+    only at BC's halved short simple coroot."""
+    if side == ROOT:
+        return [1] * rs.rank
+    coroots, _ = _side_data(rs, side)  # any side but the two raises here
+    return [rs._gram[k][k] // 2 * coroots[b][k] for k, b in enumerate(rs.basis)]
+
+
 class BoxForm:
     """The projection of L [x] L' onto its infinite cyclic quotient.
 
     Carries a Gram matrix over basis coordinates: value(x, y) is the
-    image of x (x) y under the canonical generator.  The generator sign
-    makes the diagonal value at the first long (or only) simple root
-    positive.
+    image of x (x) y under the canonical generator.  The projection is a
+    W-invariant bilinear form (the box quotient is one of the
+    coinvariants) and W acts irreducibly, so it is a rational multiple of
+    the invariant form ( | ) (Bourbaki, Lie Groups and Lie Algebras,
+    Ch. VI, par. 1); being onto Z, it is the primitive integral multiple
+    up to sign.  So gram[i][j] is (alpha_i | alpha_j) / (d_i d'_j) (see
+    `_basis_denominators`) scaled to coprime integers, that is
+      root, root: `_gram`[i][j];
+      root, coroot: `pairing_matrix`[j][i] = <m_j, alpha_i>;
+      coroot, coroot: cartan[i][j] / (sym_j s_i s_j).
+    The generator sign makes the diagonal value at the first long (or
+    only) simple root positive: the multiple taken is the positive
+    definite one.
     """
 
     def __init__(self, rs: FiniteRootSystem, left: str, right: str):
-        fp = box_quotient(rs, left, right)
-        if fp.free_rank != 1 or fp.torsion:
-            raise RootSystemError(
-                f"box quotient of {rs.rs_type} ({left},{right}) is {fp.descriptor()}, "
-                "expected Z"
-            )
-        l = rs.rank
-        images = list(fp.generator_images())
+        d_left = _basis_denominators(rs, left)
+        d_right = _basis_denominators(rs, right)
+        common = lcm(*(x * y for x in d_left for y in d_right))
         gram = [
-            [images[_tensor_index(l, i, j)][0][0] for j in range(l)] for i in range(l)
+            [g * (common // (x * y)) for g, y in zip(row, d_right)]
+            for row, x in zip(rs._gram, d_left)
         ]
-        anchor = None
-        for b in rs.basis:
-            if rs.lengths[b] == LONG:
-                anchor = b
-                break
-        if anchor is None:
-            anchor = rs.basis[0]
-        vecs_l, _ = _side_data(rs, left)
-        vecs_r, _ = _side_data(rs, right)
-        val = dot(vecs_l[anchor], mat_vec(freeze(gram), vecs_r[anchor]))
-        if val == 0:
-            raise RootSystemError("degenerate box form anchor")
-        if val < 0:
-            gram = [[-x for x in row] for row in gram]
+        unit = gcd(*chain.from_iterable(gram))
         self.rs = rs
         self.left = left
         self.right = right
-        self.gram: Matrix = freeze(gram)
-        self.fp = fp
+        self.gram: Matrix = freeze([[g // unit for g in row] for row in gram])
 
     def value(self, x: Vector, y: Vector) -> int:
         return dot(x, mat_vec(self.gram, y))
@@ -351,32 +353,29 @@ def _unit_combination(gram: Matrix) -> dict[tuple[int, int], int]:
     return combo
 
 
+def _multiple(gram: Matrix, base: Matrix) -> int:
+    """The integer c with gram == c * base, base a (positive definite) box form."""
+    c = gram[0][0] // base[0][0]
+    if any(x != c * y for row, brow in zip(gram, base) for x, y in zip(row, brow)):
+        raise RootSystemError("box form is not an integer multiple of its source")
+    return c
+
+
 def inclusion_indices(rs: FiniteRootSystem) -> tuple[int, int]:
     """Indices of L [x] L -> L [x] Lv -> Lv [x] Lv under the lattice embedding.
 
     Each map is multiplication by an integer once the quotients are
-    identified with Z; both integers must be nonzero (injectivity), and
-    with the canonical generator signs they come out positive.
+    identified with Z: the pulled-back form, gram_lc.phi and
+    phi^T.gram_cc, is that multiple of the source gram.  Both integers
+    must be nonzero (injectivity), and with the canonical generator
+    signs they come out positive.
     """
     phi = lattice_embedding_matrix(rs)
     f_ll = root_box_form(rs)
     f_lc = mixed_box_form(rs)
     f_cc = boxtimes_form(rs)
-    l = rs.rank
-
-    def basis_vec(i: int) -> Vector:
-        return tuple(int(t == i) for t in range(l))
-
-    combo = _unit_combination(f_ll.gram)
-    index_phi = sum(
-        c * f_lc.value(basis_vec(i), mat_vec(phi, basis_vec(j)))
-        for (i, j), c in combo.items()
-    )
-    combo2 = _unit_combination(f_lc.gram)
-    index_psi = sum(
-        c * f_cc.value(mat_vec(phi, basis_vec(i)), basis_vec(j))
-        for (i, j), c in combo2.items()
-    )
+    index_phi = _multiple(mat_mul(f_lc.gram, phi), f_ll.gram)
+    index_psi = _multiple(mat_mul(transpose(phi), f_cc.gram), f_lc.gram)
     return index_phi, index_psi
 
 

@@ -4,6 +4,7 @@ The package never calls these: the determinant, the Smith and Fraction
 eliminations that integer solves, lattice intersections and inverses
 used before they ran on the augmented Hermite reduction, the Smith
 classification of a presentation from its whole transposed basis, the
+box form read off the Smith transform of the box quotient, the
 reflection id of a root, the action on extended roots, and the paper's
 symmetric systems with their reflection-group axioms and permutation
 closures for small finite systems (the terminal group).
@@ -14,11 +15,13 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Sequence
 
+from extweyl import lattice_algebra
 from extweyl.ext_root import ExtRootSystem, SSet, ValidationReport
 from extweyl.intlinalg import (
     Matrix,
     Vector,
     dims,
+    dot,
     freeze,
     hermite_rows,
     mat_vec,
@@ -28,7 +31,7 @@ from extweyl.intlinalg import (
     vec_mat,
     zeros,
 )
-from extweyl.root_core import FiniteRootSystem
+from extweyl.root_core import LONG, FiniteRootSystem, RootSystemError
 from extweyl.weyl import WElement
 
 
@@ -124,6 +127,37 @@ def classify_smith(
         tors = tuple(x % diag[i] for i, x in enumerate(y) if i < len(diag) and diag[i] > 1)
         images.append((free, tors))
     return list(torsion) + [0] * free_rank, torsion, free_rank, images
+
+
+def box_form_smith(rs: FiniteRootSystem, left: str, right: str) -> Matrix:
+    """The box form's Gram matrix read off the presentation: the images
+    of the basis tensors under the Smith transform of `box_quotient`,
+    signed so that the diagonal value at the first long (or only) simple
+    root is positive."""
+    fp = lattice_algebra.box_quotient(rs, left, right)
+    if fp.free_rank != 1 or fp.torsion:
+        raise RootSystemError(
+            f"box quotient of {rs.rs_type} ({left},{right}) is {fp.descriptor()}, "
+            "expected Z"
+        )
+    l = rs.rank
+    images = list(fp.generator_images())
+    gram = [[images[i * l + j][0][0] for j in range(l)] for i in range(l)]
+    anchor = None
+    for b in rs.basis:
+        if rs.lengths[b] == LONG:
+            anchor = b
+            break
+    if anchor is None:
+        anchor = rs.basis[0]
+    vecs_l, _ = lattice_algebra._side_data(rs, left)
+    vecs_r, _ = lattice_algebra._side_data(rs, right)
+    val = dot(vecs_l[anchor], mat_vec(freeze(gram), vecs_r[anchor]))
+    if val == 0:
+        raise RootSystemError("degenerate box form anchor")
+    if val < 0:
+        gram = [[-x for x in row] for row in gram]
+    return freeze(gram)
 
 
 def mat_inv_fraction(m: Sequence[Sequence[int]]) -> Matrix:

@@ -1,8 +1,12 @@
 import json
 import pathlib
+import random
+import time
 
-from extweyl import lattice_algebra
-from extweyl.intlinalg import lattice_contains, hermite_rows, sparse_rows, transpose
+import pytest
+
+from extweyl import intlinalg, lattice_algebra
+from extweyl.intlinalg import lattice_contains, hermite_rows, mat_mul, sparse_rows, transpose
 from extweyl.lattice_algebra import (
     BoxForm,
     box_quotient,
@@ -22,8 +26,10 @@ from extweyl.root_core import (
     build,
     k_delta,
 )
-from extweyl.verify import sweep_types
+from extweyl.verify import sweep_types, word_test_systems
+from extweyl.weyl import conjugated_relator_product, decide_word
 
+from support import box_form_smith
 from test_intlinalg import dense, hermite_of, projects_to_zero
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "tensor_types.json"
@@ -158,17 +164,20 @@ def _first_root_perp_pairs(rs, left, right):
 
 def test_class_representative_pairs_match_all_pairs(monkeypatch):
     # the full relation set is the oracle: one left root per length
-    # class must span the same relation lattice and give the same form
+    # class must span the same relation lattice, so the same quotient
+    # and form; the form itself is checked against the presentation's
     for fam, rk in sweep_types(7):
         rs = build(fam, rk)
         for left, right in SIDES:
             with monkeypatch.context() as m:
                 m.setattr(lattice_algebra, "_perp_relation_pairs", _all_perp_pairs)
-                oracle = BoxForm(rs, left, right)
+                oracle = box_quotient(rs, left, right).relations
             # relations are the Hermite normal form of the relation rows
             got = box_quotient(rs, left, right).relations
-            assert got == oracle.fp.relations, (fam, rk, left, right)
-            assert BoxForm(rs, left, right).gram == oracle.gram, (fam, rk, left, right)
+            assert got == oracle, (fam, rk, left, right)
+            assert BoxForm(rs, left, right).gram == box_form_smith(rs, left, right), (
+                fam, rk, left, right
+            )
 
 
 def test_stabilizer_orbit_pairs_match_first_root_pairs(monkeypatch):
@@ -179,10 +188,12 @@ def test_stabilizer_orbit_pairs_match_first_root_pairs(monkeypatch):
         rs = build(fam, rk)
         with monkeypatch.context() as m:
             m.setattr(lattice_algebra, "_perp_relation_pairs", _first_root_perp_pairs)
-            oracle = BoxForm(rs, left, right)
-        got = BoxForm(rs, left, right)
-        assert got.fp.relations == oracle.fp.relations, (fam, rk, left, right)
-        assert got.gram == oracle.gram, (fam, rk, left, right)
+            oracle = box_quotient(rs, left, right).relations
+        got = box_quotient(rs, left, right).relations
+        assert got == oracle, (fam, rk, left, right)
+        assert BoxForm(rs, left, right).gram == box_form_smith(rs, left, right), (
+            fam, rk, left, right
+        )
 
 
 def _stabilizer_orbit_count(rs, theta, pool):
@@ -323,15 +334,85 @@ def test_sweep_types_lists_each_admissible_type_once():
     ]
 
 
-def test_box_form_invariance():
-    for fam, rk in [("B", 2), ("G", 2), ("BC", 2)]:
-        rs = build(fam, rk)
-        f = boxtimes_form(rs)
-        from extweyl.intlinalg import mat_mul
+def _move_matrix(moves, k):
+    """r_k on the side whose move table is `moves`: x -> x - <m_k, x> e_k."""
+    l = len(moves)
+    return tuple(
+        tuple(int(p == i) - int(p == k) * moves[k][i] for i in range(l)) for p in range(l)
+    )
 
-        for b in rs.basis:
-            m = transpose(rs.weyl_generator(b).coroot_images)
-            assert mat_mul(mat_mul(tuple(zip(*m)), f.gram), m) == f.gram
+
+def test_box_form_invariance():
+    # the defining property, read off the move tables with no reduction:
+    # r_k^T gram r_k' == gram for every simple reflection, on every form
+    for fam, rk in sweep_types(8):
+        rs = build(fam, rk)
+        for left, right in SIDES:
+            f = BoxForm(rs, left, right)
+            _, moves_left = lattice_algebra._side_data(rs, left)
+            _, moves_right = lattice_algebra._side_data(rs, right)
+            for k in range(rs.rank):
+                a = _move_matrix(moves_left, k)
+                b = _move_matrix(moves_right, k)
+                assert mat_mul(mat_mul(transpose(a), f.gram), b) == f.gram, (
+                    fam, rk, left, right, k
+                )
+
+
+def test_box_form_matches_the_smith_oracle_at_rank_24():
+    # through rank 8 the pair-enumerator tests above compare every form
+    for fam in ("B", "C", "D", "BC"):
+        rs = build(fam, 24)
+        for left, right in SIDES:
+            assert BoxForm(rs, left, right).gram == box_form_smith(rs, left, right), (
+                fam, left, right
+            )
+
+
+def test_box_form_rejects_an_unknown_side():
+    rs = build("B", 3)
+    with pytest.raises(ValueError, match="'weight'"):
+        BoxForm(rs, "root", "weight")
+    with pytest.raises(ValueError, match="'weight'"):
+        BoxForm(rs, "weight", "coroot")
+
+
+def test_box_forms_build_no_presentation(monkeypatch):
+    # the forms, the inclusion indices and the decider (whose cocycle
+    # reads the coroot form) run with every Smith reduction and the box
+    # presentation refused
+    rng = random.Random(0)
+    cases = []
+    for _, ers in word_test_systems():
+        want = [box_form_smith(ers.delta, *pair) for pair in SIDES]
+        cases.append((ers, want, [conjugated_relator_product(ers, rng) for _ in range(4)]))
+
+    def refuse(*args):
+        raise AssertionError("a box form built a presentation")
+
+    monkeypatch.setattr(intlinalg, "smith_normal_form", refuse)
+    monkeypatch.setattr(lattice_algebra, "box_quotient", refuse)
+    lattice_algebra._box_form_cached.cache_clear()
+    for ers, want, words in cases:
+        rs = ers.delta
+        got = [root_box_form(rs).gram, mixed_box_form(rs).gram, boxtimes_form(rs).gram]
+        assert got == want, rs.rs_type
+        if rs.rs_type.is_reduced() and not rs.rs_type.is_single_length():
+            phi, psi = inclusion_indices(rs)
+            assert phi > 0 and psi > 0
+        for word in words:
+            assert decide_word(ers, word).trivial, rs.rs_type
+
+
+def test_cold_box_form_at_rank_24_is_fast():
+    rs = build("B", 24)
+    best = float("inf")
+    for _ in range(3):
+        lattice_algebra._box_form_cached.cache_clear()
+        start = time.perf_counter()
+        boxtimes_form(rs)
+        best = min(best, time.perf_counter() - start)
+    assert best < 0.005, best
 
 
 def test_box_form_symmetric_and_gcd_one():
@@ -386,7 +467,6 @@ def test_inclusion_indices_positive():
 
 
 def test_inclusion_indices_reject_single_length():
-    import pytest
     from extweyl.root_core import RootSystemError
 
     for fam, rk in [("A", 2), ("D", 4), ("BC", 2)]:
