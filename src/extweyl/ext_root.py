@@ -11,9 +11,9 @@ subsets are out of scope.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd, prod
+from typing import NamedTuple
 
 from extweyl.intlinalg import (
     Matrix,
@@ -52,25 +52,28 @@ class ExtRootError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class FreeAbelianGroup:
+class _FreeAbelianGroupFields(NamedTuple):
+    rank: int
+    g1: tuple[int, ...]
+    g2: tuple[int, ...]
+
+
+class FreeAbelianGroup(_FreeAbelianGroupFields):
     """Z^n with an optional basis split (G1 | G2) used for twisting."""
 
-    rank: int
-    g1: tuple[int, ...] = ()
-    g2: tuple[int, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        if type(self.rank) is not int or self.rank < 0:
+    def __new__(cls, rank: int, g1: tuple[int, ...] = (), g2: tuple[int, ...] = ()):
+        if type(rank) is not int or rank < 0:
             raise ExtRootError("rank must be a nonnegative integer")
-        for name in ("g1", "g2"):
-            if any(type(i) is not int for i in getattr(self, name)):
+        for name, part in (("g1", g1), ("g2", g2)):
+            if any(type(i) is not int for i in part):
                 raise ExtRootError(f"{name} must list integer basis indices")
-        if not self.g1 and not self.g2:
-            object.__setattr__(self, "g2", tuple(range(self.rank)))
-        joint = sorted(self.g1 + self.g2)
-        if joint != list(range(self.rank)):
+        if not g1 and not g2:
+            g2 = tuple(range(rank))
+        if sorted(g1 + g2) != list(range(rank)):
             raise ExtRootError("g1 and g2 must partition the basis indices")
+        return super().__new__(cls, rank, g1, g2)
 
     def basis_vector(self, i: int) -> Vector:
         return tuple(int(j == i) for j in range(self.rank))
@@ -141,16 +144,15 @@ class SSet:
         return f"SSet(H={self.h_basis}, cosets={self.cosets})"
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     witness: str = ""
 
 
-@dataclass
 class ValidationReport:
-    checks: list[CheckResult] = field(default_factory=list)
+    def __init__(self):
+        self.checks: list[CheckResult] = []
 
     @property
     def ok(self) -> bool:
@@ -299,6 +301,17 @@ class ExtRootSystem:
     def twist(self) -> ValidationReport:
         """The `check_twist` report, computed on first use."""
         return check_twist(self)
+
+    @cached_property
+    def undecidable(self) -> str:
+        """Why the word decider cannot run on this system, or "" if it can:
+        it needs a reduced type, and a tame one when two lengths occur."""
+        rs_type = self.delta.rs_type
+        if not rs_type.is_reduced():
+            return "the decider needs a reduced type; trim first"
+        if not rs_type.is_single_length() and not self.twist.ok:
+            return "the decider needs a tame system (twist check failed)"
+        return ""
 
     # -- serialization --------------------------------------------------------
 
@@ -655,8 +668,7 @@ def check_twist(ers: ExtRootSystem) -> ValidationReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class TrimResult:
+class TrimResult(NamedTuple):
     """The trimmed system with the identifications back to the source.
 
     g_matrix rows are the basis of the new group written in source

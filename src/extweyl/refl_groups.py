@@ -8,14 +8,13 @@ extended Weyl group and of its quotient by the centre alike, are
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from extweyl.ext_root import ExtRootError, ExtRootSystem, _require, _require_row
 from extweyl.intlinalg import Matrix, Vector, outer
 
 
-@dataclass(frozen=True)
-class ReflectionLabel:
+class ReflectionLabel(NamedTuple):
     """The reflection r_(g, alpha) of an extended system, canonicalized.
 
     (g, alpha) and (-g, -alpha) name the same reflection, as do a short

@@ -17,8 +17,8 @@ Conventions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 from extweyl.intlinalg import (
     FPAbelianGroup,
@@ -26,9 +26,9 @@ from extweyl.intlinalg import (
     Vector,
     dot,
     freeze,
-    mat_vec,
     sparse_rows,
     transpose,
+    vec_mat,
     vec_sub,
 )
 
@@ -39,9 +39,9 @@ EXTRALONG = "extralong"
 FAMILIES = ("A", "B", "C", "D", "E", "F", "G", "BC")
 
 # the largest rank any type may have: building a rank-24 system takes
-# about 0.2 s on a 2-vCPU x86-64 host, `tensor-type` at rank 24 at most
-# about 0.7 s as a fresh process, and the root count and tables grow as
-# rank^2 and rank^4
+# about 0.02 s on a 2-vCPU x86-64 host, `tensor-type` at rank 24 at most
+# about 0.7 s as a fresh process, and the root count grows as rank^2 and
+# each table row as rank^2
 MAX_RANK = 24
 
 _RANK_OK = {
@@ -60,22 +60,24 @@ class RootSystemError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class RootSystemType:
+class _RootSystemTypeFields(NamedTuple):
     family: str
     rank: int
 
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise RootSystemError(f"unknown family {self.family!r}")
-        if type(self.rank) is not int:
-            raise RootSystemError(f"rank must be an integer, got {self.rank!r}")
-        if self.rank > MAX_RANK:
-            raise RootSystemError(f"rank {self.rank} is above the cap of {MAX_RANK}")
-        if not _RANK_OK[self.family](self.rank):
-            raise RootSystemError(
-                f"rank {self.rank} is not admissible for family {self.family}"
-            )
+
+class RootSystemType(_RootSystemTypeFields):
+    __slots__ = ()
+
+    def __new__(cls, family: str, rank: int):
+        if family not in FAMILIES:
+            raise RootSystemError(f"unknown family {family!r}")
+        if type(rank) is not int:
+            raise RootSystemError(f"rank must be an integer, got {rank!r}")
+        if rank > MAX_RANK:
+            raise RootSystemError(f"rank {rank} is above the cap of {MAX_RANK}")
+        if not _RANK_OK[family](rank):
+            raise RootSystemError(f"rank {rank} is not admissible for family {family}")
+        return super().__new__(cls, family, rank)
 
     def is_simply_laced(self) -> bool:
         """A(rank >= 2), D and E only; A1 is handled separately."""
@@ -180,6 +182,31 @@ _ROOT_COUNT = {
 }
 
 
+class _RowTable(dict):
+    """An n-row table whose row i is `row(i)`, built on first read.
+
+    A built row is then one dict lookup; len and iteration give all n
+    rows in order, building those not yet read.
+    """
+
+    __slots__ = ("_n", "_row")
+
+    def __init__(self, n: int, row):
+        super().__init__()
+        self._n = n
+        self._row = row
+
+    def __missing__(self, i: int):
+        row = self[i] = self._row(i)
+        return row
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __iter__(self):
+        return map(self.__getitem__, range(self._n))
+
+
 class FiniteRootSystem:
     """A finite irreducible root system with explicit coroots.
 
@@ -227,25 +254,36 @@ class FiniteRootSystem:
         self.coroot_moves = freeze(
             [[s * x for x in col] for s, col in zip(scale, transpose(self.pairing_matrix))]
         )
-        # r_k moves coordinate k only, on both lattices; it fixes the
-        # root when the pairing is 0
+        # r_k moves coordinate k only, on both lattices, by the nonzero
+        # entries of its move rows; it fixes the root when the pairing is
+        # 0.  The norm is W-invariant, so each root carries its seed's.
+        moves = [
+            ([(j, x) for j, x in enumerate(row) if x], [(j, x) for j, x in enumerate(corow) if x])
+            for row, corow in zip(cartan, self.coroot_moves)
+        ]
+        gram = self._gram
         seen = {}
-        queue = [(e[k], tuple(s * x for x in e[k])) for k, s in enumerate(scale)] + divisible
+        queue = [(e[k], tuple(s * x for x in e[k]), gram[k][k]) for k, s in enumerate(scale)]
+        queue += [(root, coroot, 4 * gram[-1][-1]) for root, coroot in divisible]
         while queue:
-            root, coroot = queue.pop()
+            root, coroot, norm = queue.pop()
             if root in seen:
                 continue
-            seen[root] = coroot
-            for k, (row, corow) in enumerate(zip(cartan, self.coroot_moves)):
-                s = dot(row, root)
+            seen[root] = coroot, norm
+            for k, (row, corow) in enumerate(moves):
+                s = 0
+                for j, x in row:
+                    s += x * root[j]
                 if s:
                     nr = root[:k] + (root[k] - s,) + root[k + 1:]
                     if nr not in seen:
-                        t = coroot[k] - dot(corow, coroot)
-                        queue.append((nr, coroot[:k] + (t,) + coroot[k + 1:]))
+                        t = coroot[k]
+                        for j, x in corow:
+                            t -= x * coroot[j]
+                        queue.append((nr, coroot[:k] + (t,) + coroot[k + 1:], norm))
         pairs = sorted(seen.items())
         self.roots: tuple[Vector, ...] = tuple(r for r, _ in pairs)
-        self.coroots: tuple[Vector, ...] = tuple(c for _, c in pairs)
+        self.coroots: tuple[Vector, ...] = tuple(c for _, (c, _) in pairs)
         self._index = {r: i for i, r in enumerate(self.roots)}
         expected = _ROOT_COUNT[rs_type.family](l)
         if len(self.roots) != expected:
@@ -254,7 +292,7 @@ class FiniteRootSystem:
             )
 
         self.basis = tuple(self._index[x] for x in e)
-        norms = [self._norm(r) for r in self.roots]
+        norms = [n for _, (_, n) in pairs]
         levels = sorted(set(norms))
         if rs_type.family == "BC":
             # BC1 has no long class, only the divisible roots
@@ -318,40 +356,58 @@ class FiniteRootSystem:
             for r, h in zip(self.roots, halves)
         )
 
-    def _norm(self, x: Vector) -> int:
-        return dot(x, mat_vec(self._gram, x))
-
     # -- pairing and reflections ------------------------------------------
     #
-    # The tables below are built on first use, never in __init__, so that
-    # constructing a system costs nothing extra.  W acts faithfully on the
+    # The tables below are built a row at a time on first use, never in
+    # __init__, so that constructing a system costs nothing extra and a
+    # command pays only for the rows it reads.  W acts faithfully on the
     # roots (Humphreys, Reflection Groups and Coxeter Groups, 1.14), so
     # root-against-root questions are answered by lookups.
 
     @cached_property
-    def _coroot_rows(self) -> tuple[Vector, ...]:
+    def _coroot_rows(self) -> _RowTable:
         """Row i is the linear form <alpha_i^vee, .> on root coordinates."""
-        pt = transpose(self.pairing_matrix)
-        return tuple(mat_vec(pt, y) for y in self.coroots)
+        return _RowTable(len(self.roots), self._coroot_row)
+
+    def _coroot_row(self, i: int) -> Vector:
+        return vec_mat(self.coroots[i], self.pairing_matrix)
 
     @cached_property
-    def pairing_table(self) -> tuple[tuple[int, ...], ...]:
+    def _root_columns(self) -> Matrix:
+        return transpose(self.roots)
+
+    @cached_property
+    def pairing_table(self) -> _RowTable:
         """pairing_table[i][j] = <alpha_i^vee, alpha_j> over all roots."""
-        return tuple(
-            tuple(dot(row, r) for r in self.roots) for row in self._coroot_rows
-        )
+        return _RowTable(len(self.roots), self._pairing_row)
+
+    def _pairing_row(self, i: int) -> tuple[int, ...]:
+        # the root columns, weighted by the nonzero entries of the form
+        row = [0] * len(self.roots)
+        for c, column in zip(self._coroot_rows[i], self._root_columns):
+            if c:
+                row = [a + c * x for a, x in zip(row, column)]
+        return tuple(row)
 
     @cached_property
-    def reflection_table(self) -> tuple[tuple[int, ...], ...]:
+    def reflection_table(self) -> _RowTable:
         """reflection_table[i][j] = index of r_i(alpha_j)."""
+        return _RowTable(len(self.roots), self._reflection_row)
+
+    def _reflection_row(self, i: int) -> tuple[int, ...]:
+        # r_i(alpha_j) = alpha_j - c alpha_i moves only the coordinates in
+        # the support of alpha_i, and fixes alpha_j when c is 0
+        support = [(k, a) for k, a in enumerate(self.roots[i]) if a]
         index = self._index
-        return tuple(
-            tuple(
-                index[tuple(b - c * a for a, b in zip(ai, bj))]
-                for bj, c in zip(self.roots, prow)
-            )
-            for ai, prow in zip(self.roots, self.pairing_table)
-        )
+        row = []
+        for j, (root, c) in enumerate(zip(self.roots, self.pairing_table[i])):
+            if c:
+                image = list(root)
+                for k, a in support:
+                    image[k] -= c * a
+                j = index[tuple(image)]
+            row.append(j)
+        return tuple(row)
 
     def pairing(self, coroot_of: int, at: Vector) -> int:
         """<alpha^vee, lam> for alpha = roots[coroot_of] and lam in the root lattice."""

@@ -11,7 +11,6 @@ fail the suite, while any unexpected divergence does.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 
 from extweyl.ext_root import (
     ExtRootSystem,
@@ -205,12 +204,13 @@ def orbit_configurations() -> list[tuple[str, ExtRootSystem]]:
 # --- reporting -------------------------------------------------------------
 
 
-@dataclass(kw_only=True)
 class SuiteReport(ValidationReport):
     """A suite's checks, plus the lines it reports without checking."""
 
-    suite: str
-    reports: list[str] = field(default_factory=list)
+    def __init__(self, *, suite: str):
+        super().__init__()
+        self.suite = suite
+        self.reports: list[str] = []
 
 
 # --- suites ----------------------------------------------------------------

@@ -20,8 +20,8 @@ decider live here as well.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import combinations, groupby, product
+from typing import NamedTuple
 
 from extweyl.ext_root import ExtRootError, ExtRootSystem
 from extweyl.intlinalg import (
@@ -140,8 +140,7 @@ def evaluate_word_in_w(ers: ExtRootSystem, word) -> WElement:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OrbitClass:
+class OrbitClass(NamedTuple):
     length_class: str
     coset: Vector
 
@@ -304,8 +303,7 @@ def orbit_classes(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class UabVector:
+class UabVector(NamedTuple):
     """A parity vector over orbit classes: the set of classes with odd count."""
 
     odd_classes: frozenset
@@ -433,11 +431,11 @@ def ab_a_properness(ers: ExtRootSystem) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class Decision:
-    trivial: bool
-    failing_layer: str | None
-    witness: dict
+    def __init__(self, trivial: bool, failing_layer: str | None, witness: dict):
+        self.trivial = trivial
+        self.failing_layer = failing_layer
+        self.witness = witness
 
     def to_json(self) -> dict:
         return {
@@ -449,11 +447,8 @@ class Decision:
 
 
 def _require_decidable(ers: ExtRootSystem):
-    if not ers.delta.rs_type.is_reduced():
-        raise ExtRootError("the decider needs a reduced type; trim first")
-    if not ers.delta.rs_type.is_single_length():
-        if not ers.twist.ok:
-            raise ExtRootError("the decider needs a tame system (twist check failed)")
+    if ers.undecidable:
+        raise ExtRootError(ers.undecidable)
 
 
 def decide_word(ers: ExtRootSystem, word) -> Decision:

@@ -4,10 +4,11 @@ The package never calls these: the determinant, the Smith and Fraction
 eliminations that integer solves, lattice intersections and inverses
 used before they ran on the augmented Hermite reduction, the Smith
 classification of a presentation from its whole transposed basis, the
-box form read off the Smith transform of the box quotient, the
-reflection id of a root, the action on extended roots, and the paper's
-symmetric systems with their reflection-group axioms and permutation
-closures for small finite systems (the terminal group).
+box form read off the Smith transform of the box quotient, the dense
+root closure with its norms, the whole-table pairing and reflection
+builders, the reflection id of a root, the action on extended roots,
+and the paper's symmetric systems with their reflection-group axioms
+and permutation closures for small finite systems (the terminal group).
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from extweyl.intlinalg import (
     vec_mat,
     zeros,
 )
-from extweyl.root_core import LONG, FiniteRootSystem, RootSystemError
+from extweyl.root_core import EXTRALONG, LONG, SHORT, FiniteRootSystem, RootSystemError
 from extweyl.weyl import WElement
 
 
@@ -208,6 +209,69 @@ def members_in_subspace_smith(
                 x + sum(s * r[j] for s, r in zip(sol, sset.h_basis)) for j, x in enumerate(c)
             ))
     return met, hermite_rows(n, sparse_rows(gens))
+
+
+def root_norm(rs: FiniteRootSystem, x: Vector) -> int:
+    """(x | x) under the invariant form on root coordinates."""
+    return dot(x, mat_vec(rs._gram, x))
+
+
+def dense_root_data(rs: FiniteRootSystem) -> tuple:
+    """(roots, coroots, lengths, basis) by the dense root closure: each
+    simple reflection pairs a root with its whole move row, and each root's
+    length class is read off its own `root_norm`."""
+    l, family = rs.rank, rs.rs_type.family
+    e = [tuple(int(i == k) for i in range(l)) for k in range(l)]
+    scale = [1] * (l - 1) + [2 if family == "BC" else 1]
+    queue = [(e[k], tuple(s * x for x in e[k])) for k, s in enumerate(scale)]
+    if family == "BC":
+        queue.append((tuple(2 * x for x in e[-1]), e[-1]))
+    seen = {}
+    while queue:
+        root, coroot = queue.pop()
+        if root in seen:
+            continue
+        seen[root] = coroot
+        for k, (row, corow) in enumerate(zip(rs.cartan, rs.coroot_moves)):
+            s = dot(row, root)
+            if s:
+                nr = root[:k] + (root[k] - s,) + root[k + 1:]
+                if nr not in seen:
+                    t = coroot[k] - dot(corow, coroot)
+                    queue.append((nr, coroot[:k] + (t,) + coroot[k + 1:]))
+    pairs = sorted(seen.items())
+    roots = tuple(r for r, _ in pairs)
+    norms = [root_norm(rs, r) for r in roots]
+    levels = sorted(set(norms))
+    if family == "BC":
+        names = [SHORT, LONG, EXTRALONG] if len(levels) == 3 else [SHORT, EXTRALONG]
+    else:
+        names = [SHORT, LONG][: len(levels)]
+    label = dict(zip(levels, names))
+    basis = tuple(roots.index(x) for x in e)
+    return roots, tuple(c for _, c in pairs), tuple(label[n] for n in norms), basis
+
+
+def whole_pairing_table(rs: FiniteRootSystem, rows=None) -> tuple[tuple[int, ...], ...]:
+    """The rows of <alpha_i^vee, alpha_j> (all rows by default), each entry
+    a dense dot of the coroot's linear form with the root."""
+    pt = transpose(rs.pairing_matrix)
+    rows = range(len(rs.roots)) if rows is None else rows
+    forms = [mat_vec(pt, rs.coroots[i]) for i in rows]
+    return tuple(tuple(dot(form, r) for r in rs.roots) for form in forms)
+
+
+def whole_reflection_table(rs: FiniteRootSystem, rows=None) -> tuple[tuple[int, ...], ...]:
+    """The rows of index(r_i(alpha_j)) (all rows by default), each entry
+    the index of the reflected root vector."""
+    rows = range(len(rs.roots)) if rows is None else rows
+    return tuple(
+        tuple(
+            rs.index_of(tuple(b - c * a for a, b in zip(rs.roots[i], bj)))
+            for bj, c in zip(rs.roots, prow)
+        )
+        for i, prow in zip(rows, whole_pairing_table(rs, rows))
+    )
 
 
 def reflection_ids(rs: FiniteRootSystem) -> tuple[int, ...]:

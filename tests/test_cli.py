@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 import extweyl
 from extweyl.cli import main
 from extweyl.ext_root import ExtRootSystem, FreeAbelianGroup, fully_extended, span_extended
-from extweyl.root_core import FiniteRootSystem
+from extweyl.root_core import LONG, FiniteRootSystem, _build_cached
 from extweyl.verify import (
     _random_weyl,
     orbit_configurations,
@@ -119,10 +119,10 @@ def test_group_rank_bounded_by_the_file(capsys, monkeypatch, tmp_path, command, 
     word_p = tmp_path / "w.json"
     word_p.write_text(json.dumps([{"g": [0], "alpha": 0}]))
 
-    def no_group(self):
+    def no_group(cls, *args, **kwargs):
         raise AssertionError("a group was built")
 
-    monkeypatch.setattr(FreeAbelianGroup, "__post_init__", no_group)
+    monkeypatch.setattr(FreeAbelianGroup, "__new__", no_group)
     argv = ["orbits", str(sys_p)] if command == "orbits" else ["word", str(sys_p), str(word_p)]
     start = time.perf_counter()
     assert main(argv) == 2
@@ -256,6 +256,51 @@ def test_orbits_at_quotient_cap_is_fast(capsys, tmp_path):
     data = json.loads(capsys.readouterr().out)
     assert data["bruteforce_agrees"] is True
     assert len(data["classes"]) == 4097
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: fully_extended("D", 24, n=1),
+        lambda: span_extended("B", 24, n=1, g1=(0,)),
+    ],
+    ids=["D24", "B24"],
+)
+def test_orbits_and_word_at_rank_cap_are_fast(capsys, tmp_path, make):
+    # the commands read a few rows of the root tables; building the
+    # tables whole took 4-9 s a command at rank 24
+    ers = make()
+    sys_p = tmp_path / "system.json"
+    sys_p.write_text(json.dumps(ers.to_json()))
+    b = ers.delta.basis[0]
+    g = next(g for g in (1, 2) if ers.membership((g,), b))
+    word_p = tmp_path / "word.json"
+    word_p.write_text(json.dumps([{"g": [0], "alpha": b}, {"g": [g], "alpha": b}]))
+    for argv, key, want in (
+        (["orbits", str(sys_p), "--format", "json"], "bruteforce_agrees", True),
+        (["word", str(sys_p), str(word_p), "--format", "json"], "failing_layer", "K"),
+    ):
+        _build_cached.cache_clear()  # each command builds its system cold
+        start = time.perf_counter()
+        assert main(argv) == 0, argv
+        assert time.perf_counter() - start < 2, argv
+        assert json.loads(capsys.readouterr().out)[key] == want, argv
+
+
+def test_word_outside_the_system_at_rank_cap_exits_2_fast(capsys, tmp_path):
+    ers = span_extended("B", 24, n=1, g1=(0,))
+    long_root = ers.delta.lengths.index(LONG)
+    assert not ers.membership((1,), long_root)
+    sys_p = tmp_path / "system.json"
+    sys_p.write_text(json.dumps(ers.to_json()))
+    word_p = tmp_path / "word.json"
+    word_p.write_text(json.dumps([{"g": [0], "alpha": 0}, {"g": [1], "alpha": long_root}]))
+    _build_cached.cache_clear()
+    start = time.perf_counter()
+    assert main(["word", str(sys_p), str(word_p)]) == 2
+    assert time.perf_counter() - start < 2
+    err = capsys.readouterr().err
+    assert err == f"error: word[1] (g [1], alpha {long_root}) is not an extended root\n"
 
 
 def test_orbits_b2_z8_matches_golden(capsys, tmp_path):

@@ -2,7 +2,10 @@
 
 import ast
 import importlib.util
+import os
 import pathlib
+import subprocess
+import sys
 
 import extweyl
 
@@ -80,14 +83,38 @@ def _imported_modules(tree: ast.Module) -> set[str]:
     return names
 
 
-def test_package_does_not_import_fractions():
-    # exact arithmetic here means integers: rationals stay in the tests
-    users = [
+def _users_of(module: str) -> list[str]:
+    """The package modules that import `module`."""
+    return [
         path.name
         for path in sorted(PACKAGE.glob("*.py"))
-        if "fractions" in _imported_modules(ast.parse(path.read_text(), filename=str(path)))
+        if module in _imported_modules(ast.parse(path.read_text(), filename=str(path)))
     ]
-    assert users == []
+
+
+def test_package_does_not_import_fractions():
+    # exact arithmetic here means integers: rationals stay in the tests
+    assert _users_of("fractions") == []
+
+
+def test_package_does_not_import_dataclasses():
+    # records are NamedTuples and plain classes, so that the import stays
+    # cheap: dataclasses loads inspect, ast, dis and tokenize
+    assert _users_of("dataclasses") == []
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # a fresh interpreter without site, so only the package's own imports count
+    code = (
+        "import sys\n"
+        "import extweyl, extweyl.cli, extweyl.verify\n"
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
 def test_imported_module_is_reported():

@@ -35,7 +35,13 @@ from extweyl.root_core import (
     pairing_value_sets,
 )
 from extweyl.verify import suite_cocycle, sweep_types, word_test_systems
-from support import determinant, reflection_ids
+from support import (
+    dense_root_data,
+    determinant,
+    reflection_ids,
+    whole_pairing_table,
+    whole_reflection_table,
+)
 
 ROOT_COUNTS = {
     ("A", 1): 2,
@@ -548,3 +554,42 @@ def test_root_tables_are_lazy():
     assert not lazy & set(vars(rs))
     assert rs.reflection_table[0][1] == rs.index_of(rs.reflect(0, rs.roots[1]))
     assert "reflection_table" in vars(rs)
+    # a read builds its own row and the rows it needs, no others
+    for table in (rs._coroot_rows, rs.pairing_table, rs.reflection_table):
+        assert list(table.keys()) == [0]
+    assert rs.pairing_table[5] is rs.pairing_table[5]
+    assert sorted(rs.pairing_table.keys()) == [0, 5]
+    # len and iteration give every row, in order
+    rows = list(rs.reflection_table)
+    assert len(rows) == len(rs.reflection_table) == len(rs.roots)
+    assert rows == [rs.reflection_table[i] for i in range(len(rs.roots))]
+
+
+# the families that reach the rank cap, each at rank 24
+RANK_CAP_TYPES = [(fam, 24) for fam in ("A", "B", "C", "D", "BC")]
+
+
+@pytest.mark.parametrize("fam,rank", TABLE_TYPES + RANK_CAP_TYPES)
+def test_root_data_matches_dense_closure(fam, rank):
+    # the sparse closure carries each seed's norm; the oracle pairs every
+    # root with whole move rows and takes each root's own norm
+    rs = FiniteRootSystem(RootSystemType(fam, rank))
+    assert (rs.roots, rs.coroots, rs.lengths, rs.basis) == dense_root_data(rs)
+
+
+@pytest.mark.parametrize("fam,rank", TABLE_TYPES + RANK_CAP_TYPES)
+def test_root_tables_match_whole_table_builders(fam, rank):
+    rs = FiniteRootSystem(RootSystemType(fam, rank))
+    if rank <= 8:
+        assert tuple(rs.pairing_table) == whole_pairing_table(rs)
+        assert tuple(rs.reflection_table) == whole_reflection_table(rs)
+        return
+    # at the rank cap a whole table takes seconds: compare the simple
+    # roots, their negatives and every 17th row
+    rows = sorted(
+        set(rs.basis)
+        | {rs.index_of(tuple(-x for x in rs.roots[b])) for b in rs.basis}
+        | set(range(0, len(rs.roots), 17))
+    )
+    assert tuple(rs.pairing_table[i] for i in rows) == whole_pairing_table(rs, rows)
+    assert tuple(rs.reflection_table[i] for i in rows) == whole_reflection_table(rs, rows)

@@ -31,6 +31,7 @@ from extweyl.refl_groups import ReflectionLabel, conj_reflect, label_k_part
 from extweyl.root_core import (
     LONG,
     SHORT,
+    RootSystemType,
     WeylElement,
     build,
     coxeter_evaluate,
@@ -635,8 +636,29 @@ def test_decide_word_rejects_nontame_and_bc():
                 call()
     bc = fully_extended("BC", 1, n=1)
     tb = ReflectionLabel.make(bc, (0,), bc.delta.reduced_root_indices()[0])
-    with pytest.raises(ExtRootError):
-        decide_word(bc, [tb, tb])
+    for _ in range(2):
+        with pytest.raises(ExtRootError, match="reduced type; trim first"):
+            decide_word(bc, [tb, tb])
+
+
+def test_decider_check_runs_once_per_system(monkeypatch):
+    calls = []
+    is_reduced = RootSystemType.is_reduced
+
+    def counting(rs_type):
+        calls.append(rs_type)
+        return is_reduced(rs_type)
+
+    ers = b2()
+    t = ReflectionLabel.make(ers, (0, 0), ers.delta.basis[0])
+    monkeypatch.setattr(RootSystemType, "is_reduced", counting)
+    # rejected at V, so no later layer asks for the type
+    assert decide_word(ers, [t]).failing_layer == "V"
+    assert calls
+    first = len(calls)
+    for _ in range(3):
+        assert decide_word(ers, [t]).failing_layer == "V"
+    assert len(calls) == first
 
 
 def test_decide_word_checks_tameness_once_per_system(monkeypatch):
