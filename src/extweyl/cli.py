@@ -2,8 +2,9 @@
 
 Subcommands: info, tensor-type, orbits, word, verify.  Exit codes:
 0 the command ran to completion, 1 a verification found a mismatch,
-2 a usage or input error.  All JSON output carries "schema": 1 and is
-byte-stable for a fixed input and seed.
+2 a usage or input error.  A reader that closes stdout early ends the
+output, not the run: the exit code stays the command's own.  All JSON
+output carries "schema": 1 and is byte-stable for a fixed input and seed.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from extweyl.ext_root import ExtRootError, ExtRootSystem, read_json, validate
@@ -49,8 +51,17 @@ def _emit(payload: dict, text_lines: list[str], fmt: str, out_path: str | None):
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(blob + "\n")
-    else:
+        return
+    try:
         print(blob)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early (`| head`): the output ends there
+        # and the run keeps its exit code; stdout goes to os.devnull so the
+        # interpreter's final flush does not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def cmd_info(args) -> int:

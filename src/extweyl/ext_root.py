@@ -103,10 +103,13 @@ class SSet:
         hnf = hermite_rows(n, sparse_rows(h_basis))
         if len(hnf) != n:
             raise ExtRootError("H must be a full-rank sublattice")
+        self._hold(hnf, {lattice_reduce(hnf, c) for c in cosets})
+
+    def _hold(self, hnf: list[Vector], residues: set[Vector]) -> None:
+        """Store the Hermite basis hnf of H and the canonical residues."""
         self.h_basis: Matrix = freeze(hnf)
-        reduced = sorted({lattice_reduce(hnf, c) for c in cosets})
-        self.cosets: tuple[Vector, ...] = tuple(reduced)
-        self._set = set(reduced)
+        self.cosets: tuple[Vector, ...] = tuple(sorted(residues))
+        self._set = residues
 
     @property
     def rank(self) -> int:
@@ -121,11 +124,19 @@ class SSet:
         return tuple(hermite_rows(self.rank, sparse_rows(self.h_basis + self.cosets)))
 
     def rebase(self, h_basis) -> "SSet":
-        """Express the same set over a finer modulus (h_basis inside H)."""
+        """Express the same set over a finer modulus (h_basis inside H).
+
+        Onto H itself this is the set; otherwise coset_residues gives the
+        canonical residues modulo the finer basis, stored as they are.
+        """
         fine = hermite_rows(self.rank, sparse_rows(h_basis))
+        if fine == list(self.h_basis):
+            return self
         if not lattice_subset(fine, self.h_basis):
             raise ExtRootError("new modulus must refine the old one")
-        return SSet(fine, coset_residues(fine, self.cosets, self.h_basis))
+        out = SSet.__new__(SSet)
+        out._hold(fine, coset_residues(fine, self.cosets, self.h_basis))
+        return out
 
     def scale(self, m: int) -> "SSet":
         """The set m*S over the modulus m*H."""
@@ -264,14 +275,14 @@ class ExtRootSystem:
 
     @cached_property
     def refined(self) -> dict[str, SSet]:
-        """All S-sets over the common refinement of their moduli."""
+        """All S-sets over the common refinement of their moduli; a slice
+        already over it is kept as it is."""
         common = None
         for s in self.s_sets.values():
-            common = (
-                list(s.h_basis)
-                if common is None
-                else lattice_intersection(common, s.h_basis)
-            )
+            if common is None or common == s.h_basis:
+                common = s.h_basis
+            else:
+                common = tuple(lattice_intersection(common, s.h_basis))
         return {c: s.rebase(common) for c, s in self.s_sets.items()}
 
     @cached_property
@@ -518,11 +529,10 @@ def _reflection_stability(
     hstar = next(iter(refined.values())).h_basis
     coset_sets = {c: set(s.cosets) for c, s in refined.items()}
     lengths, table = delta.lengths, delta.pairing_table
-    n = len(hstar)
     order = abs(prod(next(x for x in row if x) for row in hstar))  # |G/H*|
 
     def shifted(c: Vector, x: Vector) -> Vector:
-        return lattice_reduce(hstar, tuple(c[i] - x[i] for i in range(n)))
+        return lattice_reduce(hstar, [a - b for a, b in zip(c, x)])
 
     stable: dict[tuple[str, Vector], bool] = {}
 

@@ -267,12 +267,20 @@ def hermite_rows(width: int, rows: Iterable[SparseRow]) -> list[Vector]:
 
 
 def lattice_reduce(hnf: Sequence[Sequence[int]], v: Sequence[int]) -> Vector:
-    """Canonical representative of v modulo the lattice spanned by hnf rows."""
+    """Canonical representative of v modulo the lattice spanned by hnf rows.
+
+    `hnf` is an echelon basis with strictly increasing pivot columns, as
+    hermite_rows returns, so row i's pivot lies at column i or to its
+    right: a nonzero row[i] is the pivot, and only otherwise is the row
+    scanned.
+    """
     out = v
-    for row in hnf:
-        for pcol, p in enumerate(row):
-            if p:
-                break
+    for i, row in enumerate(hnf):
+        p = row[i]
+        pcol = i
+        while not p:
+            pcol += 1
+            p = row[pcol]
         f = out[pcol] // p
         if f:
             out = [x - f * y for x, y in zip(out, row)]

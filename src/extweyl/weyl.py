@@ -172,13 +172,22 @@ def default_brute_modulus(ers: ExtRootSystem) -> int:
 
 
 def slice_residues_by_class(ers: ExtRootSystem, m: int) -> dict[str, list[Vector]]:
-    """The sorted image of every slice in G/mG, keyed by length class."""
+    """The sorted image of every slice in G/mG, keyed by length class.
+
+    The canonical residue modulo m*Z^n is the coordinatewise one, so each
+    coset representative and each row of H is read mod m once; the rows
+    of H that m*Z^n does not contain then close the distinct residues.
+    Checks m^n before anything is enumerated.
+    """
     n = ers.n
-    mod_h = hermite_rows(n, [{i: m} for i in range(n)])
+    check_quotient_index(m**n)
+    mod_h = [tuple(m * (i == j) for j in range(n)) for i in range(n)]
     out = {}
     for cls in ers.classes():
         s = ers.s_sets[cls]
-        out[cls] = sorted(coset_residues(mod_h, s.cosets, s.h_basis))
+        reps = {tuple(x % m for x in c) for c in s.cosets}
+        gens = [h for h in {tuple(x % m for x in r) for r in s.h_basis} if any(h)]
+        out[cls] = sorted(coset_residues(mod_h, reps, gens) if gens else reps)
     return out
 
 

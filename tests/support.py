@@ -7,6 +7,8 @@ classification of a presentation from its whole transposed basis, the
 box form read off the Smith transform of the box quotient, the dense
 root closure with its norms, the whole-table pairing and reflection
 builders, the reflection id of a root, the action on extended roots,
+the scanning lattice reduction, the rebase and slice residues that
+reduced each coset again, seeded re-presentations of a system's JSON,
 and the paper's symmetric systems with their reflection-group axioms
 and permutation closures for small finite systems (the terminal group).
 """
@@ -21,10 +23,12 @@ from extweyl.ext_root import ExtRootSystem, SSet, ValidationReport
 from extweyl.intlinalg import (
     Matrix,
     Vector,
+    coset_residues,
     dims,
     dot,
     freeze,
     hermite_rows,
+    lattice_subset,
     mat_vec,
     smith_normal_form,
     sparse_rows,
@@ -209,6 +213,65 @@ def members_in_subspace_smith(
                 x + sum(s * r[j] for s, r in zip(sol, sset.h_basis)) for j, x in enumerate(c)
             ))
     return met, hermite_rows(n, sparse_rows(gens))
+
+
+def lattice_reduce_scan(hnf: Sequence[Sequence[int]], v: Sequence[int]) -> Vector:
+    """Canonical representative of v modulo the rows of an echelon basis,
+    each row's pivot found by scanning it from column 0."""
+    out = v
+    for row in hnf:
+        for pcol, p in enumerate(row):
+            if p:
+                break
+        f = out[pcol] // p
+        if f:
+            out = [x - f * y for x, y in zip(out, row)]
+    return tuple(out)
+
+
+def rebase_reducing(sset: SSet, h_basis) -> SSet:
+    """sset over the finer modulus h_basis, built through SSet: the
+    residues of coset_residues are reduced again, onto H itself too."""
+    fine = hermite_rows(sset.rank, sparse_rows(h_basis))
+    if not lattice_subset(fine, sset.h_basis):
+        raise ValueError("new modulus must refine the old one")
+    return SSet(fine, coset_residues(fine, sset.cosets, sset.h_basis))
+
+
+def slice_residues_mod_lattice(ers: ExtRootSystem, m: int) -> dict[str, list[Vector]]:
+    """The sorted image of every slice in G/mG, each coset reduced modulo
+    the Hermite basis of m*Z^n by coset_residues."""
+    n = ers.n
+    mod_h = hermite_rows(n, [{i: m} for i in range(n)])
+    return {
+        cls: sorted(coset_residues(mod_h, ers.s_sets[cls].cosets, ers.s_sets[cls].h_basis))
+        for cls in ers.classes()
+    }
+
+
+def represent_again(data: dict, rng) -> dict:
+    """Another presentation of the system JSON `data`: each H under
+    unimodular row operations, each coset representative shifted by an
+    element of H, the cosets shuffled."""
+    out = {**data, "s_sets": {}}
+    for key, s in data["s_sets"].items():
+        rows = [list(r) for r in s["H"]]
+        for _ in range(2 * len(rows) if len(rows) > 1 else 0):
+            a, b = rng.sample(range(len(rows)), 2)
+            f = rng.choice((-2, -1, 1, 2))
+            rows[a] = [x + f * y for x, y in zip(rows[a], rows[b])]
+        if rows:
+            i = rng.randrange(len(rows))
+            rows[i] = [-x for x in rows[i]]
+        cosets = []
+        for c in s["cosets"]:
+            for r in rows:
+                f = rng.randint(-2, 2)
+                c = [x + f * y for x, y in zip(c, r)]
+            cosets.append(c)
+        rng.shuffle(cosets)
+        out["s_sets"][key] = {"H": rows, "cosets": cosets}
+    return out
 
 
 def root_norm(rs: FiniteRootSystem, x: Vector) -> int:

@@ -25,6 +25,7 @@ from extweyl.verify import (
     word_test_systems,
 )
 
+from support import represent_again
 from test_ext_root import _refined_to_k_squared, _untame_b2
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "verify_small.json"
@@ -324,6 +325,34 @@ def test_orbits_configurations_match_golden(capsys, tmp_path):
             assert capsys.readouterr().out == want, key
             seen.append(key)
     assert sorted(seen) == sorted(golden)
+
+
+def test_orbits_output_does_not_depend_on_the_presentation(capsys, tmp_path):
+    # each system, its k^2 Z^n form and three seeded re-presentations of
+    # either (another basis of each H, shifted and shuffled cosets) print
+    # the same bytes, and the golden where there is one
+    golden = json.loads(ORBITS_CONFIGURATIONS.read_text())
+    systems = orbit_configurations() + [
+        ("B2 n=3", span_extended("B", 2, n=3, g1=(0,))),
+        ("C3 n=3", span_extended("C", 3, n=3, g1=(0,))),
+        ("A2 n=3", fully_extended("A", 2, n=3)),
+    ]
+    rng = random.Random(29)
+    p = tmp_path / "system.json"
+    checked = 0
+    for name, ers in systems:
+        for key, system in ((name, ers), (f"{name} over k^2 Z^n", _refined_to_k_squared(ers))):
+            data = system.to_json()
+            outs = set()
+            for shown in [data] + [represent_again(data, rng) for _ in range(3)]:
+                p.write_text(json.dumps(shown))
+                assert main(["orbits", str(p), "--format", "json"]) == 0, key
+                outs.add(capsys.readouterr().out)
+            assert len(outs) == 1, key
+            if key in golden:
+                assert outs == {json.dumps(golden[key], sort_keys=True, indent=2) + "\n"}, key
+                checked += 1
+    assert checked == len(golden)
 
 
 def test_schema_other_than_one_rejected(capsys, tmp_path, a1_file):
@@ -852,6 +881,56 @@ def _in_process(argv, capsys):
         rc = exc.code
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
+
+
+def _closed_stdout_process(argv):
+    """Exit code and stderr of a fresh run whose stdout reader is gone
+    before the run writes anything."""
+    src = os.path.dirname(os.path.dirname(extweyl.__file__))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "extweyl", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=src),
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    return proc.wait(timeout=120), err
+
+
+@pytest.mark.parametrize("command", ["info", "orbits"])
+def test_closed_stdout_keeps_the_exit_code(b2_file, command):
+    # like `| head -1`: a closed stdout is neither an input error nor a
+    # traceback, and the interpreter's last flush stays quiet
+    argv = {
+        "info": ["info", "B", "24", "--format", "json"],
+        "orbits": ["orbits", b2_file, "--format", "json"],
+    }[command]
+    assert _closed_stdout_process(argv) == (0, b"")
+
+
+def test_closed_stdout_keeps_a_mismatch_exit(monkeypatch, b2_file, capsys):
+    # the handler's own code survives the closed pipe, here 1 from an
+    # incomplete closure; stdout then points at os.devnull
+    full = extweyl.weyl.closure_letters
+    monkeypatch.setattr(
+        "extweyl.weyl.closure_letters",
+        lambda ers, m: [letter for letter in full(ers, m) if not any(letter[2])],
+    )
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with os.fdopen(write_end, "w") as closed:
+        monkeypatch.setattr(sys, "stdout", closed)
+        assert main(["orbits", b2_file, "--format", "json"]) == 1
+        print("after the run", file=closed, flush=True)
+        monkeypatch.undo()
+    assert capsys.readouterr().err == ""
+
+
+def test_unwritable_out_path_exits_2(capsys, b2_file, tmp_path):
+    dest = tmp_path / "missing" / "out.json"
+    assert main(["orbits", b2_file, "--format", "json", "--out", str(dest)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: [Errno 2] No such file or directory")
 
 
 def test_parser_reuse_matches_fresh_processes(capsys, monkeypatch, b2_file):

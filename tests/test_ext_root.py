@@ -36,7 +36,13 @@ from extweyl.refl_groups import ReflectionLabel
 from extweyl.root_core import EXTRALONG, LONG, SHORT, RootSystemType, build, k_delta
 from extweyl.verify import orbit_configurations, word_test_systems
 from extweyl.weyl import w_generator
-from support import act_on_root, reflection_sym_system, terminal_group
+from support import (
+    act_on_root,
+    rebase_reducing,
+    reflection_sym_system,
+    represent_again,
+    terminal_group,
+)
 
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -717,3 +723,65 @@ def test_twist_cache_matches_a_fresh_check():
         assert ers.twist is cached
         untame += not fresh.ok
     assert untame > 1
+
+
+def _presented_systems(copies=3, seed=29):
+    """Every orbit_configurations() system and its k^2 Z^n form, each
+    followed by `copies` seeded re-presentations of it (represent_again)."""
+    rng = random.Random(seed)
+    for name, ers in orbit_configurations():
+        for key, system in ((name, ers), (f"{name} over k^2 Z^n", _refined_to_k_squared(ers))):
+            data = system.to_json()
+            yield key, system
+            for copy in range(copies):
+                yield f"{key} #{copy}", ExtRootSystem.from_json(represent_again(data, rng))
+
+
+def _rebase_targets(ers):
+    """Moduli every slice of a valid system refines onto: the common one,
+    written again under a unimodular row operation, k^2 Z^n and twice
+    the common one."""
+    common = next(iter(ers.refined.values())).h_basis
+    t = ers.delta.rs_type
+    kk = 4 if t.is_single_length() else k_delta(t) ** 2
+    n = ers.n
+    sheared = [list(r) for r in common]
+    if n > 1:
+        sheared[0] = [x - 3 * y for x, y in zip(sheared[0], sheared[-1])]
+    return [
+        common,
+        sheared,
+        [[kk * (i == j) for j in range(n)] for i in range(n)],
+        [vec_scale(2, r) for r in common],
+    ]
+
+
+def test_rebase_matches_the_reducing_oracle():
+    # onto H itself rebase is the set; onto a finer modulus, such as H
+    # with its last row doubled, it stores the residues of coset_residues
+    # without reducing them again
+    cases = 0
+    for name, ers in _presented_systems():
+        for cls, s in ers.s_sets.items():
+            assert s.rebase(s.h_basis) is s
+            assert s.rebase([list(r) for r in reversed(s.h_basis)]) is s
+            doubled = [*s.h_basis[:-1], vec_scale(2, s.h_basis[-1])]
+            for target in [s.h_basis, doubled, *_rebase_targets(ers)]:
+                got, want = s.rebase(target), rebase_reducing(s, target)
+                assert (got.h_basis, got.cosets) == (want.h_basis, want.cosets), (name, cls)
+                assert all(got.contains(c) for c in want.cosets)
+                cases += 1
+        refined = ers.refined
+        common = next(iter(refined.values())).h_basis
+        for cls, s in ers.s_sets.items():
+            want = rebase_reducing(s, common)
+            assert (refined[cls].h_basis, refined[cls].cosets) == (want.h_basis, want.cosets)
+            if s.h_basis == common:
+                assert refined[cls] is s
+    assert cases > 1000
+
+
+def test_rebase_onto_a_coarser_modulus_is_refused():
+    s = SSet([[2, 0], [0, 2]], [(0, 0), (1, 0)])
+    with pytest.raises(ExtRootError, match="must refine"):
+        s.rebase([[1, 0], [0, 2]])

@@ -9,6 +9,7 @@ from extweyl.intlinalg import (
     MAX_QUOTIENT_INDEX,
     FPAbelianGroup,
     QuotientTooLarge,
+    augmented_rows,
     coset_residues,
     dims,
     freeze,
@@ -32,6 +33,7 @@ from support import (
     classify_smith,
     determinant,
     lattice_intersection_smith,
+    lattice_reduce_scan,
     mat_inv_fraction,
     members_in_subspace_smith,
     solve_integer_smith,
@@ -494,6 +496,46 @@ def test_lattice_reduce_matches_generator_oracle(case):
     # reducing twice or from a list changes nothing
     assert lattice_contains(hnf, tuple(x - y for x, y in zip(v, got)))
     assert lattice_reduce(hnf, got) == got
+    assert lattice_reduce(hnf, list(v)) == got
+
+
+@st.composite
+def echelon_and_vector(draw):
+    """An echelon basis as the package builds one, with a vector of its
+    width: the Hermite basis of a few rows, square or not (rank-deficient
+    ones put pivots right of the diagonal), or of augmented rows, either
+    solve_integer's (r | e_i) or _members_in_subspace's (r off some
+    columns | r)."""
+    w = draw(st.integers(1, 5))
+    rows = draw(st.lists(st.lists(st.integers(-9, 9), min_size=w, max_size=w), max_size=w + 1))
+    shape = draw(st.sampled_from(["plain", "solve", "subspace"]))
+    if shape == "plain":
+        width, sparse = w, sparse_rows(rows)
+    elif shape == "solve":
+        width, sparse = w + len(rows), augmented_rows(w, rows, identity(len(rows)))
+    else:
+        kept = draw(st.sets(st.integers(0, w - 1)))
+        proj = [i for i in range(w) if i not in kept]
+        width = len(proj) + w
+        sparse = augmented_rows(len(proj), ([r[i] for i in proj] for r in rows), rows)
+    basis = hermite_rows(width, sparse)
+    v = draw(st.lists(st.integers(-60, 60), min_size=width, max_size=width))
+    return basis, tuple(v)
+
+
+@settings(max_examples=400, deadline=None)
+@given(echelon_and_vector())
+@example(([(0, 2, 1), (0, 0, 3)], (5, 7, -4)))
+@example(([(1, 0, 0, 1), (0, 0, 2, 5)], (3, 1, 9, -8)))
+@example(([(0, 0, 2, 1)], (1, 1, 5, 3)))
+@example(([], (4, -1)))
+def test_lattice_reduce_matches_the_scanning_oracle(case):
+    # a nonzero row[i] is row i's pivot; rows whose pivot lies right of
+    # the diagonal are scanned
+    hnf, v = case
+    got = lattice_reduce(hnf, v)
+    assert got == lattice_reduce_scan(hnf, v)
+    assert type(got) is tuple
     assert lattice_reduce(hnf, list(v)) == got
 
 

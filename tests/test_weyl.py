@@ -64,8 +64,8 @@ from extweyl.weyl import (
     w_generator,
 )
 
-from support import determinant
-from test_ext_root import _refined_to_k_squared, _swapped_b2, _untame_b2
+from support import determinant, slice_residues_mod_lattice
+from test_ext_root import _presented_systems, _refined_to_k_squared, _swapped_b2, _untame_b2
 from test_root_core import reflection_pair
 
 
@@ -480,6 +480,23 @@ def test_generating_letters_are_few():
     # the short simple root of B2 over Z^8 takes 0 and the 8 unit vectors
     # (256 residues), the long one 0 alone (S_lg = 2G is 0 mod 2)
     assert len(closure_letters(_b2_over(8), 2)) == 9 + 1
+
+
+def test_slice_residues_match_the_lattice_oracle():
+    # residues mod m*Z^n read coordinatewise equal coset_residues over the
+    # Hermite basis of m*Z^n, for the brute-force modulus and for others
+    systems = list(_presented_systems())
+    systems += [(f"B2 over Z^{n}", _b2_over(n)) for n in (1, 4, 8)]
+    for name, ers in systems:
+        for m in {default_brute_modulus(ers), 2, 3, 4, 6}:
+            if m**ers.n <= 4096:
+                got = slice_residues_by_class(ers, m)
+                assert got == slice_residues_mod_lattice(ers, m), (name, m)
+
+
+def test_slice_residues_check_the_index_first():
+    with pytest.raises(QuotientTooLarge, match="index 8192 exceeds the cap 4096"):
+        slice_residues_by_class(_b2_over(13), 2)
 
 
 def test_orbit_of_depends_on_root_only_through_length_class():
