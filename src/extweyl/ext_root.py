@@ -18,6 +18,7 @@ from typing import NamedTuple
 from extweyl.intlinalg import (
     Matrix,
     Vector,
+    _residues_between,
     augmented_rows,
     coset_residues,
     freeze,
@@ -126,8 +127,9 @@ class SSet:
     def rebase(self, h_basis) -> "SSet":
         """Express the same set over a finer modulus (h_basis inside H).
 
-        Onto H itself this is the set; otherwise coset_residues gives the
-        canonical residues modulo the finer basis, stored as they are.
+        Onto H itself this is the set; otherwise each coset is spread over
+        the residues of H modulo the finer basis, enumerated against the
+        Hermite basis of H held here, and stored as they are.
         """
         fine = hermite_rows(self.rank, sparse_rows(h_basis))
         if fine == list(self.h_basis):
@@ -135,7 +137,7 @@ class SSet:
         if not lattice_subset(fine, self.h_basis):
             raise ExtRootError("new modulus must refine the old one")
         out = SSet.__new__(SSet)
-        out._hold(fine, coset_residues(fine, self.cosets, self.h_basis))
+        out._hold(fine, _residues_between(fine, self.h_basis, self.cosets))
         return out
 
     def scale(self, m: int) -> "SSet":

@@ -66,10 +66,6 @@ def vec_mat(v: Sequence[int], m: Sequence[Sequence[int]]) -> Vector:
     return tuple(sum(v[i] * m[i][j] for i in range(len(v))) for j in range(len(m[0])))
 
 
-def vec_sub(u: Sequence[int], v: Sequence[int]) -> Vector:
-    return tuple(x - y for x, y in zip(u, v))
-
-
 def vec_scale(c: int, u: Sequence[int]) -> Vector:
     return tuple(c * x for x in u)
 
@@ -384,15 +380,24 @@ def coset_residues(
     The index |Z^n / hnf| is checked against MAX_QUOTIENT_INDEX before
     anything is enumerated.
     """
+    # generators inside hnf add nothing; with none left, L is hnf itself
+    gens = [r for r in (lattice_reduce(hnf, g) for g in gens) if any(r)]
+    big = hermite_rows(len(gens[0]), sparse_rows([*hnf, *gens])) if gens else hnf
+    return _residues_between(hnf, big, cosets)
+
+
+def _residues_between(
+    hnf: Sequence[Sequence[int]], big: Sequence[Sequence[int]], cosets: Sequence[Sequence[int]]
+) -> set[Vector]:
+    """Canonical residues of cosets + big modulo hnf: both hermite_rows
+    bases, hnf full rank and inside big (see `coset_residues`)."""
     n = len(hnf)
     if any(len(row) != n for row in hnf):
         raise ValueError("coset residues need a full-rank modulus")
     check_quotient_index(prod(hnf[i][i] for i in range(n)))
-    # generators inside hnf add nothing; with none left, L is hnf itself
-    gens = [r for r in (lattice_reduce(hnf, g) for g in gens) if any(r)]
-    if not gens:
-        return {lattice_reduce(hnf, c) for c in cosets}
-    big = hermite_rows(n, sparse_rows([*hnf, *gens]))
+    starts = {lattice_reduce(big, c) for c in cosets}
+    if big is hnf:
+        return starts
     offsets = [(0,) * n]
     for i, row in enumerate(big):
         offsets = [
@@ -400,7 +405,6 @@ def coset_residues(
             for o in offsets
             for t in range(hnf[i][i] // row[i])
         ]
-    starts = {lattice_reduce(big, c) for c in cosets}
     return {
         lattice_reduce(hnf, tuple(x + y for x, y in zip(c, o)))
         for c in starts

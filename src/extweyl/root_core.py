@@ -11,7 +11,7 @@ integral.
 
 Conventions:
   * cartan[i][j] = <alpha_i^vee, alpha_j> (rows indexed by the coroot).
-  * reflect(alpha, lam) = lam - <alpha^vee, lam> alpha.
+  * r_alpha(lam) = lam - <alpha^vee, lam> alpha.
   * simply laced systems have a single length class, called "short".
 """
 
@@ -24,12 +24,10 @@ from extweyl.intlinalg import (
     FPAbelianGroup,
     Matrix,
     Vector,
-    dot,
     freeze,
     sparse_rows,
     transpose,
     vec_mat,
-    vec_sub,
 )
 
 SHORT = "short"
@@ -226,6 +224,13 @@ class FiniteRootSystem:
       pairing_matrix: <m_i, alpha_j> for the coroot-lattice basis m_i;
         equals `cartan` except for BC, where the short simple coroot is
         halved to reach the full coroot lattice.
+
+    Roots are paired with, and reflected in, other roots by
+    `pairing_table` and `reflection_table`, built a row at a time.  Two
+    places work on root vectors instead: the root closure in __init__,
+    which finds the roots those tables are indexed by, and the box
+    quotient's perpendicular pairs (`lattice_algebra._perp_relation_pairs`),
+    which read `cartan` rows and the invariant form and build no row.
     """
 
     def __init__(self, rs_type: RootSystemType):
@@ -365,14 +370,6 @@ class FiniteRootSystem:
     # root-against-root questions are answered by lookups.
 
     @cached_property
-    def _coroot_rows(self) -> _RowTable:
-        """Row i is the linear form <alpha_i^vee, .> on root coordinates."""
-        return _RowTable(len(self.roots), self._coroot_row)
-
-    def _coroot_row(self, i: int) -> Vector:
-        return vec_mat(self.coroots[i], self.pairing_matrix)
-
-    @cached_property
     def _root_columns(self) -> Matrix:
         return transpose(self.roots)
 
@@ -382,9 +379,11 @@ class FiniteRootSystem:
         return _RowTable(len(self.roots), self._pairing_row)
 
     def _pairing_row(self, i: int) -> tuple[int, ...]:
-        # the root columns, weighted by the nonzero entries of the form
+        # the root columns, weighted by the nonzero entries of the linear
+        # form <alpha_i^vee, .> on root coordinates
         row = [0] * len(self.roots)
-        for c, column in zip(self._coroot_rows[i], self._root_columns):
+        form = vec_mat(self.coroots[i], self.pairing_matrix)
+        for c, column in zip(form, self._root_columns):
             if c:
                 row = [a + c * x for a, x in zip(row, column)]
         return tuple(row)
@@ -408,14 +407,6 @@ class FiniteRootSystem:
                 j = index[tuple(image)]
             row.append(j)
         return tuple(row)
-
-    def pairing(self, coroot_of: int, at: Vector) -> int:
-        """<alpha^vee, lam> for alpha = roots[coroot_of] and lam in the root lattice."""
-        return dot(self._coroot_rows[coroot_of], at)
-
-    def reflect(self, alpha: int, lam: Vector) -> Vector:
-        c = self.pairing(alpha, lam)
-        return vec_sub(lam, tuple(c * x for x in self.roots[alpha]))
 
     def word_images(self, word) -> tuple[int, ...]:
         """The root indices of w(alpha_1), ..., w(alpha_l), w the product of

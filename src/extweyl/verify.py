@@ -223,11 +223,10 @@ def suite_tables() -> SuiteReport:
         i, j = rs.basis
         a, b = (i, j) if rs.lengths[i] == SHORT else (j, i)
         got = (rs.pairing_table[a][b], rs.pairing_table[b][a])
-        refl_ab = tuple(
-            x - y for x, y in zip(rs.reflect(a, rs.roots[b]), rs.roots[b])
-        )
-        refl_ba = tuple(
-            x - y for x, y in zip(rs.reflect(b, rs.roots[a]), rs.roots[a])
+        # r_p(alpha_q) - alpha_q, r_p(alpha_q) read off the reflection table
+        refl_ab, refl_ba = (
+            tuple(x - y for x, y in zip(rs.roots[rs.reflection_table[p][q]], rs.roots[q]))
+            for p, q in ((a, b), (b, a))
         )
         ok = (
             got == (p_ab, p_ba)

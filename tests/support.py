@@ -9,8 +9,9 @@ root closure with its norms, the whole-table pairing and reflection
 builders, the reflection id of a root, the action on extended roots,
 the scanning lattice reduction, the rebase and slice residues that
 reduced each coset again, seeded re-presentations of a system's JSON,
-and the paper's symmetric systems with their reflection-group axioms
-and permutation closures for small finite systems (the terminal group).
+the pairing and the reflection of root-lattice vectors, and the
+paper's symmetric systems with their reflection-group axioms and
+permutation closures for small finite systems (the terminal group).
 """
 
 from __future__ import annotations
@@ -313,6 +314,18 @@ def dense_root_data(rs: FiniteRootSystem) -> tuple:
     label = dict(zip(levels, names))
     basis = tuple(roots.index(x) for x in e)
     return roots, tuple(c for _, c in pairs), tuple(label[n] for n in norms), basis
+
+
+def pairing(rs: FiniteRootSystem, i: int, lam: Vector) -> int:
+    """<alpha_i^vee, lam> for lam in the root lattice: the coroot's linear
+    form on root coordinates, dotted with lam."""
+    return dot(vec_mat(rs.coroots[i], rs.pairing_matrix), lam)
+
+
+def reflect(rs: FiniteRootSystem, i: int, lam: Vector) -> Vector:
+    """r_i(lam) = lam - <alpha_i^vee, lam> alpha_i on root coordinates."""
+    c = pairing(rs, i, lam)
+    return tuple(x - c * a for x, a in zip(lam, rs.roots[i]))
 
 
 def whole_pairing_table(rs: FiniteRootSystem, rows=None) -> tuple[tuple[int, ...], ...]:

@@ -48,6 +48,7 @@ from extweyl.weyl import (
     orbit_classes,
     uab_of_word,
 )
+from support import pairing, reflect
 
 
 def report(criterion: str, ok: bool, detail: str = ""):
@@ -68,12 +69,12 @@ def test_c01_rank2_table():
         rs = build(fam, 2)
         i, j = rs.basis
         a, b = (i, j) if rs.lengths[i] == SHORT else (j, i)
-        ok &= rs.pairing(a, rs.roots[b]) == pair_ab
-        ok &= rs.pairing(b, rs.roots[a]) == -1
-        ok &= rs.reflect(a, rs.roots[b]) == tuple(
+        ok &= pairing(rs, a, rs.roots[b]) == pair_ab
+        ok &= pairing(rs, b, rs.roots[a]) == -1
+        ok &= reflect(rs, a, rs.roots[b]) == tuple(
             x + mult * y for x, y in zip(rs.roots[b], rs.roots[a])
         )
-        ok &= rs.reflect(b, rs.roots[a]) == tuple(
+        ok &= reflect(rs, b, rs.roots[a]) == tuple(
             x + y for x, y in zip(rs.roots[a], rs.roots[b])
         )
     elapsed = time.monotonic() - t0

@@ -7,6 +7,7 @@ from math import prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from extweyl import ext_root, intlinalg
 from extweyl.ext_root import (
     ExtRootError,
     ExtRootSystem,
@@ -20,6 +21,7 @@ from extweyl.ext_root import (
     validate,
 )
 from extweyl.intlinalg import (
+    QuotientTooLarge,
     Vector,
     coset_residues,
     dot,
@@ -779,6 +781,22 @@ def test_rebase_matches_the_reducing_oracle():
             if s.h_basis == common:
                 assert refined[cls] is s
     assert cases > 1000
+
+
+def test_rebase_onto_a_finer_modulus_reduces_it_alone(monkeypatch):
+    # the set holds the Hermite basis of H, so the one Hermite reduction
+    # is that of the new modulus, and H's residues are enumerated against
+    # the held basis; the quotient cap still holds on this path
+    calls = []
+    real = intlinalg.hermite_rows
+    for module in (ext_root, intlinalg):
+        monkeypatch.setattr(module, "hermite_rows", lambda *a: calls.append(a) or real(*a))
+    s = SSet([[2, 0], [0, 2]], [(0, 0), (1, 0)])
+    calls.clear()
+    assert s.rebase([[4, 0], [0, 2]]).cosets == ((0, 0), (1, 0), (2, 0), (3, 0))
+    assert len(calls) == 1
+    with pytest.raises(QuotientTooLarge):
+        s.rebase([[2 * 4096, 0], [0, 2]])
 
 
 def test_rebase_onto_a_coarser_modulus_is_refused():

@@ -247,6 +247,7 @@ MISSING_TARGETS = {
     "weyl.slice_residues_mod",
     "root_core.same_reflection",
     "root_core.reflect_root_index",
+    "root_core.pairing",
 }
 
 

@@ -29,7 +29,7 @@ from extweyl.root_core import (
 from extweyl.verify import sweep_types, word_test_systems
 from extweyl.weyl import conjugated_relator_product, decide_word
 
-from support import box_form_smith
+from support import box_form_smith, pairing, reflect
 from test_intlinalg import dense, hermite_of, projects_to_zero
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "tensor_types.json"
@@ -73,7 +73,7 @@ def test_root_combination_identities():
         for a in range(n):
             ta = dense(_tensor_of(rs, "root", "root", a, a), w)
             for b in range(n):
-                m = rs.pairing(a, rs.roots[b])
+                m = pairing(rs, a, rs.roots[b])
                 tab = dense(_tensor_of(rs, "root", "root", a, b), w)
                 diff = tuple(2 * x - m * y for x, y in zip(tab, ta))
                 assert projects_to_zero(fp, diff)
@@ -84,7 +84,7 @@ def test_nonadjacent_basis_tensors_vanish():
     fp = coinvariants(rs, "root", "root")
     l = rs.rank
     i, k = rs.basis[0], rs.basis[2]
-    assert rs.pairing(i, rs.roots[k]) == 0
+    assert pairing(rs, i, rs.roots[k]) == 0
     t = _tensor_of(rs, "root", "root", i, k)
     assert projects_to_zero(fp, dense(t, l * l))
 
@@ -100,7 +100,7 @@ def test_generating_set_claim():
         for a in shorts:
             images.append(fp.project(dense(_tensor_of(rs, "root", "root", a, a), w)))
             for b in range(len(rs.roots)):
-                rb = rs.index_of(rs.reflect(b, rs.roots[a]))
+                rb = rs.index_of(reflect(rs, b, rs.roots[a]))
                 images.append(fp.project(dense(_tensor_of(rs, "root", "root", a, rb), w)))
         # the image subgroup of Z^free x prod Z_d must be everything
         width = fp.free_rank + len(fp.torsion)
@@ -149,7 +149,7 @@ def _pool(rs, left, right):
 def _all_perp_pairs(rs, left, right):
     """Every perpendicular pair of the pool, each left root included."""
     pool = _pool(rs, left, right)
-    return [(i, j) for i in pool for j in pool if rs.pairing(i, rs.roots[j]) == 0]
+    return [(i, j) for i in pool for j in pool if pairing(rs, i, rs.roots[j]) == 0]
 
 
 def _first_root_perp_pairs(rs, left, right):
@@ -159,7 +159,7 @@ def _first_root_perp_pairs(rs, left, right):
     reps = {}
     for i in pool:
         reps.setdefault(rs.lengths[i], i)
-    return [(i, j) for i in reps.values() for j in pool if rs.pairing(i, rs.roots[j]) == 0]
+    return [(i, j) for i in reps.values() for j in pool if pairing(rs, i, rs.roots[j]) == 0]
 
 
 def test_class_representative_pairs_match_all_pairs(monkeypatch):
@@ -199,8 +199,8 @@ def test_stabilizer_orbit_pairs_match_first_root_pairs(monkeypatch):
 def _stabilizer_orbit_count(rs, theta, pool):
     """Orbits of the pool roots perpendicular to theta under the simple
     reflections that fix theta, found by reflecting whole root vectors."""
-    fixing = [b for b in rs.basis if rs.pairing(b, rs.roots[theta]) == 0]
-    left = {j for j in pool if rs.pairing(theta, rs.roots[j]) == 0}
+    fixing = [b for b in rs.basis if pairing(rs, b, rs.roots[theta]) == 0]
+    left = {j for j in pool if pairing(rs, theta, rs.roots[j]) == 0}
     count = 0
     while left:
         count += 1
@@ -208,7 +208,7 @@ def _stabilizer_orbit_count(rs, theta, pool):
         while orbit:
             x = rs.roots[orbit.pop()]
             for b in fixing:
-                y = rs.index_of(rs.reflect(b, x))
+                y = rs.index_of(reflect(rs, b, x))
                 if y in left:
                     left.remove(y)
                     orbit.append(y)
@@ -225,10 +225,10 @@ def test_perp_relation_pairs_one_per_stabilizer_orbit():
                 assert len(pairs) == 1, (fam, rk, pair, pairs)
             pool = _pool(rs, *pair)
             for i, j in pairs:
-                assert j in pool and rs.pairing(i, rs.roots[j]) == 0, (fam, rk, pair, i, j)
+                assert j in pool and pairing(rs, i, rs.roots[j]) == 0, (fam, rk, pair, i, j)
             # each left root is dominant, and its right roots are one per orbit
             for theta in {i for i, _ in pairs}:
-                assert all(rs.pairing(b, rs.roots[theta]) >= 0 for b in rs.basis)
+                assert all(pairing(rs, b, rs.roots[theta]) >= 0 for b in rs.basis)
                 got = sum(1 for i, _ in pairs if i == theta)
                 assert got == _stabilizer_orbit_count(rs, theta, pool), (fam, rk, pair)
 

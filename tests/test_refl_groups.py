@@ -24,6 +24,8 @@ from support import (
     act_on_root,
     check_reflection_group,
     check_sym_axioms,
+    pairing,
+    reflect,
     reflection_ids,
     reflection_sym_system,
     terminal_group,
@@ -216,8 +218,8 @@ def test_make_matches_the_vector_oracle(kind, n, roots, shifts):
         for t2 in labels:
             # t1.t2 = r_(h - <alpha^vee, beta> g, r_alpha(beta)), from vectors
             beta = rs.roots[t2.root]
-            m = rs.pairing(t1.root, beta)
-            moved = rs.index_of(rs.reflect(t1.root, beta))
+            m = pairing(rs, t1.root, beta)
+            moved = rs.index_of(reflect(rs, t1.root, beta))
             h = [x - m * y for x, y in zip(t2.g, t1.g)]
             assert conj_reflect(ers, t1, t2) == _make_by_vectors(ers, h, moved)
 
@@ -336,7 +338,7 @@ def test_act_on_root():
         t = random_label(ers, rng)
         a = w_generator(ers, t)
         h2, b2 = act_on_root(ers, a, h, beta)
-        m = ers.delta.pairing(t.root, ers.delta.roots[beta])
+        m = pairing(ers.delta, t.root, ers.delta.roots[beta])
         assert h2 == tuple(x - m * g for x, g in zip(h, t.g))
         assert b2 == ers.delta.reflection_table[t.root][beta]
 

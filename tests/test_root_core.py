@@ -38,6 +38,8 @@ from extweyl.verify import suite_cocycle, sweep_types, word_test_systems
 from support import (
     dense_root_data,
     determinant,
+    pairing,
+    reflect,
     reflection_ids,
     whole_pairing_table,
     whole_reflection_table,
@@ -96,12 +98,12 @@ def test_table1_rows():
     for fam, pair_ab, mult in [("A", -1, 1), ("B", -2, 2), ("G", -3, 3)]:
         rs = build(fam, 2)
         a, b = short_long_basis(rs)
-        assert rs.pairing(a, rs.roots[b]) == pair_ab
-        assert rs.pairing(b, rs.roots[a]) == -1
-        assert rs.reflect(a, rs.roots[b]) == tuple(
+        assert pairing(rs, a, rs.roots[b]) == pair_ab
+        assert pairing(rs, b, rs.roots[a]) == -1
+        assert reflect(rs, a, rs.roots[b]) == tuple(
             x + mult * y for x, y in zip(rs.roots[b], rs.roots[a])
         )
-        assert rs.reflect(b, rs.roots[a]) == tuple(
+        assert reflect(rs, b, rs.roots[a]) == tuple(
             x + y for x, y in zip(rs.roots[a], rs.roots[b])
         )
 
@@ -109,12 +111,12 @@ def test_table1_rows():
 def test_pairing_basics():
     rs = build("B", 2)
     for i in range(len(rs.roots)):
-        assert rs.pairing(i, rs.roots[i]) == 2
+        assert pairing(rs, i, rs.roots[i]) == 2
     a, b = short_long_basis(rs)
-    assert rs.pairing(a, rs.roots[b]) == -2
+    assert pairing(rs, a, rs.roots[b]) == -2
     # bilinearity in the lattice slot
     lam = tuple(2 * x - 3 * y for x, y in zip(rs.roots[a], rs.roots[b]))
-    assert rs.pairing(b, lam) == 2 * rs.pairing(b, rs.roots[a]) - 3 * 2
+    assert pairing(rs, b, lam) == 2 * pairing(rs, b, rs.roots[a]) - 3 * 2
 
 
 def test_pairing_value_set_b2():
@@ -127,9 +129,9 @@ def test_reflect_involution_and_stability():
     for fam, rk in [("A", 2), ("B", 3), ("G", 2), ("BC", 2)]:
         rs = build(fam, rk)
         for i in range(len(rs.roots)):
-            assert rs.reflect(i, rs.roots[i]) == tuple(-x for x in rs.roots[i])
+            assert reflect(rs, i, rs.roots[i]) == tuple(-x for x in rs.roots[i])
             for j in range(len(rs.roots)):
-                assert rs.reflect(i, rs.roots[j]) in rs._index
+                assert reflect(rs, i, rs.roots[j]) in rs._index
 
 
 def test_coroot_bijection_and_negation():
@@ -301,7 +303,7 @@ def test_conjugation_identity_all_types():
             ra = rs.weyl_generator(a)
             for b in range(n):
                 lhs = ra * rs.weyl_generator(b) * ra
-                rhs = rs.weyl_generator(rs.index_of(rs.reflect(a, rs.roots[b])))
+                rhs = rs.weyl_generator(rs.index_of(reflect(rs, a, rs.roots[b])))
                 assert lhs == rhs
 
 
@@ -324,7 +326,7 @@ def test_weyl_matrices_preserve_pairing():
         for i in rs.basis:
             moved = mat_vec(transpose(w.coroot_images), rs.coroots[i])
             for j in rs.basis:
-                assert rs.pairing(i, rs.roots[j]) == dot(
+                assert pairing(rs, i, rs.roots[j]) == dot(
                     mat_vec(tuple(zip(*rs.pairing_matrix)), moved),
                     mat_vec(w.matrix, rs.roots[j]),
                 )
@@ -366,11 +368,6 @@ def test_coroot_effective_quotient_is_dual():
 TABLE_TYPES = sweep_types(8)
 
 
-def _pairing_oracle(rs, i, v):
-    """<alpha_i^vee, v> straight from the pairing matrix."""
-    return dot(mat_vec(transpose(rs.pairing_matrix), rs.coroots[i]), v)
-
-
 def _same_reflection_oracle(rs, i, j):
     """Proportional roots, by comparing against every possible ratio."""
     ri, rj = rs.roots[i], rs.roots[j]
@@ -386,8 +383,8 @@ def test_root_tables_match_slow_paths(fam, rank):
     ids = reflection_ids(rs)
     for i, ai in enumerate(rs.roots):
         for j, aj in enumerate(rs.roots):
-            c = _pairing_oracle(rs, i, aj)
-            assert rs.pairing_table[i][j] == c == rs.pairing(i, aj)
+            c = pairing(rs, i, aj)
+            assert rs.pairing_table[i][j] == c
             image = tuple(y - c * x for x, y in zip(ai, aj))
             assert rs.reflection_table[i][j] == rs.index_of(image)
             same = _same_reflection_oracle(rs, i, j)
@@ -550,12 +547,12 @@ def test_root_closure_matches_reflection_matrices(fam, rank):
 
 def test_root_tables_are_lazy():
     rs = FiniteRootSystem(RootSystemType("E", 7))
-    lazy = {"_coroot_rows", "pairing_table", "reflection_table"}
+    lazy = {"pairing_table", "reflection_table"}
     assert not lazy & set(vars(rs))
-    assert rs.reflection_table[0][1] == rs.index_of(rs.reflect(0, rs.roots[1]))
+    assert rs.reflection_table[0][1] == rs.index_of(reflect(rs, 0, rs.roots[1]))
     assert "reflection_table" in vars(rs)
     # a read builds its own row and the rows it needs, no others
-    for table in (rs._coroot_rows, rs.pairing_table, rs.reflection_table):
+    for table in (rs.pairing_table, rs.reflection_table):
         assert list(table.keys()) == [0]
     assert rs.pairing_table[5] is rs.pairing_table[5]
     assert sorted(rs.pairing_table.keys()) == [0, 5]
