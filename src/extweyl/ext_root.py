@@ -20,6 +20,7 @@ from extweyl.intlinalg import (
     Vector,
     _residues_between,
     augmented_rows,
+    check_quotient_index,
     coset_residues,
     freeze,
     hermite_rows,
@@ -137,7 +138,7 @@ class SSet:
         if not lattice_subset(fine, self.h_basis):
             raise ExtRootError("new modulus must refine the old one")
         out = SSet.__new__(SSet)
-        out._hold(fine, _residues_between(fine, self.h_basis, self.cosets))
+        out._hold(fine, _residues_between(fine, self.h_basis, self._set))
         return out
 
     def scale(self, m: int) -> "SSet":
@@ -233,10 +234,11 @@ def _check_slice_shapes(raw, keys, rank: int) -> None:
 class ExtRootSystem:
     """A root system of some finite type extended by Z^n.
 
-    Three per-system caches are computed on first use: `refined` (the
+    Four per-system caches are computed on first use: `refined` (the
     slices over their common modulus), `orbit_rows` (the orbit lattice
-    T_cls of each length class) and `twist` (the check_twist report).
-    They assume that the slices are not changed after construction.
+    T_cls of each length class), `twist` (the check_twist report) and
+    `slices_mod` (the slices read modulo m*Z^n, per m).  They assume
+    that the slices are not changed after construction.
     """
 
     def __init__(
@@ -258,6 +260,7 @@ class ExtRootSystem:
             if s.rank != group.rank:
                 raise ExtRootError("S-set rank does not match the group rank")
         self.s_sets = dict(s_sets)
+        self._slices_mod: dict[int, dict[str, tuple[tuple[Vector, ...], tuple[Vector, ...]]]] = {}
 
     # -- basic queries ------------------------------------------------------
 
@@ -305,10 +308,47 @@ class ExtRootSystem:
         for cls in self.classes():
             rows = []
             for alpha in rs.basis:
-                g = gcd(*(m for m, c in zip(rs.pairing_table[alpha], rs.lengths) if c == cls))
+                g = rs.class_gcds[alpha, cls]
                 rows += [vec_scale(g, r) for r in self.s_of_root(alpha).span]
             out[cls] = hermite_rows(self.n, sparse_rows(rows))
         return out
+
+    def slices_mod(self, m: int) -> dict[str, tuple[tuple[Vector, ...], tuple[Vector, ...]]]:
+        """Each slice read once modulo m*Z^n, cached per m.
+
+        Per length class: the sorted image of the slice in G/mG, and the
+        sorted residues mod m of c_0 and of c_0 + b for each row b of the
+        Hermite basis of <c_i - c_0> + L.  L is the Hermite basis of the
+        rows of H mod m together with m*Z^n, the c_i are the distinct
+        residues of the cosets modulo L and c_0 is the least of them, so
+        these at most 1 + n points span, as an affine lattice mod m, what
+        the slice spans (see weyl.closure_letters).  Each coset is read mod m
+        coordinatewise once and only the distinct residues are reduced
+        modulo L, which is m*Z^n itself when every row of H is 0 mod m;
+        the image is enumerated from the c_i by `_residues_between`.
+        Checks m^n before anything is enumerated.
+        """
+        if m not in self._slices_mod:
+            n = self.n
+            check_quotient_index(m**n)
+            mod_h = [tuple(m * (i == j) for j in range(n)) for i in range(n)]
+            out = {}
+            for cls in self.classes():
+                s = self.s_sets[cls]
+                reps = {tuple(x % m for x in c) for c in s.cosets}
+                gens = [h for h in {tuple(x % m for x in r) for r in s.h_basis} if any(h)]
+                big = mod_h
+                if gens:
+                    big = hermite_rows(n, sparse_rows(mod_h + gens))
+                    reps = {lattice_reduce(big, r) for r in reps}
+                c0 = min(reps)
+                diffs = ([x - y for x, y in zip(c, c0)] for c in reps if c != c0)
+                hull = hermite_rows(n, sparse_rows([*big, *diffs])) if len(reps) > 1 else big
+                points = {c0, *(tuple((x + y) % m for x, y in zip(c0, b)) for b in hull)}
+                image = _residues_between(mod_h, big, reps)
+                out[cls] = (tuple(sorted(image)), tuple(sorted(points)))
+            self._slices_mod[m] = out
+        return self._slices_mod[m]
 
     @cached_property
     def twist(self) -> ValidationReport:
@@ -519,54 +559,81 @@ def _reflection_stability(
 ) -> tuple[bool, str]:
     """R3': S_beta - <alpha^vee, beta> * S_alpha <= S_beta for simple alpha.
 
-    The condition depends only on the triple (class of alpha, class of
-    beta, m = <alpha^vee, beta>), and for a triple it says that S_beta is
-    stable under subtracting each residue x of m * S_alpha.  In the finite
-    G/H*, S_beta - x <= S_beta forces equality, so these x form a subgroup:
-    it holds m * S_alpha iff it holds m * r for each row r of spans[class],
-    the basis of <S_alpha>.  Each triple is decided once (m = 0 holds
-    trivially).  On failure the witness is the first one met by scanning
-    every simple alpha, every root beta, then the cosets of S_beta and S_alpha.
+    For a triple (class of alpha, class of beta, m = <alpha^vee, beta>)
+    the condition says that S_beta is stable under subtracting each
+    residue x of m * S_alpha.  In the finite G/H*, S_beta - x <= S_beta
+    forces equality, so these x form a subgroup: it holds m * S_alpha iff
+    it holds m * r for each row r of spans[class], the basis of
+    <S_alpha>, and it holds m * r for every m of one pair of length
+    classes iff it holds g * r, g the gcd of their pairings (folded from
+    FiniteRootSystem.class_gcds, which orbit_rows reads as well).  So R3'
+    is decided once per class pair, at that gcd (g = 0 holds trivially).
+    Only when a pair fails is each triple decided, to find the witness:
+    the first one met by scanning every simple alpha, every root beta,
+    then the cosets of S_beta and S_alpha.
     """
     hstar = next(iter(refined.values())).h_basis
     coset_sets = {c: set(s.cosets) for c, s in refined.items()}
     lengths, table = delta.lengths, delta.pairing_table
-    order = abs(prod(next(x for x in row if x) for row in hstar))  # |G/H*|
-
-    def shifted(c: Vector, x: Vector) -> Vector:
-        return lattice_reduce(hstar, [a - b for a, b in zip(c, x)])
-
-    stable: dict[tuple[str, Vector], bool] = {}
-
-    def keeps(cls_b: str, x: Vector) -> bool:
-        key = (cls_b, x)
-        if key not in stable:
-            sb = coset_sets[cls_b]
-            # all of G/H* is stable under every translation
-            stable[key] = len(sb) == order or all(shifted(cb, x) in sb for cb in sb)
-        return stable[key]
-
-    holds: dict[tuple[str, str, int], bool] = {}
+    holds = _stability_test(hstar, coset_sets, spans)
+    if all(holds(*pair, g) for pair, g in _class_pair_gcds(delta).items()):
+        return True, ""
     for alpha in delta.basis:
         cls_a = lengths[alpha]
         for beta, m in enumerate(table[alpha]):
             cls_b = lengths[beta]
-            triple = (cls_a, cls_b, m)
-            if triple not in holds:
-                holds[triple] = m == 0 or all(
-                    keeps(cls_b, lattice_reduce(hstar, vec_scale(m, r))) for r in spans[cls_a]
-                )
-            if holds[triple]:
+            if holds(cls_a, cls_b, m):
                 continue
             for cb in coset_sets[cls_b]:
                 for da in coset_sets[cls_a]:
-                    img = shifted(cb, vec_scale(m, da))
+                    img = lattice_reduce(hstar, [a - m * b for a, b in zip(cb, da)])
                     if img not in coset_sets[cls_b]:
                         return False, (
                             f"S_{cls_b} - ({m})*S_{cls_a} leaves S_{cls_b}: "
                             f"{cb} - {m}*{da} = {img}"
                         )
     return True, ""
+
+
+def _class_pair_gcds(delta: FiniteRootSystem) -> dict[tuple[str, str], int]:
+    """Per pair (class of alpha, class of beta), alpha simple, the gcd of
+    the pairings <alpha^vee, beta>."""
+    out: dict[tuple[str, str], int] = {}
+    for (alpha, cls_b), g in delta.class_gcds.items():
+        pair = (delta.lengths[alpha], cls_b)
+        out[pair] = gcd(out.get(pair, 0), g)
+    return out
+
+
+def _stability_test(
+    hstar: Matrix, coset_sets: dict[str, set[Vector]], spans: dict[str, tuple[Vector, ...]]
+):
+    """holds(cls_a, cls_b, m): whether S_cls_b, as residues modulo hstar,
+    is stable under subtracting m * <S_cls_a>, decided on the rows of
+    spans[cls_a] and remembered per (cls_a, cls_b, m) and per (cls_b, x)."""
+    order = abs(prod(next(x for x in row if x) for row in hstar))  # |G/H*|
+    stable: dict[tuple[str, Vector], bool] = {}
+    decided: dict[tuple[str, str, int], bool] = {}
+
+    def keeps(cls_b: str, x: Vector) -> bool:
+        key = (cls_b, x)
+        if key not in stable:
+            sb = coset_sets[cls_b]
+            # all of G/H* is stable under every translation
+            stable[key] = len(sb) == order or all(
+                lattice_reduce(hstar, [a - b for a, b in zip(cb, x)]) in sb for cb in sb
+            )
+        return stable[key]
+
+    def holds(cls_a: str, cls_b: str, m: int) -> bool:
+        key = (cls_a, cls_b, m)
+        if key not in decided:
+            decided[key] = m == 0 or all(
+                keeps(cls_b, lattice_reduce(hstar, vec_scale(m, r))) for r in spans[cls_a]
+            )
+        return decided[key]
+
+    return holds
 
 
 # ---------------------------------------------------------------------------

@@ -383,19 +383,19 @@ def coset_residues(
     # generators inside hnf add nothing; with none left, L is hnf itself
     gens = [r for r in (lattice_reduce(hnf, g) for g in gens) if any(r)]
     big = hermite_rows(len(gens[0]), sparse_rows([*hnf, *gens])) if gens else hnf
-    return _residues_between(hnf, big, cosets)
+    return _residues_between(hnf, big, {lattice_reduce(big, c) for c in cosets})
 
 
 def _residues_between(
-    hnf: Sequence[Sequence[int]], big: Sequence[Sequence[int]], cosets: Sequence[Sequence[int]]
+    hnf: Sequence[Sequence[int]], big: Sequence[Sequence[int]], starts: set[Vector]
 ) -> set[Vector]:
-    """Canonical residues of cosets + big modulo hnf: both hermite_rows
-    bases, hnf full rank and inside big (see `coset_residues`)."""
+    """Canonical residues of starts + big modulo hnf: both hermite_rows
+    bases, hnf full rank and inside big, and starts a set of canonical
+    residues modulo big (see `coset_residues`)."""
     n = len(hnf)
     if any(len(row) != n for row in hnf):
         raise ValueError("coset residues need a full-rank modulus")
     check_quotient_index(prod(hnf[i][i] for i in range(n)))
-    starts = {lattice_reduce(big, c) for c in cosets}
     if big is hnf:
         return starts
     offsets = [(0,) * n]

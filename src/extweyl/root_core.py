@@ -18,6 +18,7 @@ Conventions:
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
+from math import gcd
 from typing import NamedTuple
 
 from extweyl.intlinalg import (
@@ -387,6 +388,18 @@ class FiniteRootSystem:
             if c:
                 row = [a + c * x for a, x in zip(row, column)]
         return tuple(row)
+
+    @cached_property
+    def class_gcds(self) -> dict[tuple[int, str], int]:
+        """class_gcds[alpha, cls] = gcd{<alpha^vee, beta> : beta of class
+        cls} for each simple root alpha and length class cls."""
+        return {
+            (alpha, cls): gcd(
+                *(m for m, c in zip(self.pairing_table[alpha], self.lengths) if c == cls)
+            )
+            for alpha in self.basis
+            for cls in dict.fromkeys(self.lengths)
+        }
 
     @cached_property
     def reflection_table(self) -> _RowTable:

@@ -172,50 +172,34 @@ def default_brute_modulus(ers: ExtRootSystem) -> int:
 
 
 def slice_residues_by_class(ers: ExtRootSystem, m: int) -> dict[str, list[Vector]]:
-    """The sorted image of every slice in G/mG, keyed by length class.
-
-    The canonical residue modulo m*Z^n is the coordinatewise one, so each
-    coset representative and each row of H is read mod m once; the rows
-    of H that m*Z^n does not contain then close the distinct residues.
-    Checks m^n before anything is enumerated.
-    """
-    n = ers.n
-    check_quotient_index(m**n)
-    mod_h = [tuple(m * (i == j) for j in range(n)) for i in range(n)]
-    out = {}
-    for cls in ers.classes():
-        s = ers.s_sets[cls]
-        reps = {tuple(x % m for x in c) for c in s.cosets}
-        gens = [h for h in {tuple(x % m for x in r) for r in s.h_basis} if any(h)]
-        out[cls] = sorted(coset_residues(mod_h, reps, gens) if gens else reps)
-    return out
+    """The sorted image of every slice in G/mG, keyed by length class,
+    from the one pass of ExtRootSystem.slices_mod.  Checks m^n before
+    anything is enumerated."""
+    return {cls: list(image) for cls, (image, _) in ers.slices_mod(m).items()}
 
 
 def closure_letters(ers: ExtRootSystem, m: int) -> list[tuple[tuple, tuple, Vector]]:
     """The letters (pairing row, reflection row, d) that orbit_bruteforce
     closes under: the reflections r_(alpha,d) for each simple root alpha.
 
-    For a slice S_alpha = U (c_i + H_alpha) the letters take d = each
-    coset representative c_i and d = c_0 + h for each basis row h of
-    H_alpha, reduced mod m and deduplicated.  That generates the same
-    group as every d in S_alpha: r_(alpha,c) r_(alpha,c+h) acts as
-    (x, beta) -> (x - <beta, alpha^v> h, beta), a translation t_h that
-    does not depend on c, with t_h t_h' = t_(h+h'); so every
-    r_(alpha,c_i+h) = r_(alpha,c_i) t_h is a word in the letters.  The
-    letters are involutions, so the closure under them is the orbit, at
-    a cost linear in the letters and not in the residues.
+    For the slice S_alpha the letters take d = c_0 and d = c_0 + b, for
+    c_0 one of its residues and b over the Hermite basis of <c_i - c_0>
+    + L (ExtRootSystem.slices_mod), reduced mod m and deduplicated: at
+    most 1 + n letters per simple root.  That generates the same group on
+    G/mG as every d in S_alpha: r_(alpha,c) r_(alpha,c+h) acts as (x,
+    beta) -> (x - <beta, alpha^v> h, beta), a translation t_h that does
+    not depend on c, with t_h t_h' = t_(h+h'); so every r_(alpha,c_0+h)
+    = r_(alpha,c_0) t_h with h in <c_i - c_0> + H is a word in the
+    letters, m*Z^n acts trivially on the grid, and those d cover S_alpha
+    mod m.  The letters are involutions, so the closure under them is
+    the orbit, at a cost set by the grid and not by the slice's cosets.
     """
     rs = ers.delta
-    by_class = {}
-    for cls in ers.classes():
-        s = ers.s_sets[cls]
-        c0 = s.cosets[0]
-        ds = list(s.cosets) + [tuple(x + y for x, y in zip(c0, h)) for h in s.h_basis]
-        by_class[cls] = sorted({tuple(x % m for x in d) for d in ds})
+    points = {cls: ds for cls, (_, ds) in ers.slices_mod(m).items()}
     return [
         (rs.pairing_table[alpha], rs.reflection_table[alpha], d)
         for alpha in rs.basis
-        for d in by_class[rs.lengths[alpha]]
+        for d in points[rs.lengths[alpha]]
     ]
 
 
@@ -224,18 +208,21 @@ def closure_steps(ers: ExtRootSystem, m: int) -> tuple[list[Vector], list[list[t
     (h, beta) has the code index(h) * N + beta for N roots, and per root
     beta the steps (table, images[beta]), table[index(h)] = index(h -
     pairs[beta]*d mod m), of the letters (pairs, images, d): one table per
-    shift, one step per shift and simple root.  Checks m^n before building."""
+    shift, one step per shift and simple root.  The shifts are keyed by
+    the pairing mod m, and a zero pairing makes no step, since it maps
+    each state to itself.  Checks m^n before building."""
     check_quotient_index(m**ers.n)
     tables, steps = {}, [[] for _ in ers.delta.roots]
     for (pairs, images), group in groupby(closure_letters(ers, m), lambda letter: letter[:2]):
         ds = [d for _, _, d in group]
-        shifts = {c: {tuple(c * y % m for y in d) for d in ds} for c in set(pairs)}
+        shifts = {c: {tuple(c * y % m for y in d) for d in ds} for c in {c % m for c in pairs if c}}
         for shift in set().union(*shifts.values()) - tables.keys():
             tables[shift] = [0]
             for t in shift:
                 tables[shift] = [a * m + (x - t) % m for a in tables[shift] for x in range(m)]
         for row, c, image in zip(steps, pairs, images):
-            row += [(tables[s], image) for s in shifts[c]]
+            if c:
+                row += [(tables[s], image) for s in shifts[c % m]]
     return list(product(range(m), repeat=ers.n)), steps
 
 

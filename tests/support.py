@@ -8,7 +8,8 @@ box form read off the Smith transform of the box quotient, the dense
 root closure with its norms, the whole-table pairing and reflection
 builders, the reflection id of a root, the action on extended roots,
 the scanning lattice reduction, the rebase and slice residues that
-reduced each coset again, seeded re-presentations of a system's JSON,
+reduced each coset again, the closure letters taken one per coset of a
+slice, seeded re-presentations of a system's JSON,
 the pairing and the reflection of root-lattice vectors, and the
 paper's symmetric systems with their reflection-group axioms and
 permutation closures for small finite systems (the terminal group).
@@ -248,6 +249,25 @@ def slice_residues_mod_lattice(ers: ExtRootSystem, m: int) -> dict[str, list[Vec
         cls: sorted(coset_residues(mod_h, ers.s_sets[cls].cosets, ers.s_sets[cls].h_basis))
         for cls in ers.classes()
     }
+
+
+def closure_letters_per_coset(ers: ExtRootSystem, m: int) -> list[tuple[tuple, tuple, Vector]]:
+    """The letters (pairing row, reflection row, d) of weyl.closure_letters
+    taken one per coset of each slice: for each simple root alpha, d = each
+    coset representative c_i of S_alpha and d = c_0 + h for each basis
+    row h of H_alpha, reduced mod m and deduplicated."""
+    rs = ers.delta
+    by_class = {}
+    for cls in ers.classes():
+        s = ers.s_sets[cls]
+        c0 = s.cosets[0]
+        ds = list(s.cosets) + [tuple(x + y for x, y in zip(c0, h)) for h in s.h_basis]
+        by_class[cls] = sorted({tuple(x % m for x in d) for d in ds})
+    return [
+        (rs.pairing_table[alpha], rs.reflection_table[alpha], d)
+        for alpha in rs.basis
+        for d in by_class[rs.lengths[alpha]]
+    ]
 
 
 def represent_again(data: dict, rng) -> dict:

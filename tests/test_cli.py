@@ -2,6 +2,7 @@ import contextlib
 import copy
 import gc
 import io
+import itertools
 import json
 import os
 import pathlib
@@ -353,6 +354,23 @@ def test_orbits_output_does_not_depend_on_the_presentation(capsys, tmp_path):
                 assert outs == {json.dumps(golden[key], sort_keys=True, indent=2) + "\n"}, key
                 checked += 1
     assert checked == len(golden)
+    # D4 over Z^12 written as all 4,096 cosets of 2*Z^12 prints what its
+    # one-coset form H = Z^12 prints, within 2 s
+    one = fully_extended("D", 4, n=12).to_json()
+    many = copy.deepcopy(one)
+    many["s_sets"]["sh"] = {
+        "H": [[2 * (i == j) for j in range(12)] for i in range(12)],
+        "cosets": [list(c) for c in itertools.product(range(2), repeat=12)],
+    }
+    outs = []
+    for data in (one, many):
+        p.write_text(json.dumps(data))
+        start = time.perf_counter()
+        assert main(["orbits", str(p), "--format", "json"]) == 0
+        elapsed = time.perf_counter() - start
+        outs.append(capsys.readouterr().out)
+    assert elapsed < 2
+    assert outs[0] == outs[1]
 
 
 def test_schema_other_than_one_rejected(capsys, tmp_path, a1_file):

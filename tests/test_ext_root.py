@@ -570,6 +570,54 @@ def test_r3_matches_exhaustive_scan():
     assert failures == len(broken) > 0
 
 
+def _r3_triple_verdicts(ers):
+    """Per triple (class of alpha, class of beta, m = <alpha^vee, beta>),
+    alpha simple, whether S_beta - m * d <= S_beta for every residue d of
+    S_alpha, checked on every pair of residues in G/H*."""
+    refined = ers.refined
+    hstar = next(iter(refined.values())).h_basis
+    coset_sets = {c: set(s.cosets) for c, s in refined.items()}
+    delta = ers.delta
+    out = {}
+    for alpha in delta.basis:
+        for beta, m in enumerate(delta.pairing_table[alpha]):
+            cls_a, cls_b = delta.lengths[alpha], delta.lengths[beta]
+            if (cls_a, cls_b, m) not in out:
+                out[cls_a, cls_b, m] = all(
+                    lattice_reduce(hstar, [a - m * b for a, b in zip(cb, da)]) in coset_sets[cls_b]
+                    for cb in coset_sets[cls_b]
+                    for da in coset_sets[cls_a]
+                )
+    return out
+
+
+def test_r3_class_pair_decision_matches_the_triples():
+    # R3' decides each pair of length classes once, at the gcd of its
+    # pairings: that must hold exactly when every triple of the pair
+    # holds, and validate's verdict and witness stay those of the
+    # per-triple scan
+    coarse = [ers for _, ers in orbit_configurations()]
+    fine = [_refined_to_k_squared(ers) for ers in coarse]
+    broken = [b for ers in fine for b in _broken_variants(ers)]
+    assert len(broken) == 37
+    failed_pairs = 0
+    for ers in coarse + fine + broken:
+        refined = ers.refined
+        holds = ext_root._stability_test(
+            next(iter(refined.values())).h_basis,
+            {c: set(s.cosets) for c, s in refined.items()},
+            {c: s.span for c, s in ers.s_sets.items()},
+        )
+        verdicts = _r3_triple_verdicts(ers)
+        for (cls_a, cls_b), g in ext_root._class_pair_gcds(ers.delta).items():
+            want = all(ok for (a, b, _), ok in verdicts.items() if (a, b) == (cls_a, cls_b))
+            assert holds(cls_a, cls_b, g) == want, (ers, cls_a, cls_b, g)
+            failed_pairs += not want
+        r3 = [c for c in validate(ers).checks if c.name.startswith("R3'")]
+        assert [(c.passed, c.witness) for c in r3] == [_r3_all_cosets(ers.delta, refined)]
+    assert failed_pairs > 0
+
+
 def _r3_all_cosets(delta, refined):
     """Reference for validate's R3': each triple (class of alpha, class of
     beta, m) decided by subtracting m times every coset of S_alpha, each

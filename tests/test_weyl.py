@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -7,6 +8,7 @@ from extweyl import ext_root, weyl
 from extweyl.ext_root import (
     ExtRootError,
     ExtRootSystem,
+    SSet,
     check_twist,
     fully_extended,
     span_extended,
@@ -64,7 +66,7 @@ from extweyl.weyl import (
     w_generator,
 )
 
-from support import determinant, slice_residues_mod_lattice
+from support import closure_letters_per_coset, determinant, slice_residues_mod_lattice
 from test_ext_root import _presented_systems, _refined_to_k_squared, _swapped_b2, _untame_b2
 from test_root_core import reflection_pair
 
@@ -444,7 +446,8 @@ def test_state_codes_close_the_same_orbits_at_the_cap():
 
 def test_closure_steps_share_one_table_per_shift():
     # each root's steps are the (table, image) of its letters, the table
-    # read off the grid, with one table object per shift c*d mod m
+    # read off the grid, with one table object per shift c*d mod m; a
+    # zero pairing c makes no step, the identity table with image beta
     for name, ers in _closure_grids(max_n=4):
         m = default_brute_modulus(ers)
         letters = closure_letters(ers, m)
@@ -455,6 +458,9 @@ def test_closure_steps_share_one_table_per_shift():
         for beta, row in enumerate(steps):
             want = set()
             for pairs, images, d in letters:
+                if pairs[beta] == 0:
+                    assert images[beta] == beta
+                    continue
                 shift = tuple(pairs[beta] * y % m for y in d)
                 table = tuple(index[tuple((x - y) % m for x, y in zip(h, shift))] for h in grid)
                 want.add((table, images[beta]))
@@ -476,10 +482,43 @@ def test_closure_past_the_cap_raises_before_building(monkeypatch):
 
 
 def test_generating_letters_are_few():
-    # one letter per coset and per basis row of H, not one per residue:
-    # the short simple root of B2 over Z^8 takes 0 and the 8 unit vectors
+    # 1 + n letters per simple root at most, not one per residue: the
+    # short simple root of B2 over Z^8 takes 0 and the 8 unit vectors
     # (256 residues), the long one 0 alone (S_lg = 2G is 0 mod 2)
     assert len(closure_letters(_b2_over(8), 2)) == 9 + 1
+
+
+def _d4_as_cosets(n):
+    """D4 over Z^n with its slice G written as all 2^n cosets of 2*Z^n."""
+    full = fully_extended("D", 4, n=n)
+    h = [[2 * (i == j) for j in range(n)] for i in range(n)]
+    s = SSet(h, list(itertools.product(range(2), repeat=n)))
+    return ExtRootSystem(full.delta, full.group, {SHORT: s})
+
+
+def test_letters_per_simple_root_are_at_most_1_plus_n():
+    # c_0 and c_0 + b over a basis of the slice's differences and m*Z^n,
+    # however many cosets present the slice (4,096 for D4 over Z^12)
+    systems = [*_presented_systems(), ("D4 over Z^12 as cosets", _d4_as_cosets(12))]
+    for name, ers in systems:
+        rs = ers.delta
+        letters = closure_letters(ers, default_brute_modulus(ers))
+        counts = [sum(pairs is rs.pairing_table[a] for pairs, _, _ in letters) for a in rs.basis]
+        assert sum(counts) == len(letters) and max(counts) <= 1 + ers.n, (name, counts)
+
+
+def test_letters_close_as_the_per_coset_letters(monkeypatch):
+    # the letters of closure_letters and the one-per-coset letters they
+    # replaced close the same orbit_bruteforce set from every grid state
+    for name, ers in _presented_systems():
+        m = default_brute_modulus(ers)
+        steps = closure_steps(ers, m)
+        with monkeypatch.context() as patched:
+            patched.setattr("extweyl.weyl.closure_letters", closure_letters_per_coset)
+            oracle = closure_steps(ers, m)
+        for d, beta in itertools.product(steps[0], range(len(ers.delta.roots))):
+            got = orbit_bruteforce(ers, d, beta, m, steps)
+            assert got == orbit_bruteforce(ers, d, beta, m, oracle), (name, d, beta)
 
 
 def test_slice_residues_match_the_lattice_oracle():
