@@ -610,8 +610,15 @@ def _stability_test(
 ):
     """holds(cls_a, cls_b, m): whether S_cls_b, as residues modulo hstar,
     is stable under subtracting m * <S_cls_a>, decided on the rows of
-    spans[cls_a] and remembered per (cls_a, cls_b, m) and per (cls_b, x)."""
-    order = abs(prod(next(x for x in row if x) for row in hstar))  # |G/H*|
+    spans[cls_a] and remembered per (cls_a, cls_b, m) and per (cls_b, x).
+
+    A slice that equals the lattice it spans, |S/H*| * det<S> = det H*
+    (all of G/H* among them), is stable under subtracting x exactly when
+    x lies in <S>: one lattice_contains.  Any other slice is scanned, x
+    subtracted from each of its cosets.
+    """
+    order = _index(hstar)  # |G/H*|
+    is_lattice = {c: len(sb) * _index(spans[c]) == order for c, sb in coset_sets.items()}
     stable: dict[tuple[str, Vector], bool] = {}
     decided: dict[tuple[str, str, int], bool] = {}
 
@@ -619,10 +626,12 @@ def _stability_test(
         key = (cls_b, x)
         if key not in stable:
             sb = coset_sets[cls_b]
-            # all of G/H* is stable under every translation
-            stable[key] = len(sb) == order or all(
-                lattice_reduce(hstar, [a - b for a, b in zip(cb, x)]) in sb for cb in sb
-            )
+            if is_lattice[cls_b]:
+                stable[key] = lattice_contains(spans[cls_b], x)
+            else:
+                stable[key] = all(
+                    lattice_reduce(hstar, [a - b for a, b in zip(cb, x)]) in sb for cb in sb
+                )
         return stable[key]
 
     def holds(cls_a: str, cls_b: str, m: int) -> bool:
@@ -634,6 +643,12 @@ def _stability_test(
         return decided[key]
 
     return holds
+
+
+def _index(hnf: Matrix) -> int:
+    """|Z^n / L| for the Hermite basis hnf of a full-rank lattice L: the
+    product of its pivots, which lie on the diagonal."""
+    return prod(row[i] for i, row in enumerate(hnf))
 
 
 # ---------------------------------------------------------------------------

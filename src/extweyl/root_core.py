@@ -25,6 +25,7 @@ from extweyl.intlinalg import (
     FPAbelianGroup,
     Matrix,
     Vector,
+    dot,
     freeze,
     sparse_rows,
     transpose,
@@ -554,10 +555,16 @@ def l_eff_quotient(rs: FiniteRootSystem):
     """The quotient of the root lattice by the span of all v.l - l.
 
     Returns (fp, images): fp is the FPAbelianGroup of the quotient and
-    images maps each root index to its torsion coordinates there.
+    images maps each root index to its torsion coordinates there, which
+    fp.project(root)[1] would give: read off only the rows of the Smith
+    transform whose diagonal entry exceeds 1.
     """
     fp = FPAbelianGroup(rs.rank, sparse_rows(_moved_basis_vectors(rs.cartan)))
-    images = {i: fp.project(rs.roots[i])[1] for i in range(len(rs.roots))}
+    p, diag = fp._transform
+    torsion = [(row, d) for row, d in zip(p, diag) if d > 1]
+    images = {
+        i: tuple(dot(row, root) % d for row, d in torsion) for i, root in enumerate(rs.roots)
+    }
     return fp, images
 
 

@@ -19,7 +19,6 @@ decider live here as well.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from itertools import combinations, groupby, product
 from typing import NamedTuple
 
@@ -156,7 +155,13 @@ def orbit_of(ers: ExtRootSystem, g, root_idx: int) -> OrbitClass:
     g = tuple(int(x) for x in g)
     if not ers.membership(g, root_idx):
         raise ExtRootError(f"({g}, root {root_idx}) is not in the extended system")
-    cls = ers.delta.lengths[root_idx]
+    return orbit_class(ers, ers.delta.lengths[root_idx], g)
+
+
+def orbit_class(ers: ExtRootSystem, cls: str, g: Vector) -> OrbitClass:
+    """The class rule: (cls, g reduced modulo the orbit lattice T_cls).
+    orbit_of applies it to an extended root, and orbit_classes to each
+    residue of the grid, which is an extended root by construction."""
     return OrbitClass(cls, lattice_reduce(ers.orbit_rows[cls], g))
 
 
@@ -226,11 +231,36 @@ def closure_steps(ers: ExtRootSystem, m: int) -> tuple[list[Vector], list[list[t
     return list(product(range(m), repeat=ers.n)), steps
 
 
+def _grid_index(h, m: int) -> int:
+    """The position of h mod m in the sorted grid G/mG: its coordinatewise
+    residues read as base-m digits."""
+    index = 0
+    for x in h:
+        index = index * m + x % m
+    return index
+
+
+def closure_codes(steps: list[list[tuple]], start: int) -> set[int]:
+    """The state codes that the steps of closure_steps reach from the code
+    start, start included."""
+    n_roots = len(steps)
+    seen, stack = {start}, [start]
+    while stack:
+        h, beta = divmod(stack.pop(), n_roots)
+        for table, image in steps[beta]:
+            state = table[h] * n_roots + image
+            if state not in seen:
+                seen.add(state)
+                stack.append(state)
+    return seen
+
+
 def orbit_bruteforce(
     ers: ExtRootSystem, g, root_idx: int, modulus: int | None = None, steps=None
 ) -> set[tuple[Vector, int]]:
-    """Closure of one extended root under closure_letters(ers, m),
-    computed on the state codes of closure_steps in the finite G/mG.
+    """Closure of one extended root under closure_letters(ers, m), as
+    (residue mod m, root) pairs, computed by closure_codes on the state
+    codes of closure_steps in the finite G/mG.
 
     This is the independent oracle for orbit_of: the closure collects
     exactly the orbit as long as m*G sits inside T_cls (see
@@ -242,56 +272,51 @@ def orbit_bruteforce(
     m = modulus if modulus is not None else default_brute_modulus(ers)
     grid, steps = steps if steps is not None else closure_steps(ers, m)
     n_roots = len(steps)
-    # the canonical residue modulo m*Z^n is the coordinatewise one
-    start = bisect_left(grid, tuple(x % m for x in g)) * n_roots + root_idx
-    seen, stack = {start}, [start]
-    while stack:
-        h, beta = divmod(stack.pop(), n_roots)
-        for table, image in steps[beta]:
-            state = table[h] * n_roots + image
-            if state not in seen:
-                seen.add(state)
-                stack.append(state)
+    seen = closure_codes(steps, _grid_index(g, m) * n_roots + root_idx)
     return {(grid[s // n_roots], s % n_roots) for s in seen}
 
 
 def orbit_classes(
     ers: ExtRootSystem,
-) -> tuple[dict[tuple[str, Vector], tuple[Vector, int]], bool]:
+) -> tuple[dict[OrbitClass, tuple[Vector, int]], bool]:
     """The orbit classes of a reduced system, each checked by a closure
     in G/mG, m = default_brute_modulus(ers).
 
     Returns the classes, each (length class, coset) mapped to its first
     representative (d, beta) on the grid of extended roots mod m, and
-    whether every class equals the orbit_bruteforce closure of that
-    representative under closure_letters on the grid.
+    whether every class equals the closure of that representative under
+    closure_letters on the grid.  Every grid state (d, beta), d a residue
+    of the slice of beta's class, is keyed by its state code (see
+    closure_steps) to orbit_class(ers, class, d); the class rule depends
+    on beta only through its class, so it runs once per residue.  Each
+    representative is closed by closure_codes, and its class agrees when
+    every reached code carries its key and the closure is as large as
+    the class: a closure inside the class and of its size equals it.
     """
+    if not ers.delta.rs_type.is_reduced():
+        raise ExtRootError("orbit classification needs a reduced type; trim first")
     m = default_brute_modulus(ers)
     rs = ers.delta
-    # orbit_of depends on beta only through its length class, so it is
-    # asked once per (class, residue) of the grid, with the first root of
-    # the class; each closure state is looked up there, and one off the
-    # grid has left the system
-    class_of = {}
-    classes = {}
-    grid_states = {}
-    for cls, ds in slice_residues_by_class(ers, m).items():
-        beta = rs.lengths.index(cls)
-        n_roots = rs.lengths.count(cls)
+    residues = slice_residues_by_class(ers, m)
+    _, steps = closure_steps(ers, m)
+    n_roots = len(steps)
+    key_of: dict[int, OrbitClass] = {}
+    classes: dict[OrbitClass, tuple[Vector, int]] = {}
+    sizes: dict[OrbitClass, int] = {}
+    for cls, ds in residues.items():
+        roots = [beta for beta, c in enumerate(rs.lengths) if c == cls]
         for d in ds:
-            oc = orbit_of(ers, d, beta)
-            class_of[cls, d] = key = (oc.length_class, oc.coset)
-            classes.setdefault(key, (d, beta))
-            grid_states[key] = grid_states.get(key, 0) + n_roots
-    steps = closure_steps(ers, m)
-    agree = True
+            key = orbit_class(ers, cls, d)
+            classes.setdefault(key, (d, roots[0]))
+            sizes[key] = sizes.get(key, 0) + len(roots)
+            code = _grid_index(d, m) * n_roots
+            for beta in roots:
+                key_of[code + beta] = key
     for key, (d, beta) in classes.items():
-        closure = orbit_bruteforce(ers, d, beta, m, steps)
-        inside = all(class_of.get((rs.lengths[b], h)) == key for h, b in closure)
-        # inside the class and as large as it on the grid: equal to it
-        if not inside or len(closure) != grid_states[key]:
-            agree = False
-    return classes, agree
+        seen = closure_codes(steps, _grid_index(d, m) * n_roots + beta)
+        if len(seen) != sizes[key] or any(key_of.get(s) != key for s in seen):
+            return classes, False
+    return classes, True
 
 
 # ---------------------------------------------------------------------------

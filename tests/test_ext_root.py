@@ -618,6 +618,64 @@ def test_r3_class_pair_decision_matches_the_triples():
     assert failed_pairs > 0
 
 
+def _r3_edge_systems():
+    """Invalid systems for R3': B2 with the long slice 4G, a lattice that
+    S_lg - 2*S_sh leaves, and two slices that are a coset of a lattice
+    without 0 (so not the lattice they span)."""
+    a1 = fully_extended("A", 1, n=2)
+    b2 = span_extended("B", 2, n=2)
+    b2_1 = span_extended("B", 2, n=1)
+    return [
+        ExtRootSystem(b2_1.delta, b2_1.group, {**b2_1.s_sets, LONG: SSet([[4]], [(0,)])}),
+        ExtRootSystem(a1.delta, a1.group, {SHORT: SSet([[2, 0], [0, 1]], [(1, 0)])}),
+        ExtRootSystem(b2.delta, b2.group, {**b2.s_sets, LONG: SSet([[2, 0], [0, 2]], [(1, 1)])}),
+    ]
+
+
+def test_r3_span_decision_matches_the_coset_scan(monkeypatch):
+    # a slice that is the lattice it spans is decided by one
+    # lattice_contains per translation x: each such decision must equal
+    # the scan of x over the slice's cosets; every other slice is
+    # scanned, and each triple and class pair keeps its verdict
+    coarse = [ers for _, ers in orbit_configurations()]
+    fine = [_refined_to_k_squared(ers) for ers in coarse]
+    broken = [b for ers in fine for b in _broken_variants(ers)]
+    real, met = ext_root.lattice_contains, []
+
+    def recording(hnf, v):
+        got = real(hnf, v)
+        met.append((hnf, v, got))
+        return got
+
+    monkeypatch.setattr(ext_root, "lattice_contains", recording)
+    decided, scanned = set(), 0
+    for ers in coarse + fine + broken + _r3_edge_systems():
+        refined = ers.refined
+        hstar = next(iter(refined.values())).h_basis
+        coset_sets = {c: set(s.cosets) for c, s in refined.items()}
+        spans = {c: s.span for c, s in ers.s_sets.items()}
+        # the slices that equal their span, found by enumerating it mod H*
+        lattices = {
+            c for c, sb in coset_sets.items()
+            if coset_residues(hstar, [(0,) * ers.n], spans[c]) == sb
+        }
+        met.clear()
+        holds = ext_root._stability_test(hstar, coset_sets, spans)
+        for (cls_a, cls_b, m), ok in _r3_triple_verdicts(ers).items():
+            assert holds(cls_a, cls_b, m) == ok, (ers, cls_a, cls_b, m)
+            scanned += bool(m) and cls_b not in lattices
+        for (cls_a, cls_b), g in ext_root._class_pair_gcds(ers.delta).items():
+            holds(cls_a, cls_b, g)
+        for hnf, x, got in met:
+            cls_b = next(c for c, span in spans.items() if span is hnf)
+            sb = coset_sets[cls_b]
+            assert cls_b in lattices, (ers, cls_b)
+            scan = all(lattice_reduce(hstar, [a - b for a, b in zip(cb, x)]) in sb for cb in sb)
+            assert got == scan, (ers, cls_b, x)
+            decided.add(got)
+    assert decided == {True, False} and scanned > 0
+
+
 def _r3_all_cosets(delta, refined):
     """Reference for validate's R3': each triple (class of alpha, class of
     beta, m) decided by subtracting m times every coset of S_alpha, each

@@ -132,6 +132,7 @@ ORACLES = {
     "lattice_algebra.BoxForm.rs": "test_lattice_algebra.value_roots",
     "lattice_algebra.BoxForm.left": "test_lattice_algebra.value_roots",
     "lattice_algebra.BoxForm.right": "test_lattice_algebra.value_roots",
+    "weyl.orbit_bruteforce": "test_weyl._orbit_partitions_agree",
 }
 
 

@@ -207,6 +207,16 @@ def test_l_eff_quotient_cases():
                     assert images[i] == (0,)
 
 
+def test_l_eff_images_are_the_torsion_projection():
+    # the images read off the torsion rows of the Smith transform are the
+    # torsion part of the full projection
+    types = sweep_types(8) + [(fam, 24) for fam in ("B", "C", "D", "BC")]
+    for fam, rk in types:
+        rs = build(fam, rk)
+        fp, images = l_eff_quotient(rs)
+        assert images == {i: fp.project(r)[1] for i, r in enumerate(rs.roots)}, (fam, rk)
+
+
 def invariant_form(rs: FiniteRootSystem) -> Matrix:
     """The invariant symmetric form on root coordinates, value gcd 1.
 

@@ -47,6 +47,7 @@ from extweyl.weyl import (
     ab_a_properness,
     build_uab_kernel_word,
     closure_letters,
+    closure_codes,
     closure_steps,
     cocycle,
     conjugated_relator_product,
@@ -539,7 +540,7 @@ def test_slice_residues_check_the_index_first():
 
 
 def test_orbit_of_depends_on_root_only_through_length_class():
-    # orbit_classes asks orbit_of once per (length class, residue) on this
+    # orbit_classes applies the class rule once per (length class, residue) on this
     for name, ers in _closure_grids():
         rs = ers.delta
         for cls, ds in slice_residues_by_class(ers, default_brute_modulus(ers)).items():
@@ -586,22 +587,55 @@ def test_orbit_classes_match_the_all_states_oracle():
             assert rep in by_class[OrbitClass(cls, coset)], (name, cls, coset)
 
 
-# orbit_of made too coarse (every coset sent to 0) and too fine (no reduction)
-_WRONG_ORBIT_OF = {
-    "coarse": lambda ers, g, root: OrbitClass(ers.delta.lengths[root], (0,) * ers.n),
-    "fine": lambda ers, g, root: OrbitClass(ers.delta.lengths[root], tuple(g)),
+def test_orbit_classes_close_each_grid_state_once(monkeypatch):
+    # on a fresh system orbit_classes tests no membership and asks no
+    # orbit_of, and the closures of its representatives together visit
+    # each grid state (d, beta), d a residue of beta's slice, exactly once
+    systems = list(_closure_grids(max_n=6))
+    grid_states = {}
+    for name, ers in systems:
+        residues = slice_residues_by_class(ers, default_brute_modulus(ers))
+        grid_states[name] = sum(len(residues[cls]) for cls in ers.delta.lengths)
+    systems = [(name, ers.to_json()) for name, ers in systems]
+
+    def refused(*args):
+        raise AssertionError("called by orbit_classes")
+
+    closures = []
+
+    def recording(steps, start):
+        seen = closure_codes(steps, start)
+        closures.append(seen)
+        return seen
+
+    monkeypatch.setattr(ext_root.SSet, "contains", refused)
+    monkeypatch.setattr(weyl, "orbit_of", refused)
+    monkeypatch.setattr(weyl, "closure_codes", recording)
+    for name, data in systems:
+        closures.clear()
+        classes, agree = orbit_classes(ExtRootSystem.from_json(data))
+        assert agree and len(closures) == len(classes), name
+        visited = set().union(*closures)
+        assert sum(map(len, closures)) == len(visited) == grid_states[name], name
+
+
+# the class rule made too coarse (every coset sent to 0) and too fine (no
+# reduction); orbit_of and orbit_classes both apply it
+_WRONG_ORBIT_CLASS = {
+    "coarse": lambda ers, cls, g: OrbitClass(cls, (0,) * ers.n),
+    "fine": lambda ers, cls, g: OrbitClass(cls, tuple(g)),
 }
 
 
-@pytest.mark.parametrize("kind", sorted(_WRONG_ORBIT_OF))
+@pytest.mark.parametrize("kind", sorted(_WRONG_ORBIT_CLASS))
 def test_orbit_classes_catch_a_wrong_orbit_of(monkeypatch, kind):
-    wrong = _WRONG_ORBIT_OF[kind]
     grids = list(_closure_grids(max_n=6))
     truth = {name: _blocks(_orbit_partitions_agree(ers)[0]) for name, ers in grids}
-    monkeypatch.setattr("extweyl.weyl.orbit_of", wrong)
+    monkeypatch.setattr("extweyl.weyl.orbit_class", _WRONG_ORBIT_CLASS[kind])
     changed = 0
     for name, ers in grids:
-        by_class, agree = _orbit_partitions_agree(ers, wrong)
+        # orbit_of now classifies through the wrong rule
+        by_class, agree = _orbit_partitions_agree(ers)
         moved = _blocks(by_class) != truth[name]
         assert agree == (not moved), name
         assert orbit_classes(ers)[1] == (not moved), name
