@@ -549,7 +549,7 @@ def test_orbit_of_depends_on_root_only_through_length_class():
                 assert len({orbit_of(ers, d, b) for b in roots}) == 1, (name, cls, d)
 
 
-def _orbit_partitions_agree(ers, classify=orbit_of):
+def _orbit_partitions_agree(ers):
     """The all-states oracle for orbit_classes: classify every (d, beta)
     of the grid of G/mG and compare each class with the brute-force
     closure of its states.  Returns the partition and whether it agrees."""
@@ -562,12 +562,12 @@ def _orbit_partitions_agree(ers, classify=orbit_of):
     ]
     by_class = {}
     for d, beta in states:
-        by_class.setdefault(classify(ers, d, beta), set()).add((d, beta))
+        by_class.setdefault(orbit_of(ers, d, beta), set()).add((d, beta))
     remaining = set(states)
     while remaining:
         d, beta = next(iter(remaining))
         closure = orbit_bruteforce(ers, d, beta, m, steps)
-        if closure != by_class[classify(ers, d, beta)]:
+        if closure != by_class[orbit_of(ers, d, beta)]:
             return by_class, False
         remaining -= closure
     return by_class, True
