@@ -125,13 +125,22 @@ class SSet:
         """Hermite basis of the lattice generated by the whole set."""
         return tuple(hermite_rows(self.rank, sparse_rows(self.h_basis + self.cosets)))
 
+    @cached_property
+    def is_lattice(self) -> bool:
+        """Whether the set is the lattice it spans: <S> holds det H / det
+        <S> cosets of H, and S is <S> when it holds all of them."""
+        return len(self.cosets) * _index(self.span) == _index(self.h_basis)
+
     def rebase(self, h_basis) -> "SSet":
         """Express the same set over a finer modulus (h_basis inside H).
 
-        Onto H itself this is the set; otherwise each coset is spread over
-        the residues of H modulo the finer basis, enumerated against the
-        Hermite basis of H held here, and stored as they are.
+        Onto H itself this is the set, found without a Hermite reduction
+        when h_basis is the basis held here; otherwise each coset is spread
+        over the residues of H modulo the finer basis, enumerated against
+        the Hermite basis of H held here, and stored as they are.
         """
+        if freeze(h_basis) == self.h_basis:
+            return self
         fine = hermite_rows(self.rank, sparse_rows(h_basis))
         if fine == list(self.h_basis):
             return self
@@ -234,11 +243,18 @@ def _check_slice_shapes(raw, keys, rank: int) -> None:
 class ExtRootSystem:
     """A root system of some finite type extended by Z^n.
 
-    Four per-system caches are computed on first use: `refined` (the
+    Five per-system caches are computed on first use: `refined` (the
     slices over their common modulus), `orbit_rows` (the orbit lattice
-    T_cls of each length class), `twist` (the check_twist report) and
-    `slices_mod` (the slices read modulo m*Z^n, per m).  They assume
-    that the slices are not changed after construction.
+    T_cls of each length class), `twist` (the check_twist report),
+    `undecidable` (why the word decider cannot run) and `slices_mod` (the
+    slices read modulo m*Z^n, per m).  They assume that the slices are
+    not changed after construction.
+
+    A slice that is the lattice it spans (`SSet.is_lattice`) is read as
+    the one coset 0 over its span: `slices_mod`, R3' and the chains of
+    `validate` decide it through <S>.  So `refined` is built only by a
+    coset scan of a slice that is not a lattice, a failing R3' witness and
+    `check_twist`.
     """
 
     def __init__(
@@ -325,7 +341,9 @@ class ExtRootSystem:
         the slice spans (see weyl.closure_letters).  Each coset is read mod m
         coordinatewise once and only the distinct residues are reduced
         modulo L, which is m*Z^n itself when every row of H is 0 mod m;
-        the image is enumerated from the c_i by `_residues_between`.
+        the image is enumerated from the c_i by `_residues_between`.  A
+        slice that is a lattice is read as the coset 0 over its span, which
+        gives the same L + <c_i - c_0>, c_0 = 0, and the same image.
         Checks m^n before anything is enumerated.
         """
         if m not in self._slices_mod:
@@ -335,8 +353,9 @@ class ExtRootSystem:
             out = {}
             for cls in self.classes():
                 s = self.s_sets[cls]
-                reps = {tuple(x % m for x in c) for c in s.cosets}
-                gens = [h for h in {tuple(x % m for x in r) for r in s.h_basis} if any(h)]
+                rows, cosets = (s.span, [(0,) * n]) if s.is_lattice else (s.h_basis, s.cosets)
+                reps = {tuple(x % m for x in c) for c in cosets}
+                gens = [h for h in {tuple(x % m for x in r) for r in rows} if any(h)]
                 big = mod_h
                 if gens:
                     big = hermite_rows(n, sparse_rows(mod_h + gens))
@@ -473,10 +492,12 @@ def span_extended(
 def validate(ers: ExtRootSystem) -> ValidationReport:
     """Check the slice axioms and the derived inclusion chains.
 
-    Reflection stability is verified exhaustively in the finite quotient
-    of G by the common refinement of all slice moduli; simple roots
-    suffice on the reflecting side because every reflection label is a
-    conjugate of one over a simple root by zero-section elements.
+    Reflection stability and the chains are decided exactly: through the
+    span of a slice that is a lattice, and otherwise exhaustively in the
+    finite quotient of G by the common refinement of all slice moduli.
+    Simple roots suffice on the reflecting side because every reflection
+    label is a conjugate of one over a simple root by zero-section
+    elements.
 
     The modulus constraint k^2*G <= H is evaluated before that quotient
     is built: a slice modulus that fails it can make the quotient
@@ -492,9 +513,8 @@ def validate(ers: ExtRootSystem) -> ValidationReport:
 
     spans = {c: s.span for c, s in ers.s_sets.items()}
     full = hermite_rows(n, sparse_rows(r for span in spans.values() for r in span))
-    ok = len(full) == n and all(
-        lattice_contains(full, tuple(int(i == j) for i in range(n))) for j in range(n)
-    )
+    # the Hermite basis of Z^n is the identity, the one of index 1
+    ok = len(full) == n and _index(full) == 1
     rep.add("R1' (slices generate G)", ok, "" if ok else f"span rank {len(full)}")
 
     zero = (0,) * n
@@ -518,27 +538,19 @@ def validate(ers: ExtRootSystem) -> ValidationReport:
     }
 
     if all(modulus_ok.values()):
-        refined = ers.refined
-        rep.add("R3' (reflection stability)", *_reflection_stability(delta, refined, spans))
+        rep.add("R3' (reflection stability)", *_reflection_stability(ers, spans))
         if not delta.rs_type.is_single_length():
             k = k_delta(delta.rs_type)
+            slices = ers.s_sets
             chains = []
-            if SHORT in refined and LONG in refined:
+            if SHORT in slices and LONG in slices:
                 chains.append((SHORT, LONG, k))
-            if LONG in refined and EXTRALONG in refined:
+            if LONG in slices and EXTRALONG in slices:
                 chains.append((LONG, EXTRALONG, k))
-            if SHORT in refined and EXTRALONG in refined:
+            if SHORT in slices and EXTRALONG in slices:
                 chains.append((SHORT, EXTRALONG, k * k))
             for lower, upper, mult in chains:
-                up, lo = refined[upper], refined[lower]
-                # both slices live over H*, so mult*S_lower <= S_upper is
-                # decided in G/H*, not over mult*H*
-                scaled = coset_residues(
-                    up.h_basis,
-                    [vec_scale(mult, c) for c in lo.cosets],
-                    [vec_scale(mult, h) for h in lo.h_basis],
-                )
-                ok = set(up.cosets) <= set(lo.cosets) and scaled <= set(up.cosets)
+                ok = _chain_holds(ers, lower, upper, mult)
                 rep.add(
                     f"chain {mult}*S_{lower} <= S_{upper} <= S_{lower}",
                     ok,
@@ -554,8 +566,33 @@ def validate(ers: ExtRootSystem) -> ValidationReport:
     return rep
 
 
+def _chain_holds(ers: ExtRootSystem, lower: str, upper: str, mult: int) -> bool:
+    """mult*S_lower <= S_upper <= S_lower.
+
+    An inclusion into a slice that is a lattice is one of spans: a set
+    lies in a lattice exactly when its span does.  An inclusion into any
+    other slice is decided in G/H* on `refined`, where both slices live,
+    so mult*S_lower is enumerated modulo H* and not over mult*H*.
+    """
+    lo, up = ers.s_sets[lower], ers.s_sets[upper]
+    if up.is_lattice:
+        scaled = lattice_subset([vec_scale(mult, r) for r in lo.span], up.span)
+    else:
+        fine_lo, fine_up = ers.refined[lower], ers.refined[upper]
+        scaled = coset_residues(
+            fine_up.h_basis,
+            [vec_scale(mult, c) for c in fine_lo.cosets],
+            [vec_scale(mult, h) for h in fine_lo.h_basis],
+        ) <= set(fine_up.cosets)
+    if lo.is_lattice:
+        inside = lattice_subset(up.span, lo.span)
+    else:
+        inside = set(ers.refined[upper].cosets) <= set(ers.refined[lower].cosets)
+    return inside and scaled
+
+
 def _reflection_stability(
-    delta: FiniteRootSystem, refined: dict[str, SSet], spans: dict[str, tuple[Vector, ...]]
+    ers: ExtRootSystem, spans: dict[str, tuple[Vector, ...]]
 ) -> tuple[bool, str]:
     """R3': S_beta - <alpha^vee, beta> * S_alpha <= S_beta for simple alpha.
 
@@ -570,14 +607,22 @@ def _reflection_stability(
     is decided once per class pair, at that gcd (g = 0 holds trivially).
     Only when a pair fails is each triple decided, to find the witness:
     the first one met by scanning every simple alpha, every root beta,
-    then the cosets of S_beta and S_alpha.
+    then the cosets of S_beta and S_alpha over H*.  `refined` is read for
+    the slices that are not lattices, and for that witness.
     """
-    hstar = next(iter(refined.values())).h_basis
-    coset_sets = {c: set(s.cosets) for c, s in refined.items()}
-    lengths, table = delta.lengths, delta.pairing_table
+    delta = ers.delta
+
+    def over_hstar(classes) -> tuple[Matrix, dict[str, set[Vector]]]:
+        refined = ers.refined
+        return next(iter(refined.values())).h_basis, {c: set(refined[c].cosets) for c in classes}
+
+    scanned = [c for c, s in ers.s_sets.items() if not s.is_lattice]
+    hstar, coset_sets = over_hstar(scanned) if scanned else (None, {})
     holds = _stability_test(hstar, coset_sets, spans)
     if all(holds(*pair, g) for pair, g in _class_pair_gcds(delta).items()):
         return True, ""
+    hstar, coset_sets = over_hstar(ers.s_sets)
+    lengths, table = delta.lengths, delta.pairing_table
     for alpha in delta.basis:
         cls_a = lengths[alpha]
         for beta, m in enumerate(table[alpha]):
@@ -606,40 +651,44 @@ def _class_pair_gcds(delta: FiniteRootSystem) -> dict[tuple[str, str], int]:
 
 
 def _stability_test(
-    hstar: Matrix, coset_sets: dict[str, set[Vector]], spans: dict[str, tuple[Vector, ...]]
+    hstar: Matrix | None,
+    coset_sets: dict[str, set[Vector]],
+    spans: dict[str, tuple[Vector, ...]],
 ):
-    """holds(cls_a, cls_b, m): whether S_cls_b, as residues modulo hstar,
-    is stable under subtracting m * <S_cls_a>, decided on the rows of
-    spans[cls_a] and remembered per (cls_a, cls_b, m) and per (cls_b, x).
+    """holds(cls_a, cls_b, m): whether S_cls_b is stable under
+    subtracting m * <S_cls_a>, decided on the rows of spans[cls_a] and
+    remembered per (cls_a, cls_b, m).
 
-    A slice that equals the lattice it spans, |S/H*| * det<S> = det H*
-    (all of G/H* among them), is stable under subtracting x exactly when
-    x lies in <S>: one lattice_contains.  Any other slice is scanned, x
-    subtracted from each of its cosets.
+    A slice that equals the lattice it spans is stable under subtracting
+    x exactly when x lies in <S>: one lattice_contains, with x not reduced
+    modulo H*.  Those are the classes that coset_sets leaves out, and the
+    ones in it whose residues modulo hstar fill their span, |S/H*| *
+    det<S> = det H* (all of G/H* among them).  Any other slice is
+    scanned, x reduced modulo hstar and subtracted from each of its
+    cosets, and remembered per (cls_b, x).
     """
-    order = _index(hstar)  # |G/H*|
-    is_lattice = {c: len(sb) * _index(spans[c]) == order for c, sb in coset_sets.items()}
+    lattices = {
+        c for c in spans
+        if c not in coset_sets or len(coset_sets[c]) * _index(spans[c]) == _index(hstar)
+    }
     stable: dict[tuple[str, Vector], bool] = {}
     decided: dict[tuple[str, str, int], bool] = {}
 
     def keeps(cls_b: str, x: Vector) -> bool:
-        key = (cls_b, x)
+        if cls_b in lattices:
+            return lattice_contains(spans[cls_b], x)
+        key = (cls_b, lattice_reduce(hstar, x))
         if key not in stable:
             sb = coset_sets[cls_b]
-            if is_lattice[cls_b]:
-                stable[key] = lattice_contains(spans[cls_b], x)
-            else:
-                stable[key] = all(
-                    lattice_reduce(hstar, [a - b for a, b in zip(cb, x)]) in sb for cb in sb
-                )
+            stable[key] = all(
+                lattice_reduce(hstar, [a - b for a, b in zip(cb, key[1])]) in sb for cb in sb
+            )
         return stable[key]
 
     def holds(cls_a: str, cls_b: str, m: int) -> bool:
         key = (cls_a, cls_b, m)
         if key not in decided:
-            decided[key] = m == 0 or all(
-                keeps(cls_b, lattice_reduce(hstar, vec_scale(m, r))) for r in spans[cls_a]
-            )
+            decided[key] = m == 0 or all(keeps(cls_b, vec_scale(m, r)) for r in spans[cls_a])
         return decided[key]
 
     return holds

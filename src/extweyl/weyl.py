@@ -208,14 +208,15 @@ def closure_letters(ers: ExtRootSystem, m: int) -> list[tuple[tuple, tuple, Vect
     ]
 
 
-def closure_steps(ers: ExtRootSystem, m: int) -> tuple[list[Vector], list[list[tuple]]]:
-    """closure_letters(ers, m) on state codes: the sorted grid G/mG, where
-    (h, beta) has the code index(h) * N + beta for N roots, and per root
-    beta the steps (table, images[beta]), table[index(h)] = index(h -
-    pairs[beta]*d mod m), of the letters (pairs, images, d): one table per
-    shift, one step per shift and simple root.  The shifts are keyed by
-    the pairing mod m, and a zero pairing makes no step, since it maps
-    each state to itself.  Checks m^n before building."""
+def closure_steps(ers: ExtRootSystem, m: int) -> list[list[tuple]]:
+    """closure_letters(ers, m) on state codes, where (h, beta) has the
+    code index(h) * N + beta for N roots, index(h) the position of h in
+    the sorted grid G/mG (_grid_index): per root beta the steps (table,
+    images[beta]), table[index(h)] = index(h - pairs[beta]*d mod m), of
+    the letters (pairs, images, d): one table per shift, one step per
+    shift and simple root.  The shifts are keyed by the pairing mod m,
+    and a zero pairing makes no step, since it maps each state to itself.
+    Checks m^n before building."""
     check_quotient_index(m**ers.n)
     tables, steps = {}, [[] for _ in ers.delta.roots]
     for (pairs, images), group in groupby(closure_letters(ers, m), lambda letter: letter[:2]):
@@ -228,7 +229,7 @@ def closure_steps(ers: ExtRootSystem, m: int) -> tuple[list[Vector], list[list[t
         for row, c, image in zip(steps, pairs, images):
             if c:
                 row += [(tables[s], image) for s in shifts[c % m]]
-    return list(product(range(m), repeat=ers.n)), steps
+    return steps
 
 
 def _grid_index(h, m: int) -> int:
@@ -270,7 +271,8 @@ def orbit_bruteforce(
     if not ers.delta.rs_type.is_reduced():
         raise ExtRootError("orbit closure needs a reduced type; trim first")
     m = modulus if modulus is not None else default_brute_modulus(ers)
-    grid, steps = steps if steps is not None else closure_steps(ers, m)
+    steps = steps if steps is not None else closure_steps(ers, m)
+    grid = list(product(range(m), repeat=ers.n))
     n_roots = len(steps)
     seen = closure_codes(steps, _grid_index(g, m) * n_roots + root_idx)
     return {(grid[s // n_roots], s % n_roots) for s in seen}
@@ -298,7 +300,7 @@ def orbit_classes(
     m = default_brute_modulus(ers)
     rs = ers.delta
     residues = slice_residues_by_class(ers, m)
-    _, steps = closure_steps(ers, m)
+    steps = closure_steps(ers, m)
     n_roots = len(steps)
     key_of: dict[int, OrbitClass] = {}
     classes: dict[OrbitClass, tuple[Vector, int]] = {}

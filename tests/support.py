@@ -9,7 +9,8 @@ root closure with its norms, the whole-table pairing and reflection
 builders, the reflection id of a root, the action on extended roots,
 the scanning lattice reduction, the rebase and slice residues that
 reduced each coset again, the closure letters taken one per coset of a
-slice, seeded re-presentations of a system's JSON,
+slice, the mod-m pass, the chains and R3' read coset by coset over the
+common refinement, seeded re-presentations of a system's JSON,
 the pairing and the reflection of root-lattice vectors, and the
 paper's symmetric systems with their reflection-group axioms and
 permutation closures for small finite systems (the terminal group).
@@ -21,21 +22,25 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from extweyl import lattice_algebra
-from extweyl.ext_root import ExtRootSystem, SSet, ValidationReport
+from extweyl.ext_root import ExtRootSystem, SSet, ValidationReport, _class_pair_gcds
 from extweyl.intlinalg import (
     Matrix,
     Vector,
+    _residues_between,
+    check_quotient_index,
     coset_residues,
     dims,
     dot,
     freeze,
     hermite_rows,
+    lattice_reduce,
     lattice_subset,
     mat_vec,
     smith_normal_form,
     sparse_rows,
     transpose,
     vec_mat,
+    vec_scale,
     zeros,
 )
 from extweyl.root_core import EXTRALONG, LONG, SHORT, FiniteRootSystem, RootSystemError
@@ -268,6 +273,82 @@ def closure_letters_per_coset(ers: ExtRootSystem, m: int) -> list[tuple[tuple, t
         for alpha in rs.basis
         for d in by_class[rs.lengths[alpha]]
     ]
+
+
+def slices_mod_per_coset(ers: ExtRootSystem, m: int) -> dict[str, tuple[tuple, tuple]]:
+    """ExtRootSystem.slices_mod with every slice read through its cosets
+    and the rows of its H, a lattice slice too; not cached."""
+    n = ers.n
+    check_quotient_index(m**n)
+    mod_h = [tuple(m * (i == j) for j in range(n)) for i in range(n)]
+    out = {}
+    for cls in ers.classes():
+        s = ers.s_sets[cls]
+        reps = {tuple(x % m for x in c) for c in s.cosets}
+        gens = [h for h in {tuple(x % m for x in r) for r in s.h_basis} if any(h)]
+        big = mod_h
+        if gens:
+            big = hermite_rows(n, sparse_rows(mod_h + gens))
+            reps = {lattice_reduce(big, r) for r in reps}
+        c0 = min(reps)
+        diffs = ([x - y for x, y in zip(c, c0)] for c in reps if c != c0)
+        hull = hermite_rows(n, sparse_rows([*big, *diffs])) if len(reps) > 1 else big
+        points = {c0, *(tuple((x + y) % m for x, y in zip(c0, b)) for b in hull)}
+        image = _residues_between(mod_h, big, reps)
+        out[cls] = (tuple(sorted(image)), tuple(sorted(points)))
+    return out
+
+
+def chain_over_refined(ers: ExtRootSystem, lower: str, upper: str, mult: int) -> bool:
+    """mult*S_lower <= S_upper <= S_lower decided in G/H* on
+    ExtRootSystem.refined, whatever the slices are: mult*S_lower
+    enumerated by coset_residues over mult times its cosets and H*."""
+    up, lo = ers.refined[upper], ers.refined[lower]
+    scaled = coset_residues(
+        up.h_basis,
+        [vec_scale(mult, c) for c in lo.cosets],
+        [vec_scale(mult, h) for h in lo.h_basis],
+    )
+    return set(up.cosets) <= set(lo.cosets) and scaled <= set(up.cosets)
+
+
+def reflection_stability_over_refined(ers: ExtRootSystem, spans) -> tuple[bool, str]:
+    """R3' as validate reports it, every slice read through its residues
+    modulo H* (ExtRootSystem.refined): each pair of length classes is
+    decided at the gcd of its pairings by subtracting g*r, r a row of
+    spans[class of alpha], from every coset of S_beta; on a failing pair
+    the witness is the first triple met by the per-coset scan."""
+    delta = ers.delta
+    refined = ers.refined
+    hstar = next(iter(refined.values())).h_basis
+    coset_sets = {c: set(s.cosets) for c, s in refined.items()}
+
+    def holds(cls_a, cls_b, m):
+        sb = coset_sets[cls_b]
+        return m == 0 or all(
+            lattice_reduce(hstar, [a - m * b for a, b in zip(cb, r)]) in sb
+            for r in spans[cls_a]
+            for cb in sb
+        )
+
+    if all(holds(*pair, g) for pair, g in _class_pair_gcds(delta).items()):
+        return True, ""
+    lengths, table = delta.lengths, delta.pairing_table
+    for alpha in delta.basis:
+        cls_a = lengths[alpha]
+        for beta, m in enumerate(table[alpha]):
+            cls_b = lengths[beta]
+            if holds(cls_a, cls_b, m):
+                continue
+            for cb in coset_sets[cls_b]:
+                for da in coset_sets[cls_a]:
+                    img = lattice_reduce(hstar, [a - m * b for a, b in zip(cb, da)])
+                    if img not in coset_sets[cls_b]:
+                        return False, (
+                            f"S_{cls_b} - ({m})*S_{cls_a} leaves S_{cls_b}: "
+                            f"{cb} - {m}*{da} = {img}"
+                        )
+    return True, ""
 
 
 def represent_again(data: dict, rng) -> dict:

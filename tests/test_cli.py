@@ -15,9 +15,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import extweyl
+from extweyl import ext_root
 from extweyl.cli import main
 from extweyl.ext_root import ExtRootSystem, FreeAbelianGroup, fully_extended, span_extended
-from extweyl.root_core import LONG, FiniteRootSystem, _build_cached
+from extweyl.root_core import EXTRALONG, LONG, SHORT, FiniteRootSystem, _build_cached, k_delta
 from extweyl.verify import (
     _random_weyl,
     orbit_configurations,
@@ -26,8 +27,15 @@ from extweyl.verify import (
     word_test_systems,
 )
 
-from support import represent_again
-from test_ext_root import _refined_to_k_squared, _untame_b2
+from extweyl.weyl import closure_letters, default_brute_modulus
+from support import (
+    chain_over_refined,
+    reflection_stability_over_refined,
+    represent_again,
+    slices_mod_per_coset,
+)
+from test_ext_root import _broken_variants, _refined_to_k_squared, _untame_b2
+from test_weyl import _d4_as_cosets
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "verify_small.json"
 ORBITS_B2_Z8 = pathlib.Path(__file__).parent / "golden" / "orbits_b2_z8.json"
@@ -371,6 +379,87 @@ def test_orbits_output_does_not_depend_on_the_presentation(capsys, tmp_path):
         outs.append(capsys.readouterr().out)
     assert elapsed < 2
     assert outs[0] == outs[1]
+
+
+def _slice_reading_systems():
+    """The orbit_configurations() systems, their k^2 Z^n forms, D4 over
+    Z^10 and Z^12 as all cosets of 2*Z^n, and the 49 broken variants of
+    the first two."""
+    coarse = orbit_configurations()
+    fine = [(f"{name} over k^2 Z^n", _refined_to_k_squared(ers)) for name, ers in coarse]
+    broken = [
+        (f"{name} broken #{i}", b)
+        for name, ers in coarse + fine
+        for i, b in enumerate(_broken_variants(ers))
+    ]
+    assert len(broken) == 49
+    d4 = [(f"D4 over Z^{n} as cosets", _d4_as_cosets(n)) for n in (10, 12)]
+    return coarse + fine + d4 + broken
+
+
+def test_lattice_slices_read_through_their_span_match_the_coset_oracles(
+    capsys, monkeypatch, tmp_path
+):
+    # a slice that is the lattice it spans is read as the coset 0 over its
+    # span: the mod-m pass, the closure letters, R3' and the chains equal
+    # the coset-by-coset oracles, and orbits prints the same bytes with
+    # the same exit code, witnesses included, as with the oracles
+    p = tmp_path / "system.json"
+    exits = []
+    for name, ers in _slice_reading_systems():
+        data = ers.to_json()
+        fresh, oracle = ExtRootSystem.from_json(data), ExtRootSystem.from_json(data)
+        m = default_brute_modulus(fresh)
+        assert fresh.slices_mod(m) == slices_mod_per_coset(oracle, m), name
+        spans = {c: s.span for c, s in fresh.s_sets.items()}
+        assert ext_root._reflection_stability(fresh, spans) == reflection_stability_over_refined(
+            oracle, spans
+        ), name
+        if not fresh.delta.rs_type.is_single_length():
+            k = k_delta(fresh.delta.rs_type)
+            chains = ((SHORT, LONG, k), (LONG, EXTRALONG, k), (SHORT, EXTRALONG, k * k))
+            for lower, upper, mult in chains:
+                if lower in fresh.s_sets and upper in fresh.s_sets:
+                    got = ext_root._chain_holds(fresh, lower, upper, mult)
+                    assert got == chain_over_refined(oracle, lower, upper, mult), (name, lower)
+        p.write_text(json.dumps(data))
+        runs = []
+        for coset_reading in (False, True):
+            with monkeypatch.context() as patched:
+                if coset_reading:
+                    r3 = reflection_stability_over_refined
+                    patched.setattr(ExtRootSystem, "slices_mod", slices_mod_per_coset)
+                    patched.setattr(ext_root, "_reflection_stability", r3)
+                    patched.setattr(ext_root, "_chain_holds", chain_over_refined)
+                runs.append(closure_letters(ExtRootSystem.from_json(data), m))
+                runs.append((main(["orbits", str(p), "--format", "json"]), *capsys.readouterr()))
+        assert runs[:2] == runs[2:], name
+        exits.append(runs[1][0])
+    assert exits.count(2) == 40 and exits.count(0) == len(exits) - 40
+
+
+def test_orbits_builds_the_common_refinement_only_for_a_coset_scan(
+    capsys, monkeypatch, tmp_path
+):
+    # an orbits call on a system whose slices are all lattices reads them
+    # through their spans and never builds ExtRootSystem.refined; the
+    # semilattice and the twisted trimmed BC2, whose slices include a
+    # proper union of cosets, are scanned over it
+    loaded = []
+    real = ExtRootSystem.load
+    def load(path):
+        loaded.append(real(path))
+        return loaded[-1]
+
+    monkeypatch.setattr(ExtRootSystem, "load", staticmethod(load))
+    scanned = {"A1 n=2 semilattice", "BC2 n=2 twisted trimmed"}
+    p = tmp_path / "system.json"
+    for name, ers in orbit_configurations():
+        for system in (ers, _refined_to_k_squared(ers)):
+            p.write_text(json.dumps(system.to_json()))
+            assert main(["orbits", str(p), "--format", "json"]) == 0, name
+            capsys.readouterr()
+            assert ("refined" in loaded[-1].__dict__) == (name in scanned), name
 
 
 def test_schema_other_than_one_rejected(capsys, tmp_path, a1_file):

@@ -909,3 +909,87 @@ def test_rebase_onto_a_coarser_modulus_is_refused():
     s = SSet([[2, 0], [0, 2]], [(0, 0), (1, 0)])
     with pytest.raises(ExtRootError, match="must refine"):
         s.rebase([[1, 0], [0, 2]])
+
+
+def test_rebase_onto_the_held_basis_reduces_nothing(monkeypatch):
+    # refined passes a Hermite basis; a slice already over it is returned
+    # without a Hermite reduction
+    s = SSet([[2, 1], [0, 4]], [(0, 0), (1, 2)])
+    calls = []
+    real = intlinalg.hermite_rows
+    monkeypatch.setattr(ext_root, "hermite_rows", lambda *a: calls.append(a) or real(*a))
+    assert s.rebase(s.h_basis) is s
+    assert s.rebase([list(r) for r in s.h_basis]) is s
+    assert calls == []
+    assert s.rebase([[2, -3], [0, 4]]) is s and len(calls) == 1
+
+
+def _closed_under_addition(s):
+    """Whether S + S <= S, decided on every pair of residues modulo H: a
+    nonempty finite union of cosets closed under addition is a group."""
+    residues = set(s.cosets)
+    return all(
+        lattice_reduce(s.h_basis, [x + y for x, y in zip(a, b)]) in residues
+        for a in residues
+        for b in residues
+    )
+
+
+def _slices_of_the_orbit_configurations():
+    coarse = [ers for _, ers in orbit_configurations()]
+    fine = [_refined_to_k_squared(ers) for ers in coarse]
+    broken = [b for ers in coarse + fine for b in _broken_variants(ers)]
+    return [s for ers in coarse + fine + broken for s in ers.s_sets.values()]
+
+
+def test_is_lattice_is_closure_under_addition_on_the_orbit_configurations():
+    verdicts = [s.is_lattice for s in _slices_of_the_orbit_configurations()]
+    assert verdicts == [_closed_under_addition(s) for s in _slices_of_the_orbit_configurations()]
+    assert verdicts.count(True) > 50 and verdicts.count(False) > 20
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.integers(1, 4), min_size=n, max_size=n),
+            st.lists(st.integers(-3, 3), min_size=n * n, max_size=n * n),
+            st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n), max_size=2),
+            st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n), max_size=2),
+        )
+    )
+)
+def test_is_lattice_is_closure_under_addition(case):
+    # S = starts + <gens> over an upper triangular H: a lattice when the
+    # starts are 0 alone, and otherwise sometimes
+    diag, above, gens, starts = case
+    n = len(diag)
+    h = [[diag[i] if i == j else above[i * n + j] * (j > i) for j in range(n)] for i in range(n)]
+    hnf = hermite_rows(n, intlinalg.sparse_rows(h))
+    s = SSet(h, coset_residues(hnf, [(0,) * n, *map(tuple, starts)], gens))
+    assert s.is_lattice == _closed_under_addition(s), s
+    if not starts:
+        assert s.is_lattice
+
+
+def test_r1_holds_when_the_slices_span_index_one():
+    # R1' reads the Hermite basis of the spans: full rank and index 1,
+    # the identity; its witness is the rank of that span
+    a1 = fully_extended("A", 1, n=2)
+    b2 = span_extended("B", 2, n=2, g1=(0,))
+
+    def a1_over(h, cosets):
+        return ExtRootSystem(a1.delta, a1.group, {SHORT: SSet(h, cosets)})
+
+    two = [[2, 0], [0, 2]]
+    cases = [
+        (a1, True),
+        (a1_over([[2, 0], [0, 1]], [(0, 0)]), False),
+        (a1_over(two, [(0, 0), (1, 1)]), False),
+        (a1_over(two, [(0, 0), (1, 0), (0, 1)]), True),
+        (b2, True),
+        (ExtRootSystem(b2.delta, b2.group, {**b2.s_sets, SHORT: SSet([[4, 0], [0, 1]], [(0, 0)])}), False),
+    ]
+    for ers, want in cases:
+        r1 = [c for c in validate(ers).checks if c.name.startswith("R1'")]
+        assert [(c.passed, c.witness) for c in r1] == [(want, "" if want else "span rank 2")]
