@@ -462,6 +462,26 @@ def test_orbits_builds_the_common_refinement_only_for_a_coset_scan(
             assert ("refined" in loaded[-1].__dict__) == (name in scanned), name
 
 
+def test_orbits_reads_lattice_slices_past_the_cap_of_their_refinement(capsys, tmp_path):
+    # G2 over Z^4 with S_lg = 3G written as its 81 cosets of 9*Z^4: the
+    # common refinement 9*Z^4 has index 6561, past the cap, but both
+    # slices are lattices, so orbits never builds it and prints what the
+    # one-coset form prints
+    one = span_extended("G", 2, n=4, g1=tuple(range(4))).to_json()
+    many = copy.deepcopy(one)
+    many["s_sets"]["lg"] = {
+        "H": [[9 * (i == j) for j in range(4)] for i in range(4)],
+        "cosets": [[3 * x for x in c] for c in itertools.product(range(3), repeat=4)],
+    }
+    p = tmp_path / "system.json"
+    outs = []
+    for data in (one, many):
+        p.write_text(json.dumps(data))
+        assert main(["orbits", str(p), "--format", "json"]) == 0
+        outs.append(capsys.readouterr())
+    assert outs[0] == outs[1]
+
+
 def test_schema_other_than_one_rejected(capsys, tmp_path, a1_file):
     data = fully_extended("A", 1, n=1).to_json()
     w = tmp_path / "w.json"

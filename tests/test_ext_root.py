@@ -943,8 +943,9 @@ def _slices_of_the_orbit_configurations():
 
 
 def test_is_lattice_is_closure_under_addition_on_the_orbit_configurations():
-    verdicts = [s.is_lattice for s in _slices_of_the_orbit_configurations()]
-    assert verdicts == [_closed_under_addition(s) for s in _slices_of_the_orbit_configurations()]
+    slices = _slices_of_the_orbit_configurations()
+    verdicts = [s.is_lattice for s in slices]
+    assert verdicts == [_closed_under_addition(s) for s in slices]
     assert verdicts.count(True) > 50 and verdicts.count(False) > 20
 
 
