@@ -122,7 +122,10 @@ class SSet:
 
     @cached_property
     def span(self) -> tuple[Vector, ...]:
-        """Hermite basis of the lattice generated by the whole set."""
+        """Hermite basis of the lattice generated by the whole set: Z^n,
+        with no reduction, when the set holds all |Z^n/H| cosets of H."""
+        if len(self.cosets) == _index(self.h_basis):
+            return identity(self.rank)
         return tuple(hermite_rows(self.rank, sparse_rows(self.h_basis + self.cosets)))
 
     @cached_property
@@ -201,10 +204,15 @@ def _require(value, kind: type, path: str):
     return value
 
 
+def _is_row(row, n: int) -> bool:
+    """Whether `row` is a JSON list of `n` integers, booleans excluded."""
+    return isinstance(row, list) and len(row) == n and all(type(x) is int for x in row)
+
+
 def _require_row(row, n: int, path: str) -> list:
-    """`row` if it is a JSON list of `n` integers, booleans excluded;
-    otherwise an ExtRootError naming `path`."""
-    if not (isinstance(row, list) and len(row) == n and all(type(x) is int for x in row)):
+    """`row` if it is a JSON list of `n` integers (`_is_row`); otherwise an
+    ExtRootError naming `path`."""
+    if not _is_row(row, n):
         raise ExtRootError(f"{path} must be a list of {n} integers")
     return row
 
@@ -235,7 +243,8 @@ def _check_slice_shapes(raw, keys, rank: int) -> None:
         for part in ("H", "cosets"):
             rows = _require(v.get(part), list, f"s_sets.{k}.{part}")
             for i, row in enumerate(rows):
-                _require_row(row, rank, f"s_sets.{k}.{part}[{i}]")
+                if not _is_row(row, rank):
+                    _require_row(row, rank, f"s_sets.{k}.{part}[{i}]")
         if not v["cosets"]:
             raise ExtRootError(f"s_sets.{k}.cosets must list at least one coset")
 
@@ -333,38 +342,48 @@ class ExtRootSystem:
         """Each slice read once modulo m*Z^n, cached per m.
 
         Per length class: the sorted image of the slice in G/mG, and the
-        sorted residues mod m of c_0 and of c_0 + b for each row b of the
-        Hermite basis of <c_i - c_0> + L.  L is the Hermite basis of the
-        rows of H mod m together with m*Z^n, the c_i are the distinct
-        residues of the cosets modulo L and c_0 is the least of them, so
-        these at most 1 + n points span, as an affine lattice mod m, what
-        the slice spans (see weyl.closure_letters).  Each coset is read mod m
-        coordinatewise once and only the distinct residues are reduced
-        modulo L, which is m*Z^n itself when every row of H is 0 mod m;
-        the image is enumerated from the c_i by `_residues_between`.  A
-        slice that is a lattice is read as the coset 0 over its span, which
-        gives the same L + <c_i - c_0>, c_0 = 0, and the same image.
-        Checks m^n before anything is enumerated.
+        sorted residues mod m of c_0 and of c_0 + b for each b of a set of
+        generators that, with m*Z^n, span what the slice's differences
+        span; so these at most 1 + n points span, as an affine lattice mod
+        m, what the slice spans (see weyl.closure_letters).  The rows of H,
+        or of <S> for a slice that is a lattice (read as the coset 0 over
+        its span), generate a subgroup B of G/mG, enumerated once.  The
+        slice's residues mod m are walked in sorted order, and each one
+        not yet in the image adds its coset of B; c_0 is the first.  When
+        that is the only coset, the b are the nonzero rows mod m;
+        otherwise they are the Hermite basis of m*Z^n, those rows and the
+        differences c_i - c_0 of the residues that added a coset.  Checks
+        m^n before anything is enumerated.
         """
         if m not in self._slices_mod:
             n = self.n
             check_quotient_index(m**n)
-            mod_h = [tuple(m * (i == j) for j in range(n)) for i in range(n)]
+            zero = (0,) * n
             out = {}
             for cls in self.classes():
                 s = self.s_sets[cls]
-                rows, cosets = (s.span, [(0,) * n]) if s.is_lattice else (s.h_basis, s.cosets)
-                reps = {tuple(x % m for x in c) for c in cosets}
+                rows, cosets = (s.span, [zero]) if s.is_lattice else (s.h_basis, s.cosets)
                 gens = [h for h in {tuple(x % m for x in r) for r in rows} if any(h)]
-                big = mod_h
-                if gens:
-                    big = hermite_rows(n, sparse_rows(mod_h + gens))
-                    reps = {lattice_reduce(big, r) for r in reps}
-                c0 = min(reps)
-                diffs = ([x - y for x, y in zip(c, c0)] for c in reps if c != c0)
-                hull = hermite_rows(n, sparse_rows([*big, *diffs])) if len(reps) > 1 else big
-                points = {c0, *(tuple((x + y) % m for x, y in zip(c0, b)) for b in hull)}
-                image = _residues_between(mod_h, big, reps)
+                # B grows by whole cosets: B + t*b until t*b falls back into B
+                group = [zero]
+                for b in gens:
+                    inside, shifted = set(group), group
+                    while True:
+                        shifted = [tuple((x + y) % m for x, y in zip(v, b)) for v in shifted]
+                        if shifted[0] in inside:
+                            break
+                        group += shifted
+                image, firsts = set(), []
+                for c in sorted({tuple(x % m for x in c) for c in cosets}):
+                    if c not in image:
+                        firsts.append(c)
+                        image.update(tuple((x + y) % m for x, y in zip(c, v)) for v in group)
+                c0 = firsts[0]
+                if len(firsts) > 1:
+                    mod_h = [{i: m} for i in range(n)]
+                    diffs = ([x - y for x, y in zip(c, c0)] for c in firsts[1:])
+                    gens = hermite_rows(n, [*mod_h, *sparse_rows([*gens, *diffs])])
+                points = {c0, *(tuple((x + y) % m for x, y in zip(c0, b)) for b in gens)}
                 out[cls] = (tuple(sorted(image)), tuple(sorted(points)))
             self._slices_mod[m] = out
         return self._slices_mod[m]
@@ -428,7 +447,7 @@ class ExtRootSystem:
         s_sets = {}
         for k, v in raw.items():
             try:
-                s_sets[key[k]] = SSet(v["H"], [tuple(c) for c in v["cosets"]])
+                s_sets[key[k]] = SSet(v["H"], v["cosets"])
             except ExtRootError:
                 raise ExtRootError(
                     f"s_sets.{k}.H must span a full-rank sublattice of Z^{rank}"

@@ -188,16 +188,20 @@ def closure_letters(ers: ExtRootSystem, m: int) -> list[tuple[tuple, tuple, Vect
     closes under: the reflections r_(alpha,d) for each simple root alpha.
 
     For the slice S_alpha the letters take d = c_0 and d = c_0 + b, for
-    c_0 one of its residues and b over the Hermite basis of <c_i - c_0>
-    + L (ExtRootSystem.slices_mod), reduced mod m and deduplicated: at
-    most 1 + n letters per simple root.  That generates the same group on
-    G/mG as every d in S_alpha: r_(alpha,c) r_(alpha,c+h) acts as (x,
-    beta) -> (x - <beta, alpha^v> h, beta), a translation t_h that does
-    not depend on c, with t_h t_h' = t_(h+h'); so every r_(alpha,c_0+h)
-    = r_(alpha,c_0) t_h with h in <c_i - c_0> + H is a word in the
-    letters, m*Z^n acts trivially on the grid, and those d cover S_alpha
-    mod m.  The letters are involutions, so the closure under them is
-    the orbit, at a cost set by the grid and not by the slice's cosets.
+    c_0 one of its residues and b over the rows of H mod m (of <S> for a
+    lattice slice), or, when the slice holds several cosets of the
+    subgroup those rows generate mod m, over the Hermite basis of m*Z^n,
+    those rows and the c_i - c_0 (ExtRootSystem.slices_mod), reduced mod
+    m and deduplicated: at most 1 + n letters per simple root.  Either
+    way c_0 + <b> + m*Z^n is the affine span of S_alpha mod m.  That
+    generates the same group on G/mG as every d in S_alpha: r_(alpha,c)
+    r_(alpha,c+h) acts as (x, beta) -> (x - <beta, alpha^v> h, beta), a
+    translation t_h that does not depend on c, with t_h t_h' = t_(h+h');
+    so every r_(alpha,c_0+h) = r_(alpha,c_0) t_h with h in <c_i - c_0> +
+    H is a word in the letters, m*Z^n acts trivially on the grid, and
+    those d cover S_alpha mod m.  The letters are involutions, so the
+    closure under them is the orbit, at a cost set by the grid and not
+    by the slice's cosets.
     """
     rs = ers.delta
     points = {cls: ds for cls, (_, ds) in ers.slices_mod(m).items()}

@@ -7,9 +7,10 @@ classification of a presentation from its whole transposed basis, the
 box form read off the Smith transform of the box quotient, the dense
 root closure with its norms, the whole-table pairing and reflection
 builders, the reflection id of a root, the action on extended roots,
-the scanning lattice reduction, the rebase and slice residues that
-reduced each coset again, the closure letters taken one per coset of a
-slice, the mod-m pass, the chains and R3' read coset by coset over the
+the scanning lattice reduction, the span of a slice folded from H and
+every coset, the rebase and slice residues that reduced each coset
+again, the closure letters taken one per coset of a slice, the mod-m
+pass read through a Hermite basis of each slice's residues, the chains and R3' read coset by coset over the
 common refinement, seeded re-presentations of a system's JSON,
 the pairing and the reflection of root-lattice vectors, and the
 paper's symmetric systems with their reflection-group axioms and
@@ -236,6 +237,12 @@ def lattice_reduce_scan(hnf: Sequence[Sequence[int]], v: Sequence[int]) -> Vecto
     return tuple(out)
 
 
+def span_by_fold(sset: SSet) -> tuple[Vector, ...]:
+    """SSet.span as one Hermite reduction of the rows of H and every
+    coset, a slice that holds every coset of H included."""
+    return tuple(hermite_rows(sset.rank, sparse_rows(sset.h_basis + sset.cosets)))
+
+
 def rebase_reducing(sset: SSet, h_basis) -> SSet:
     """sset over the finer modulus h_basis, built through SSet: the
     residues of coset_residues are reduced again, onto H itself too."""
@@ -277,7 +284,10 @@ def closure_letters_per_coset(ers: ExtRootSystem, m: int) -> list[tuple[tuple, t
 
 def slices_mod_per_coset(ers: ExtRootSystem, m: int) -> dict[str, tuple[tuple, tuple]]:
     """ExtRootSystem.slices_mod with every slice read through its cosets
-    and the rows of its H, a lattice slice too; not cached."""
+    and the rows of its H, a lattice slice too, each residue reduced
+    modulo the Hermite basis L of m*Z^n and those rows, the image
+    enumerated between m*Z^n and L, and the letters' b over the Hermite
+    basis of L and the differences of the residues; not cached."""
     n = ers.n
     check_quotient_index(m**n)
     mod_h = [tuple(m * (i == j) for j in range(n)) for i in range(n)]

@@ -609,6 +609,21 @@ def test_malformed_slices_exit_2(capsys, tmp_path, command, s_sets, path):
     assert err.count("\n") == 1 and path in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("row", [[1, True], [1.0, 0], [1], "x"], ids=["bool", "float", "short", "str"])
+@pytest.mark.parametrize("part, index", [("cosets", 40), ("H", 2)])
+def test_malformed_row_deep_in_a_64_coset_slice_exits_2(capsys, tmp_path, part, index, row):
+    # one bad row among all 64 cosets of 8*Z^2, or after the two rows of
+    # H: a one-line message that names that row and no other
+    data = fully_extended("A", 1, n=2).to_json()
+    rows = {"H": [[8, 0], [0, 8]], "cosets": [list(c) for c in itertools.product(range(8), repeat=2)]}
+    rows[part][index:index + 1] = [row]
+    data["s_sets"] = {"sh": rows}
+    p = tmp_path / "system.json"
+    p.write_text(json.dumps(data))
+    assert main(["orbits", str(p)]) == 2
+    assert capsys.readouterr() == ("", f"error: s_sets.sh.{part}[{index}] must be a list of 2 integers\n")
+
+
 @pytest.mark.parametrize("command", ["orbits", "word"])
 def test_rank_0_group_runs(capsys, tmp_path, command):
     # an empty H is the full-rank modulus of Z^0

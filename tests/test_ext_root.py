@@ -40,9 +40,11 @@ from extweyl.verify import orbit_configurations, word_test_systems
 from extweyl.weyl import w_generator
 from support import (
     act_on_root,
+    determinant,
     rebase_reducing,
     reflection_sym_system,
     represent_again,
+    span_by_fold,
     terminal_group,
 )
 
@@ -971,6 +973,60 @@ def test_is_lattice_is_closure_under_addition(case):
     assert s.is_lattice == _closed_under_addition(s), s
     if not starts:
         assert s.is_lattice
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 3).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.integers(1, 4), min_size=n, max_size=n),
+            st.lists(st.integers(-3, 3), min_size=n * n, max_size=n * n),
+            st.sampled_from(["every", "subset", "sublattice"]),
+            st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n), max_size=2),
+            st.booleans(),
+            st.randoms(use_true_random=False),
+        )
+    )
+)
+def test_span_and_is_lattice_equal_the_fold(case):
+    # every residue of H, a proper subset of them or a sublattice's,
+    # listed through shifted representatives, some twice: span and
+    # is_lattice equal the fold of H and every coset, and a set that
+    # holds every coset of H is Z^n with no Hermite reduction
+    diag, above, kind, gens, twice, rng = case
+    n = len(diag)
+    h = [[diag[i] if i == j else above[i * n + j] * (j > i) for j in range(n)] for i in range(n)]
+    hnf = hermite_rows(n, intlinalg.sparse_rows(h))
+    residues = sorted(coset_residues(hnf, [(0,) * n], identity(n)))
+    if kind == "subset":
+        residues = rng.sample(residues, max(1, len(residues) - 1 - rng.randrange(len(residues))))
+    elif kind == "sublattice":
+        residues = sorted(coset_residues(hnf, [(0,) * n], gens))
+    listed = residues + (rng.choices(residues, k=2) if twice else [])
+    cosets = [
+        tuple(x + sum(rng.randint(-2, 2) * r[j] for r in h) for j, x in enumerate(c))
+        for c in listed
+    ]
+    s = SSet(h, cosets)
+    calls = []
+    with pytest.MonkeyPatch.context() as patched:
+        real = ext_root.hermite_rows
+        patched.setattr(ext_root, "hermite_rows", lambda *a: calls.append(a) or real(*a))
+        span, is_lattice = s.span, s.is_lattice
+    fold = span_by_fold(s)
+    assert span == fold
+    assert is_lattice == (len(s.cosets) * abs(determinant(fold)) == abs(determinant(h)))
+    assert (calls == []) == (len(s.cosets) == abs(determinant(h)))
+
+
+def test_span_of_a_slice_holding_every_coset_makes_no_hermite_reduction(monkeypatch):
+    # all 64 cosets of 4*Z^3, as listed by a 4*Z^3 form of a standard system
+    s = SSet([[4 * (i == j) for j in range(3)] for i in range(3)], itertools.product(range(4), repeat=3))
+    calls = []
+    real = ext_root.hermite_rows
+    monkeypatch.setattr(ext_root, "hermite_rows", lambda *a: calls.append(a) or real(*a))
+    assert s.span == identity(3) and s.is_lattice
+    assert calls == []
 
 
 def test_r1_holds_when_the_slices_span_index_one():

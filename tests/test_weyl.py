@@ -67,7 +67,12 @@ from extweyl.weyl import (
     w_generator,
 )
 
-from support import closure_letters_per_coset, determinant, slice_residues_mod_lattice
+from support import (
+    closure_letters_per_coset,
+    determinant,
+    slice_residues_mod_lattice,
+    slices_mod_per_coset,
+)
 from test_ext_root import _presented_systems, _refined_to_k_squared, _swapped_b2, _untame_b2
 from test_root_core import reflection_pair
 
@@ -521,6 +526,53 @@ def test_letters_close_as_the_per_coset_letters(monkeypatch):
         for d, beta in itertools.product(grid, range(len(ers.delta.roots))):
             got = orbit_bruteforce(ers, d, beta, m, steps)
             assert got == orbit_bruteforce(ers, d, beta, m, oracle), (name, d, beta)
+
+
+def _closure_partition(steps, size: int) -> set[frozenset]:
+    """The closures of closure_codes over every state code below size."""
+    blocks, seen = set(), set()
+    for code in range(size):
+        if code not in seen:
+            block = frozenset(closure_codes(steps, code))
+            blocks.add(block)
+            seen |= block
+    return blocks
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.integers(0, 3).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.integers(1, 4), min_size=n, max_size=n),
+            st.lists(st.integers(-3, 3), min_size=n * n, max_size=n * n),
+            st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n), max_size=2),
+            st.lists(st.lists(st.integers(-6, 6), min_size=n, max_size=n), max_size=2),
+            st.booleans(),
+        )
+    ),
+    st.sampled_from([2, 3, 6]),
+)
+def test_slices_mod_matches_the_per_coset_pass(case, m):
+    # a random slice of A2 over Z^n, starts + <gens> over an upper
+    # triangular H, with or without 0 (a lattice when 0 is the only
+    # start): the image in G/mG equals the per-coset pass, and the two
+    # letter sets close the same set from every grid state
+    diag, above, gens, starts, zero = case
+    n = len(diag)
+    h = [[diag[i] if i == j else above[i * n + j] * (j > i) for j in range(n)] for i in range(n)]
+    starts = [(0,) * n] * zero + [tuple(c) for c in starts] or [(1,) * n]
+    s = SSet(h, coset_residues(hermite_rows(n, sparse_rows(h)), starts, gens))
+    a2 = fully_extended("A", 2, n=n)
+    ers = ExtRootSystem(a2.delta, a2.group, {SHORT: s})
+    (image, points), = ers.slices_mod(m).values()
+    assert image == slices_mod_per_coset(ers, m)[SHORT][0]
+    assert len(points) <= 1 + n
+    steps = closure_steps(ers, m)
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(ExtRootSystem, "slices_mod", slices_mod_per_coset)
+        oracle = closure_steps(ers, m)
+    size = m**n * len(a2.delta.roots)
+    assert _closure_partition(steps, size) == _closure_partition(oracle, size)
 
 
 def test_slice_residues_match_the_lattice_oracle():
