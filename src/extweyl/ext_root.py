@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from functools import cached_property
+from itertools import product
 from math import gcd, prod
 from typing import NamedTuple
 
@@ -28,6 +29,7 @@ from extweyl.intlinalg import (
     lattice_contains,
     lattice_intersection,
     lattice_reduce,
+    lattice_reduce_all,
     lattice_subset,
     mat_inv,
     mat_mul,
@@ -91,7 +93,11 @@ class SSet:
     """A union of cosets of a full-rank sublattice H of Z^n.
 
     `h_basis` rows span H; `cosets` are stored as canonical residues
-    modulo H, deduplicated and sorted.
+    modulo H, deduplicated and sorted, all reduced in one pass per row of
+    H (`lattice_reduce_all`).  A set that holds all |Z^n/H| cosets is Z^n
+    itself: its `span` is the identity, the one Hermite basis of index 1,
+    and `validate` and `ExtRootSystem.orbit_rows` and `slices_mod` settle
+    such a slice from that index with no reduction.
     """
 
     def __init__(self, h_basis, cosets):
@@ -105,7 +111,7 @@ class SSet:
         hnf = hermite_rows(n, sparse_rows(h_basis))
         if len(hnf) != n:
             raise ExtRootError("H must be a full-rank sublattice")
-        self._hold(hnf, {lattice_reduce(hnf, c) for c in cosets})
+        self._hold(hnf, lattice_reduce_all(hnf, cosets))
 
     def _hold(self, hnf: list[Vector], residues: set[Vector]) -> None:
         """Store the Hermite basis hnf of H and the canonical residues."""
@@ -206,7 +212,7 @@ def _require(value, kind: type, path: str):
 
 def _is_row(row, n: int) -> bool:
     """Whether `row` is a JSON list of `n` integers, booleans excluded."""
-    return isinstance(row, list) and len(row) == n and all(type(x) is int for x in row)
+    return isinstance(row, list) and len(row) == n and {int}.issuperset(map(type, row))
 
 
 def _require_row(row, n: int, path: str) -> list:
@@ -326,16 +332,21 @@ class ExtRootSystem:
         zero shift, every other letter r_(alpha,d) closes a cycle with
         shift -<alpha^vee, beta> d, and by Schreier's lemma these shifts
         generate the translations that fix a root (Seress, Permutation
-        Group Algorithms, 2003, 4.2).
+        Group Algorithms, 2003, 4.2).  When some simple alpha has gcd 1 and
+        <S_alpha> = Z^n (a span of index 1), T_cls is Z^n, the identity,
+        with no fold.
         """
         rs = self.delta
         out = {}
         for cls in self.classes():
-            rows = []
-            for alpha in rs.basis:
-                g = rs.class_gcds[alpha, cls]
-                rows += [vec_scale(g, r) for r in self.s_of_root(alpha).span]
-            out[cls] = hermite_rows(self.n, sparse_rows(rows))
+            terms = [
+                (rs.class_gcds[alpha, cls], self.s_of_root(alpha).span) for alpha in rs.basis
+            ]
+            if any(g == 1 and _index(span) == 1 for g, span in terms):
+                out[cls] = list(identity(self.n))
+            else:
+                rows = [vec_scale(g, r) for g, span in terms for r in span]
+                out[cls] = hermite_rows(self.n, sparse_rows(rows))
         return out
 
     def slices_mod(self, m: int) -> dict[str, tuple[tuple[Vector, ...], tuple[Vector, ...]]]:
@@ -352,8 +363,11 @@ class ExtRootSystem:
         not yet in the image adds its coset of B; c_0 is the first.  When
         that is the only coset, the b are the nonzero rows mod m;
         otherwise they are the Hermite basis of m*Z^n, those rows and the
-        differences c_i - c_0 of the residues that added a coset.  Checks
-        m^n before anything is enumerated.
+        differences c_i - c_0 of the residues that added a coset.  A slice
+        that is Z^n (a lattice whose span has index 1) has the whole grid,
+        listed by itertools.product in sorted order, as its image, with no
+        walk: c_0 is 0 and the b are the basis vectors mod m.  Checks m^n
+        before anything is enumerated.
         """
         if m not in self._slices_mod:
             n = self.n
@@ -364,27 +378,31 @@ class ExtRootSystem:
                 s = self.s_sets[cls]
                 rows, cosets = (s.span, [zero]) if s.is_lattice else (s.h_basis, s.cosets)
                 gens = [h for h in {tuple(x % m for x in r) for r in rows} if any(h)]
-                # B grows by whole cosets: B + t*b until t*b falls back into B
-                group = [zero]
-                for b in gens:
-                    inside, shifted = set(group), group
-                    while True:
-                        shifted = [tuple((x + y) % m for x, y in zip(v, b)) for v in shifted]
-                        if shifted[0] in inside:
-                            break
-                        group += shifted
-                image, firsts = set(), []
-                for c in sorted({tuple(x % m for x in c) for c in cosets}):
-                    if c not in image:
-                        firsts.append(c)
-                        image.update(tuple((x + y) % m for x, y in zip(c, v)) for v in group)
-                c0 = firsts[0]
-                if len(firsts) > 1:
-                    mod_h = [{i: m} for i in range(n)]
-                    diffs = ([x - y for x, y in zip(c, c0)] for c in firsts[1:])
-                    gens = hermite_rows(n, [*mod_h, *sparse_rows([*gens, *diffs])])
+                if s.is_lattice and _index(rows) == 1:
+                    # S = Z^n: the whole grid, which product lists sorted
+                    image, c0 = tuple(product(range(m), repeat=n)), zero
+                else:
+                    # B grows by whole cosets: B + t*b until t*b falls back into B
+                    group = [zero]
+                    for b in gens:
+                        inside, shifted = set(group), group
+                        while True:
+                            shifted = [tuple((x + y) % m for x, y in zip(v, b)) for v in shifted]
+                            if shifted[0] in inside:
+                                break
+                            group += shifted
+                    walked, firsts = set(), []
+                    for c in sorted({tuple(x % m for x in c) for c in cosets}):
+                        if c not in walked:
+                            firsts.append(c)
+                            walked.update(tuple((x + y) % m for x, y in zip(c, v)) for v in group)
+                    image, c0 = tuple(sorted(walked)), firsts[0]
+                    if len(firsts) > 1:
+                        mod_h = [{i: m} for i in range(n)]
+                        diffs = ([x - y for x, y in zip(c, c0)] for c in firsts[1:])
+                        gens = hermite_rows(n, [*mod_h, *sparse_rows([*gens, *diffs])])
                 points = {c0, *(tuple((x + y) % m for x, y in zip(c0, b)) for b in gens)}
-                out[cls] = (tuple(sorted(image)), tuple(sorted(points)))
+                out[cls] = (image, tuple(sorted(points)))
             self._slices_mod[m] = out
         return self._slices_mod[m]
 
@@ -519,9 +537,15 @@ def validate(ers: ExtRootSystem) -> ValidationReport:
     elements.
 
     The modulus constraint k^2*G <= H is evaluated before that quotient
-    is built: a slice modulus that fails it can make the quotient
-    arbitrarily large.  When it fails, reflection stability and the
-    chains are neither checked nor reported.
+    is built, as one batched reduction of the rows k^2*e_i modulo each H:
+    a slice modulus that fails it can make the quotient arbitrarily large.
+    When it fails, reflection stability and the chains are neither checked
+    nor reported.
+
+    A span of index 1 is Z^n, so R1' holds with no fold of the spans when
+    one slice spans Z^n; a slice that is a lattice holds 0, so R2' needs
+    no reduction for it; and a slice that is Z^n keeps every translation
+    in R3' and contains every set in the chains.
     """
     rep = ValidationReport()
     delta = ers.delta
@@ -531,8 +555,12 @@ def validate(ers: ExtRootSystem) -> ValidationReport:
         rep.add(f"R0' ({cls} nonempty)", len(ers.s_sets[cls].cosets) > 0)
 
     spans = {c: s.span for c, s in ers.s_sets.items()}
-    full = hermite_rows(n, sparse_rows(r for span in spans.values() for r in span))
-    # the Hermite basis of Z^n is the identity, the one of index 1
+    # the Hermite basis of Z^n is the identity, the one of index 1; a span
+    # that is Z^n makes the sum Z^n with no fold
+    if any(_index(span) == 1 for span in spans.values()):
+        full = identity(n)
+    else:
+        full = hermite_rows(n, sparse_rows(r for span in spans.values() for r in span))
     ok = len(full) == n and _index(full) == 1
     rep.add("R1' (slices generate G)", ok, "" if ok else f"span rank {len(full)}")
 
@@ -540,19 +568,16 @@ def validate(ers: ExtRootSystem) -> ValidationReport:
     for cls in ers.classes():
         if cls == EXTRALONG:
             continue
-        ok = ers.s_sets[cls].contains(zero)
+        s = ers.s_sets[cls]
+        ok = s.is_lattice or s.contains(zero)
         rep.add(f"R2' (0 in S_{cls})", ok, "" if ok else f"0 not in S_{cls}")
 
     # single-length types have no lacing number; 2 is the modulus scale
     # relevant to their orbit structure
     kk = 4 if delta.rs_type.is_single_length() else k_delta(delta.rs_type) ** 2
+    kk_rows = [vec_scale(kk, ers.group.basis_vector(i)) for i in range(n)]
     modulus_ok = {
-        cls: all(
-            lattice_contains(
-                ers.s_sets[cls].h_basis, vec_scale(kk, ers.group.basis_vector(i))
-            )
-            for i in range(n)
-        )
+        cls: lattice_reduce_all(ers.s_sets[cls].h_basis, kk_rows) <= {zero}
         for cls in ers.classes()
     }
 
@@ -589,13 +614,16 @@ def _chain_holds(ers: ExtRootSystem, lower: str, upper: str, mult: int) -> bool:
     """mult*S_lower <= S_upper <= S_lower.
 
     An inclusion into a slice that is a lattice is one of spans: a set
-    lies in a lattice exactly when its span does.  An inclusion into any
+    lies in a lattice exactly when its span does, and in Z^n (a span of
+    index 1) always, with no lattice_subset.  An inclusion into any
     other slice is decided in G/H* on `refined`, where both slices live,
     so mult*S_lower is enumerated modulo H* and not over mult*H*.
     """
     lo, up = ers.s_sets[lower], ers.s_sets[upper]
     if up.is_lattice:
-        scaled = lattice_subset([vec_scale(mult, r) for r in lo.span], up.span)
+        scaled = _index(up.span) == 1 or lattice_subset(
+            [vec_scale(mult, r) for r in lo.span], up.span
+        )
     else:
         fine_lo, fine_up = ers.refined[lower], ers.refined[upper]
         scaled = coset_residues(
@@ -604,7 +632,7 @@ def _chain_holds(ers: ExtRootSystem, lower: str, upper: str, mult: int) -> bool:
             [vec_scale(mult, h) for h in fine_lo.h_basis],
         ) <= set(fine_up.cosets)
     if lo.is_lattice:
-        inside = lattice_subset(up.span, lo.span)
+        inside = _index(lo.span) == 1 or lattice_subset(up.span, lo.span)
     else:
         inside = set(ers.refined[upper].cosets) <= set(ers.refined[lower].cosets)
     return inside and scaled
@@ -682,7 +710,8 @@ def _stability_test(
     x exactly when x lies in <S>: one lattice_contains, with x not reduced
     modulo H*.  Those are the classes that coset_sets leaves out, and the
     ones in it whose residues modulo hstar fill their span, |S/H*| *
-    det<S> = det H* (all of G/H* among them).  Any other slice is
+    det<S> = det H* (all of G/H* among them).  One of them whose span has
+    index 1 is Z^n and keeps every x, with no test.  Any other slice is
     scanned, x reduced modulo hstar and subtracted from each of its
     cosets, and remembered per (cls_b, x).
     """
@@ -690,6 +719,7 @@ def _stability_test(
         c for c in spans
         if c not in coset_sets or len(coset_sets[c]) * _index(spans[c]) == _index(hstar)
     }
+    whole = {c for c in lattices if _index(spans[c]) == 1}
     stable: dict[tuple[str, Vector], bool] = {}
     decided: dict[tuple[str, str, int], bool] = {}
 
@@ -707,7 +737,9 @@ def _stability_test(
     def holds(cls_a: str, cls_b: str, m: int) -> bool:
         key = (cls_a, cls_b, m)
         if key not in decided:
-            decided[key] = m == 0 or all(keeps(cls_b, vec_scale(m, r)) for r in spans[cls_a])
+            decided[key] = m == 0 or cls_b in whole or all(
+                keeps(cls_b, vec_scale(m, r)) for r in spans[cls_a]
+            )
         return decided[key]
 
     return holds

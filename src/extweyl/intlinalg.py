@@ -283,6 +283,28 @@ def lattice_reduce(hnf: Sequence[Sequence[int]], v: Sequence[int]) -> Vector:
     return tuple(out)
 
 
+def lattice_reduce_all(
+    hnf: Sequence[Sequence[int]], vectors: Iterable[Sequence[int]]
+) -> set[Vector]:
+    """The set of lattice_reduce(hnf, v) over the vectors, reduced a row of
+    hnf at a time (Cohen, A Course in Computational Algebraic Number
+    Theory, 2.4): the distinct vectors are held as columns, and a row
+    rewrites only the columns of its nonzero entries, its pivot the first
+    of them.  lattice_reduce serves a single vector."""
+    vectors = set(map(tuple, vectors))
+    if not hnf or not vectors:
+        return vectors
+    cols = [list(c) for c in zip(*vectors)]
+    for row in hnf:
+        support = list(compress(enumerate(row), row))
+        pcol, p = support[0]
+        fs = [x // p for x in cols[pcol]]
+        if any(fs):
+            for k, y in support:
+                cols[k] = [x - f * y for x, f in zip(cols[k], fs)]
+    return set(zip(*cols))
+
+
 def lattice_contains(hnf: Sequence[Sequence[int]], v: Sequence[int]) -> bool:
     return is_zero_vec(lattice_reduce(hnf, v))
 
@@ -383,7 +405,7 @@ def coset_residues(
     # generators inside hnf add nothing; with none left, L is hnf itself
     gens = [r for r in (lattice_reduce(hnf, g) for g in gens) if any(r)]
     big = hermite_rows(len(gens[0]), sparse_rows([*hnf, *gens])) if gens else hnf
-    return _residues_between(hnf, big, {lattice_reduce(big, c) for c in cosets})
+    return _residues_between(hnf, big, lattice_reduce_all(big, cosets))
 
 
 def _residues_between(
@@ -405,11 +427,9 @@ def _residues_between(
             for o in offsets
             for t in range(hnf[i][i] // row[i])
         ]
-    return {
-        lattice_reduce(hnf, tuple(x + y for x, y in zip(c, o)))
-        for c in starts
-        for o in offsets
-    }
+    return lattice_reduce_all(hnf, (
+        tuple(x + y for x, y in zip(c, o)) for c in starts for o in offsets
+    ))
 
 
 class FPAbelianGroup:

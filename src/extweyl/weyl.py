@@ -296,8 +296,8 @@ def orbit_classes(
     closure_steps) to orbit_class(ers, class, d); the class rule depends
     on beta only through its class, so it runs once per residue.  Each
     representative is closed by closure_codes, and its class agrees when
-    every reached code carries its key and the closure is as large as
-    the class: a closure inside the class and of its size equals it.
+    the closure equals the set of state codes keyed to it: one set
+    comparison per class.
     """
     if not ers.delta.rs_type.is_reduced():
         raise ExtRootError("orbit classification needs a reduced type; trim first")
@@ -306,21 +306,17 @@ def orbit_classes(
     residues = slice_residues_by_class(ers, m)
     steps = closure_steps(ers, m)
     n_roots = len(steps)
-    key_of: dict[int, OrbitClass] = {}
     classes: dict[OrbitClass, tuple[Vector, int]] = {}
-    sizes: dict[OrbitClass, int] = {}
+    codes: dict[OrbitClass, set[int]] = {}
     for cls, ds in residues.items():
         roots = [beta for beta, c in enumerate(rs.lengths) if c == cls]
         for d in ds:
             key = orbit_class(ers, cls, d)
             classes.setdefault(key, (d, roots[0]))
-            sizes[key] = sizes.get(key, 0) + len(roots)
             code = _grid_index(d, m) * n_roots
-            for beta in roots:
-                key_of[code + beta] = key
+            codes.setdefault(key, set()).update(code + beta for beta in roots)
     for key, (d, beta) in classes.items():
-        seen = closure_codes(steps, _grid_index(d, m) * n_roots + beta)
-        if len(seen) != sizes[key] or any(key_of.get(s) != key for s in seen):
+        if closure_codes(steps, _grid_index(d, m) * n_roots + beta) != codes[key]:
             return classes, False
     return classes, True
 

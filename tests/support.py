@@ -10,8 +10,13 @@ builders, the reflection id of a root, the action on extended roots,
 the scanning lattice reduction, the span of a slice folded from H and
 every coset, the rebase and slice residues that reduced each coset
 again, the closure letters taken one per coset of a slice, the mod-m
-pass read through a Hermite basis of each slice's residues, the chains and R3' read coset by coset over the
-common refinement, seeded re-presentations of a system's JSON,
+pass read through a Hermite basis of each slice's residues, the chains
+and R3' read coset by coset over the common refinement, the checks of
+validate and the per-system caches as they ran before a slice that is
+Z^n was settled from its span's index (R1' folded, R2' by contains, the
+modulus tested per basis vector, R3' and the chains through
+lattice_contains and lattice_subset, the orbit lattice folded and the
+mod-m image walked), seeded re-presentations of a system's JSON,
 the pairing and the reflection of root-lattice vectors, and the
 paper's symmetric systems with their reflection-group axioms and
 permutation closures for small finite systems (the terminal group).
@@ -23,7 +28,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from extweyl import lattice_algebra
-from extweyl.ext_root import ExtRootSystem, SSet, ValidationReport, _class_pair_gcds
+from extweyl.ext_root import ExtRootSystem, SSet, ValidationReport, _class_pair_gcds, _index
 from extweyl.intlinalg import (
     Matrix,
     Vector,
@@ -34,6 +39,7 @@ from extweyl.intlinalg import (
     dot,
     freeze,
     hermite_rows,
+    lattice_contains,
     lattice_reduce,
     lattice_subset,
     mat_vec,
@@ -44,7 +50,7 @@ from extweyl.intlinalg import (
     vec_scale,
     zeros,
 )
-from extweyl.root_core import EXTRALONG, LONG, SHORT, FiniteRootSystem, RootSystemError
+from extweyl.root_core import EXTRALONG, LONG, SHORT, FiniteRootSystem, RootSystemError, k_delta
 from extweyl.weyl import WElement
 
 
@@ -359,6 +365,130 @@ def reflection_stability_over_refined(ers: ExtRootSystem, spans) -> tuple[bool, 
                             f"{cb} - {m}*{da} = {img}"
                         )
     return True, ""
+
+
+def r1_by_fold(ers: ExtRootSystem) -> tuple[bool, str]:
+    """R1' as validate reports it, (passed, witness), from one Hermite
+    reduction of the rows of every slice span, a span that is Z^n too."""
+    n = ers.n
+    full = hermite_rows(n, sparse_rows(r for s in ers.s_sets.values() for r in s.span))
+    ok = len(full) == n and _index(full) == 1
+    return ok, "" if ok else f"span rank {len(full)}"
+
+
+def r2_by_contains(ers: ExtRootSystem) -> dict[str, bool]:
+    """R2' per length class but the extralong one: SSet.contains(0), a
+    lattice slice too."""
+    zero = (0,) * ers.n
+    return {c: ers.s_sets[c].contains(zero) for c in ers.classes() if c != EXTRALONG}
+
+
+def modulus_by_basis_vectors(ers: ExtRootSystem) -> dict[str, bool]:
+    """k^2*G <= H per length class, each k^2*e_i tested by lattice_contains
+    (k^2 = 4 for single-length types, as validate takes it)."""
+    t = ers.delta.rs_type
+    kk = 4 if t.is_single_length() else k_delta(t) ** 2
+    return {
+        c: all(
+            lattice_contains(ers.s_sets[c].h_basis, vec_scale(kk, ers.group.basis_vector(i)))
+            for i in range(ers.n)
+        )
+        for c in ers.classes()
+    }
+
+
+def stability_test_through_spans(hstar, coset_sets, spans):
+    """ext_root._stability_test with every lattice slice decided by
+    lattice_contains on its span, a slice that is Z^n too."""
+    lattices = {
+        c for c in spans
+        if c not in coset_sets or len(coset_sets[c]) * _index(spans[c]) == _index(hstar)
+    }
+    stable: dict = {}
+
+    def keeps(cls_b, x):
+        if cls_b in lattices:
+            return lattice_contains(spans[cls_b], x)
+        key = (cls_b, lattice_reduce(hstar, x))
+        if key not in stable:
+            sb = coset_sets[cls_b]
+            stable[key] = all(
+                lattice_reduce(hstar, [a - b for a, b in zip(cb, key[1])]) in sb for cb in sb
+            )
+        return stable[key]
+
+    def holds(cls_a, cls_b, m):
+        return m == 0 or all(keeps(cls_b, vec_scale(m, r)) for r in spans[cls_a])
+
+    return holds
+
+
+def chain_through_spans(ers: ExtRootSystem, lower: str, upper: str, mult: int) -> bool:
+    """ext_root._chain_holds with every inclusion into a lattice slice
+    decided by lattice_subset on the spans, into Z^n too."""
+    lo, up = ers.s_sets[lower], ers.s_sets[upper]
+    if up.is_lattice:
+        scaled = lattice_subset([vec_scale(mult, r) for r in lo.span], up.span)
+    else:
+        fine_lo, fine_up = ers.refined[lower], ers.refined[upper]
+        scaled = coset_residues(
+            fine_up.h_basis,
+            [vec_scale(mult, c) for c in fine_lo.cosets],
+            [vec_scale(mult, h) for h in fine_lo.h_basis],
+        ) <= set(fine_up.cosets)
+    if lo.is_lattice:
+        inside = lattice_subset(up.span, lo.span)
+    else:
+        inside = set(ers.refined[upper].cosets) <= set(ers.refined[lower].cosets)
+    return inside and scaled
+
+
+def orbit_rows_by_fold(ers: ExtRootSystem) -> dict[str, list[Vector]]:
+    """ExtRootSystem.orbit_rows as one Hermite reduction per length class
+    of gcd * <S_alpha> over the simple alpha, spans of Z^n included."""
+    rs = ers.delta
+    return {
+        cls: hermite_rows(ers.n, sparse_rows(
+            vec_scale(rs.class_gcds[alpha, cls], r)
+            for alpha in rs.basis
+            for r in ers.s_of_root(alpha).span
+        ))
+        for cls in ers.classes()
+    }
+
+
+def slices_mod_by_walk(ers: ExtRootSystem, m: int) -> dict[str, tuple[tuple, tuple]]:
+    """ExtRootSystem.slices_mod with every image found by the walk of the
+    slice's residues mod m over the subgroup B its rows generate, a slice
+    that is Z^n too; not cached."""
+    n = ers.n
+    check_quotient_index(m**n)
+    zero = (0,) * n
+    out = {}
+    for cls in ers.classes():
+        s = ers.s_sets[cls]
+        rows, cosets = (s.span, [zero]) if s.is_lattice else (s.h_basis, s.cosets)
+        gens = [h for h in {tuple(x % m for x in r) for r in rows} if any(h)]
+        group = [zero]
+        for b in gens:
+            inside, shifted = set(group), group
+            while True:
+                shifted = [tuple((x + y) % m for x, y in zip(v, b)) for v in shifted]
+                if shifted[0] in inside:
+                    break
+                group += shifted
+        image, firsts = set(), []
+        for c in sorted({tuple(x % m for x in c) for c in cosets}):
+            if c not in image:
+                firsts.append(c)
+                image.update(tuple((x + y) % m for x, y in zip(c, v)) for v in group)
+        c0 = firsts[0]
+        if len(firsts) > 1:
+            diffs = ([x - y for x, y in zip(c, c0)] for c in firsts[1:])
+            gens = hermite_rows(n, [*({i: m} for i in range(n)), *sparse_rows([*gens, *diffs])])
+        points = {c0, *(tuple((x + y) % m for x, y in zip(c0, b)) for b in gens)}
+        out[cls] = (tuple(sorted(image)), tuple(sorted(points)))
+    return out
 
 
 def represent_again(data: dict, rng) -> dict:

@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 import extweyl
 from extweyl import ext_root
 from extweyl.cli import main
-from extweyl.ext_root import ExtRootSystem, FreeAbelianGroup, fully_extended, span_extended
+from extweyl.ext_root import ExtRootSystem, FreeAbelianGroup, SSet, fully_extended, span_extended
 from extweyl.root_core import EXTRALONG, LONG, SHORT, FiniteRootSystem, _build_cached, k_delta
 from extweyl.verify import (
     _random_weyl,
@@ -30,9 +30,16 @@ from extweyl.verify import (
 from extweyl.weyl import closure_letters, default_brute_modulus
 from support import (
     chain_over_refined,
+    chain_through_spans,
+    modulus_by_basis_vectors,
+    orbit_rows_by_fold,
+    r1_by_fold,
+    r2_by_contains,
     reflection_stability_over_refined,
     represent_again,
+    slices_mod_by_walk,
     slices_mod_per_coset,
+    stability_test_through_spans,
 )
 from test_ext_root import _broken_variants, _refined_to_k_squared, _untame_b2
 from test_weyl import _d4_as_cosets
@@ -436,6 +443,65 @@ def test_lattice_slices_read_through_their_span_match_the_coset_oracles(
         assert runs[:2] == runs[2:], name
         exits.append(runs[1][0])
     assert exits.count(2) == 40 and exits.count(0) == len(exits) - 40
+
+
+def _reshaped_systems():
+    """Per orbit_configurations() system: every slice with its first
+    coordinate doubled, so no span is Z^n and R1' fails; that with the
+    short slice moved off 0 (R2' fails on a slice that is no lattice);
+    and, with two lengths, the short and long slices swapped, so a slice
+    of index 2 must reject a translation in R3' and the chains, and the
+    long slice with its first coordinate times k^2, so k*S_sh leaves it."""
+
+    def stretched(s, f):
+        return SSet(*([(f * v[0], *v[1:]) for v in part] for part in (s.h_basis, s.cosets)))
+
+    out = []
+    for name, ers in orbit_configurations():
+        doubled = {c: stretched(s, 2) for c, s in ers.s_sets.items()}
+        sh = doubled[SHORT]
+        moved = SSet(sh.h_basis, [(c[0] + 1, *c[1:]) for c in sh.cosets])
+        out.append((f"{name} doubled", ExtRootSystem(ers.delta, ers.group, doubled)))
+        out.append((f"{name} doubled and moved", ExtRootSystem(
+            ers.delta, ers.group, {**doubled, SHORT: moved}
+        )))
+        if LONG in ers.s_sets:
+            s_sets = ers.s_sets
+            swapped = {**s_sets, SHORT: s_sets[LONG], LONG: s_sets[SHORT]}
+            kk = k_delta(ers.delta.rs_type) ** 2
+            thinned = {**s_sets, LONG: stretched(s_sets[LONG], kk)}
+            out.append((f"{name} swapped", ExtRootSystem(ers.delta, ers.group, swapped)))
+            out.append((f"{name} long thinned", ExtRootSystem(ers.delta, ers.group, thinned)))
+    return out
+
+
+def test_span_shortcuts_match_the_fold_and_contains_oracles(monkeypatch):
+    # R1' with no fold when a span is Z^n, R2' true for a lattice slice,
+    # the batched modulus check, R3' and the chains with a slice that is
+    # Z^n taken as keeping and containing everything, orbit_rows with no
+    # fold and slices_mod with no walk when a span is Z^n: each equals
+    # the computation it replaced, witnesses included
+    failing = set()
+    for name, ers in _slice_reading_systems() + _reshaped_systems():
+        data = ers.to_json()
+        fresh, oracle = ExtRootSystem.from_json(data), ExtRootSystem.from_json(data)
+        checks = ext_root.validate(fresh).checks
+        with monkeypatch.context() as patched:
+            patched.setattr(ext_root, "_stability_test", stability_test_through_spans)
+            patched.setattr(ext_root, "_chain_holds", chain_through_spans)
+            assert checks == ext_root.validate(oracle).checks, name
+        got = {c.name: (c.passed, c.witness) for c in checks}
+        assert got["R1' (slices generate G)"] == r1_by_fold(oracle), name
+        for cls, ok in r2_by_contains(oracle).items():
+            assert got[f"R2' (0 in S_{cls})"] == (ok, "" if ok else f"0 not in S_{cls}"), name
+        for cls, ok in modulus_by_basis_vectors(oracle).items():
+            assert got[f"modulus constraint k^2*G <= H ({cls})"][0] == ok, name
+        failing |= {c.name.split(" ")[0] for c in checks if not c.passed}
+        assert fresh.orbit_rows == orbit_rows_by_fold(oracle), name
+        m = default_brute_modulus(fresh)
+        assert fresh.slices_mod(m) == slices_mod_by_walk(oracle, m), name
+    # every shortcut is met by a system on which its check fails
+    assert {"R1'", "R2'", "R3'", "chain", "modulus"} <= failing
 
 
 def test_orbits_builds_the_common_refinement_only_for_a_coset_scan(

@@ -7,7 +7,7 @@ from math import prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from extweyl import ext_root, intlinalg
+from extweyl import ext_root, intlinalg, weyl
 from extweyl.ext_root import (
     ExtRootError,
     ExtRootSystem,
@@ -1050,3 +1050,34 @@ def test_r1_holds_when_the_slices_span_index_one():
     for ers, want in cases:
         r1 = [c for c in validate(ers).checks if c.name.startswith("R1'")]
         assert [(c.passed, c.witness) for c in r1] == [(want, "" if want else "span rank 2")]
+
+
+def test_slices_that_are_z_n_settle_validate_and_orbit_classes_with_no_reduction(monkeypatch):
+    # A2 over Z^3 with its one slice written as H = Z^3 and as all 64
+    # cosets of 4*Z^3: after load's Hermite basis of H, validate and
+    # orbit_classes make no Hermite reduction and no membership test
+    one = fully_extended("A", 2, n=3).to_json()
+    many = json.loads(json.dumps(one))
+    many["s_sets"]["sh"] = {
+        "H": [[4 * (i == j) for j in range(3)] for i in range(3)],
+        "cosets": [list(c) for c in itertools.product(range(4), repeat=3)],
+    }
+    calls = {"hermite_rows": 0, "lattice_contains": 0, "lattice_subset": 0}
+    for name in calls:
+        real = getattr(intlinalg, name)
+
+        def counted(*args, name=name, real=real):
+            calls[name] += 1
+            return real(*args)
+
+        for module in (intlinalg, ext_root, weyl):
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counted)
+    for data in (one, many):
+        ers = ExtRootSystem.from_json(data)
+        assert calls == {"hermite_rows": 1, "lattice_contains": 0, "lattice_subset": 0}
+        assert validate(ers).ok
+        classes, agree = weyl.orbit_classes(ers)
+        assert agree and len(classes) == 1
+        assert calls == {"hermite_rows": 1, "lattice_contains": 0, "lattice_subset": 0}
+        calls.update(dict.fromkeys(calls, 0))

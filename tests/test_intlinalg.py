@@ -18,6 +18,7 @@ from extweyl.intlinalg import (
     lattice_contains,
     lattice_intersection,
     lattice_reduce,
+    lattice_reduce_all,
     mat_inv,
     mat_mul,
     smith_normal_form,
@@ -497,6 +498,33 @@ def test_lattice_reduce_matches_generator_oracle(case):
     assert lattice_contains(hnf, tuple(x - y for x, y in zip(v, got)))
     assert lattice_reduce(hnf, got) == got
     assert lattice_reduce(hnf, list(v)) == got
+
+
+@st.composite
+def hermite_basis_and_vectors(draw):
+    """The Hermite basis of a diagonal or of random rows of width 0 to 4
+    (rank-deficient rows too), with vectors of that width: possibly none,
+    with negative entries and some listed twice."""
+    n = draw(st.integers(0, 4))
+    if draw(st.booleans()):
+        d = draw(st.lists(st.integers(1, 9), min_size=n, max_size=n))
+        rows = [[d[i] * (i == j) for j in range(n)] for i in range(n)]
+    else:
+        rows = draw(st.lists(st.lists(st.integers(-9, 9), min_size=n, max_size=n), max_size=n + 1))
+    vectors = draw(st.lists(st.lists(st.integers(-60, 60), min_size=n, max_size=n), max_size=12))
+    if vectors:
+        vectors += draw(st.lists(st.sampled_from(vectors), max_size=3))
+    return hermite_of(rows), vectors
+
+
+@settings(max_examples=300, deadline=None)
+@given(hermite_basis_and_vectors())
+def test_lattice_reduce_all_is_lattice_reduce_of_each(case):
+    hnf, vectors = case
+    got = lattice_reduce_all(hnf, vectors)
+    assert got == {lattice_reduce(hnf, v) for v in vectors}
+    assert all(type(v) is tuple for v in got)
+    assert lattice_reduce_all(hnf, iter(map(tuple, vectors))) == got
 
 
 @st.composite
