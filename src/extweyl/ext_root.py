@@ -11,7 +11,7 @@ subsets are out of scope.
 from __future__ import annotations
 
 import json
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import product
 from math import gcd, prod
 from typing import NamedTuple
@@ -95,9 +95,10 @@ class SSet:
     `h_basis` rows span H; `cosets` are stored as canonical residues
     modulo H, deduplicated and sorted, all reduced in one pass per row of
     H (`lattice_reduce_all`).  A set that holds all |Z^n/H| cosets is Z^n
-    itself: its `span` is the identity, the one Hermite basis of index 1,
-    and `validate` and `ExtRootSystem.orbit_rows` and `slices_mod` settle
-    such a slice from that index with no reduction.
+    itself (`is_whole`): its `span` is the identity, the one Hermite basis
+    of index 1, and `validate` and `ExtRootSystem.orbit_rows` and
+    `slices_mod` settle such a slice with no reduction.  `keeps` is the one
+    question R3' and the chains ask of a slice.
     """
 
     def __init__(self, h_basis, cosets):
@@ -127,10 +128,15 @@ class SSet:
         return lattice_reduce(self.h_basis, g) in self._set
 
     @cached_property
+    def is_whole(self) -> bool:
+        """Whether the set is Z^n: it holds all |Z^n/H| cosets of H."""
+        return len(self.cosets) == _index(self.h_basis)
+
+    @cached_property
     def span(self) -> tuple[Vector, ...]:
         """Hermite basis of the lattice generated by the whole set: Z^n,
-        with no reduction, when the set holds all |Z^n/H| cosets of H."""
-        if len(self.cosets) == _index(self.h_basis):
+        with no reduction, when the set is Z^n."""
+        if self.is_whole:
             return identity(self.rank)
         return tuple(hermite_rows(self.rank, sparse_rows(self.h_basis + self.cosets)))
 
@@ -139,6 +145,16 @@ class SSet:
         """Whether the set is the lattice it spans: <S> holds det H / det
         <S> cosets of H, and S is <S> when it holds all of them."""
         return len(self.cosets) * _index(self.span) == _index(self.h_basis)
+
+    def keeps(self, x) -> bool:
+        """Whether S - x = S.  Z^n keeps every x, with no reduction, and a
+        lattice exactly the x in <S>; any other set has each coset minus x
+        reduced modulo H in one pass and looked up among its residues
+        (S - x <= S forces equality in G/H)."""
+        if self.is_lattice:
+            return self.is_whole or lattice_contains(self.span, x)
+        shifted = ([a - b for a, b in zip(c, x)] for c in self.cosets)
+        return lattice_reduce_all(self.h_basis, shifted) <= self._set
 
     def rebase(self, h_basis) -> "SSet":
         """Express the same set over a finer modulus (h_basis inside H).
@@ -266,9 +282,10 @@ class ExtRootSystem:
     not changed after construction.
 
     A slice that is the lattice it spans (`SSet.is_lattice`) is read as
-    the one coset 0 over its span: `slices_mod`, R3' and the chains of
-    `validate` decide it through <S>.  So `refined` is built only by a
-    coset scan of a slice that is not a lattice, a failing R3' witness and
+    the one coset 0 over its span: `slices_mod` and a chain into it decide
+    it through <S>.  R3' asks each slice whether it keeps a translation
+    (`SSet.keeps`), over its own modulus.  So `refined` is built only by a
+    chain into a slice that is not a lattice, a failing R3' witness and
     `check_twist`.
     """
 
@@ -332,22 +349,16 @@ class ExtRootSystem:
         zero shift, every other letter r_(alpha,d) closes a cycle with
         shift -<alpha^vee, beta> d, and by Schreier's lemma these shifts
         generate the translations that fix a root (Seress, Permutation
-        Group Algorithms, 2003, 4.2).  When some simple alpha has gcd 1 and
-        <S_alpha> = Z^n (a span of index 1), T_cls is Z^n, the identity,
-        with no fold.
+        Group Algorithms, 2003, 4.2).  The sum is folded by `_lattice_sum`.
         """
         rs = self.delta
-        out = {}
-        for cls in self.classes():
-            terms = [
-                (rs.class_gcds[alpha, cls], self.s_of_root(alpha).span) for alpha in rs.basis
-            ]
-            if any(g == 1 and _index(span) == 1 for g, span in terms):
-                out[cls] = list(identity(self.n))
-            else:
-                rows = [vec_scale(g, r) for g, span in terms for r in span]
-                out[cls] = hermite_rows(self.n, sparse_rows(rows))
-        return out
+        return {
+            cls: _lattice_sum(
+                self.n,
+                [(rs.class_gcds[alpha, cls], self.s_of_root(alpha).span) for alpha in rs.basis],
+            )
+            for cls in self.classes()
+        }
 
     def slices_mod(self, m: int) -> dict[str, tuple[tuple[Vector, ...], tuple[Vector, ...]]]:
         """Each slice read once modulo m*Z^n, cached per m.
@@ -378,7 +389,7 @@ class ExtRootSystem:
                 s = self.s_sets[cls]
                 rows, cosets = (s.span, [zero]) if s.is_lattice else (s.h_basis, s.cosets)
                 gens = [h for h in {tuple(x % m for x in r) for r in rows} if any(h)]
-                if s.is_lattice and _index(rows) == 1:
+                if s.is_whole:
                     # S = Z^n: the whole grid, which product lists sorted
                     image, c0 = tuple(product(range(m), repeat=n)), zero
                 else:
@@ -529,9 +540,11 @@ def span_extended(
 def validate(ers: ExtRootSystem) -> ValidationReport:
     """Check the slice axioms and the derived inclusion chains.
 
-    Reflection stability and the chains are decided exactly: through the
-    span of a slice that is a lattice, and otherwise exhaustively in the
-    finite quotient of G by the common refinement of all slice moduli.
+    Reflection stability is decided exactly by asking each slice whether
+    it keeps a translation (`SSet.keeps`).  The chains are decided
+    through the span of a slice that is a lattice, and otherwise
+    exhaustively in the finite quotient of G by the common refinement of
+    all slice moduli.
     Simple roots suffice on the reflecting side because every reflection
     label is a conjugate of one over a simple root by zero-section
     elements.
@@ -543,9 +556,10 @@ def validate(ers: ExtRootSystem) -> ValidationReport:
     nor reported.
 
     A span of index 1 is Z^n, so R1' holds with no fold of the spans when
-    one slice spans Z^n; a slice that is a lattice holds 0, so R2' needs
-    no reduction for it; and a slice that is Z^n keeps every translation
-    in R3' and contains every set in the chains.
+    one slice spans Z^n (`_lattice_sum`), and a failing R1' names the
+    index of the sum; a slice that is a lattice holds 0, so R2' needs no
+    reduction for it; and a slice that is Z^n keeps every translation in
+    R3' and contains every set in the chains.
     """
     rep = ValidationReport()
     delta = ers.delta
@@ -554,15 +568,9 @@ def validate(ers: ExtRootSystem) -> ValidationReport:
     for cls in ers.classes():
         rep.add(f"R0' ({cls} nonempty)", len(ers.s_sets[cls].cosets) > 0)
 
-    spans = {c: s.span for c, s in ers.s_sets.items()}
-    # the Hermite basis of Z^n is the identity, the one of index 1; a span
-    # that is Z^n makes the sum Z^n with no fold
-    if any(_index(span) == 1 for span in spans.values()):
-        full = identity(n)
-    else:
-        full = hermite_rows(n, sparse_rows(r for span in spans.values() for r in span))
-    ok = len(full) == n and _index(full) == 1
-    rep.add("R1' (slices generate G)", ok, "" if ok else f"span rank {len(full)}")
+    # every span holds its slice's full-rank H, so their sum has full rank
+    index = _index(_lattice_sum(n, [(1, s.span) for s in ers.s_sets.values()]))
+    rep.add("R1' (slices generate G)", index == 1, "" if index == 1 else f"span index {index}")
 
     zero = (0,) * n
     for cls in ers.classes():
@@ -582,7 +590,7 @@ def validate(ers: ExtRootSystem) -> ValidationReport:
     }
 
     if all(modulus_ok.values()):
-        rep.add("R3' (reflection stability)", *_reflection_stability(ers, spans))
+        rep.add("R3' (reflection stability)", *_reflection_stability(ers))
         if not delta.rs_type.is_single_length():
             k = k_delta(delta.rs_type)
             slices = ers.s_sets
@@ -614,16 +622,14 @@ def _chain_holds(ers: ExtRootSystem, lower: str, upper: str, mult: int) -> bool:
     """mult*S_lower <= S_upper <= S_lower.
 
     An inclusion into a slice that is a lattice is one of spans: a set
-    lies in a lattice exactly when its span does, and in Z^n (a span of
-    index 1) always, with no lattice_subset.  An inclusion into any
-    other slice is decided in G/H* on `refined`, where both slices live,
-    so mult*S_lower is enumerated modulo H* and not over mult*H*.
+    lies in a lattice exactly when the rows of its span do (`SSet.keeps`).
+    An inclusion into any other slice is decided in G/H* on `refined`,
+    where both slices live, so mult*S_lower is enumerated modulo H* and
+    not over mult*H*.
     """
     lo, up = ers.s_sets[lower], ers.s_sets[upper]
     if up.is_lattice:
-        scaled = _index(up.span) == 1 or lattice_subset(
-            [vec_scale(mult, r) for r in lo.span], up.span
-        )
+        scaled = all(up.keeps(vec_scale(mult, r)) for r in lo.span)
     else:
         fine_lo, fine_up = ers.refined[lower], ers.refined[upper]
         scaled = coset_residues(
@@ -632,43 +638,39 @@ def _chain_holds(ers: ExtRootSystem, lower: str, upper: str, mult: int) -> bool:
             [vec_scale(mult, h) for h in fine_lo.h_basis],
         ) <= set(fine_up.cosets)
     if lo.is_lattice:
-        inside = _index(lo.span) == 1 or lattice_subset(up.span, lo.span)
+        inside = all(lo.keeps(r) for r in up.span)
     else:
         inside = set(ers.refined[upper].cosets) <= set(ers.refined[lower].cosets)
     return inside and scaled
 
 
-def _reflection_stability(
-    ers: ExtRootSystem, spans: dict[str, tuple[Vector, ...]]
-) -> tuple[bool, str]:
+def _reflection_stability(ers: ExtRootSystem) -> tuple[bool, str]:
     """R3': S_beta - <alpha^vee, beta> * S_alpha <= S_beta for simple alpha.
 
     For a triple (class of alpha, class of beta, m = <alpha^vee, beta>)
-    the condition says that S_beta is stable under subtracting each
-    residue x of m * S_alpha.  In the finite G/H*, S_beta - x <= S_beta
-    forces equality, so these x form a subgroup: it holds m * S_alpha iff
-    it holds m * r for each row r of spans[class], the basis of
-    <S_alpha>, and it holds m * r for every m of one pair of length
-    classes iff it holds g * r, g the gcd of their pairings (folded from
+    the condition says that S_beta keeps (`SSet.keeps`) each x of
+    m * S_alpha.  The x that S_beta keeps form a subgroup: it holds
+    m * S_alpha iff it holds m * r for each row r of the span of S_alpha,
+    and it holds m * r for every m of one pair of length classes iff it
+    holds g * r, g the gcd of their pairings (folded from
     FiniteRootSystem.class_gcds, which orbit_rows reads as well).  So R3'
     is decided once per class pair, at that gcd (g = 0 holds trivially).
     Only when a pair fails is each triple decided, to find the witness:
     the first one met by scanning every simple alpha, every root beta,
-    then the cosets of S_beta and S_alpha over H*.  `refined` is read for
-    the slices that are not lattices, and for that witness.
+    then the cosets of S_beta and S_alpha over H*, the one place where
+    `refined` is read.
     """
-    delta = ers.delta
+    delta, s_sets = ers.delta, ers.s_sets
 
-    def over_hstar(classes) -> tuple[Matrix, dict[str, set[Vector]]]:
-        refined = ers.refined
-        return next(iter(refined.values())).h_basis, {c: set(refined[c].cosets) for c in classes}
+    @cache
+    def holds(cls_a: str, cls_b: str, m: int) -> bool:
+        return m == 0 or all(s_sets[cls_b].keeps(vec_scale(m, r)) for r in s_sets[cls_a].span)
 
-    scanned = [c for c, s in ers.s_sets.items() if not s.is_lattice]
-    hstar, coset_sets = over_hstar(scanned) if scanned else (None, {})
-    holds = _stability_test(hstar, coset_sets, spans)
     if all(holds(*pair, g) for pair, g in _class_pair_gcds(delta).items()):
         return True, ""
-    hstar, coset_sets = over_hstar(ers.s_sets)
+    refined = ers.refined
+    hstar = next(iter(refined.values())).h_basis
+    coset_sets = {c: set(s.cosets) for c, s in refined.items()}
     lengths, table = delta.lengths, delta.pairing_table
     for alpha in delta.basis:
         cls_a = lengths[alpha]
@@ -697,52 +699,13 @@ def _class_pair_gcds(delta: FiniteRootSystem) -> dict[tuple[str, str], int]:
     return out
 
 
-def _stability_test(
-    hstar: Matrix | None,
-    coset_sets: dict[str, set[Vector]],
-    spans: dict[str, tuple[Vector, ...]],
-):
-    """holds(cls_a, cls_b, m): whether S_cls_b is stable under
-    subtracting m * <S_cls_a>, decided on the rows of spans[cls_a] and
-    remembered per (cls_a, cls_b, m).
-
-    A slice that equals the lattice it spans is stable under subtracting
-    x exactly when x lies in <S>: one lattice_contains, with x not reduced
-    modulo H*.  Those are the classes that coset_sets leaves out, and the
-    ones in it whose residues modulo hstar fill their span, |S/H*| *
-    det<S> = det H* (all of G/H* among them).  One of them whose span has
-    index 1 is Z^n and keeps every x, with no test.  Any other slice is
-    scanned, x reduced modulo hstar and subtracted from each of its
-    cosets, and remembered per (cls_b, x).
-    """
-    lattices = {
-        c for c in spans
-        if c not in coset_sets or len(coset_sets[c]) * _index(spans[c]) == _index(hstar)
-    }
-    whole = {c for c in lattices if _index(spans[c]) == 1}
-    stable: dict[tuple[str, Vector], bool] = {}
-    decided: dict[tuple[str, str, int], bool] = {}
-
-    def keeps(cls_b: str, x: Vector) -> bool:
-        if cls_b in lattices:
-            return lattice_contains(spans[cls_b], x)
-        key = (cls_b, lattice_reduce(hstar, x))
-        if key not in stable:
-            sb = coset_sets[cls_b]
-            stable[key] = all(
-                lattice_reduce(hstar, [a - b for a, b in zip(cb, key[1])]) in sb for cb in sb
-            )
-        return stable[key]
-
-    def holds(cls_a: str, cls_b: str, m: int) -> bool:
-        key = (cls_a, cls_b, m)
-        if key not in decided:
-            decided[key] = m == 0 or cls_b in whole or all(
-                keeps(cls_b, vec_scale(m, r)) for r in spans[cls_a]
-            )
-        return decided[key]
-
-    return holds
+def _lattice_sum(n: int, terms: list[tuple[int, Matrix]]) -> list[Vector]:
+    """Hermite basis of the sum of g * L over the terms (g, Hermite basis
+    of L): the identity, with no fold, when some term is 1 * Z^n (the one
+    Hermite basis of index 1)."""
+    if any(g == 1 and _index(span) == 1 for g, span in terms):
+        return list(identity(n))
+    return hermite_rows(n, sparse_rows(vec_scale(g, r) for g, span in terms for r in span))
 
 
 def _index(hnf: Matrix) -> int:

@@ -176,13 +176,6 @@ def default_brute_modulus(ers: ExtRootSystem) -> int:
     return _BRUTE_MODULUS[ers.delta.rs_type.family]
 
 
-def slice_residues_by_class(ers: ExtRootSystem, m: int) -> dict[str, list[Vector]]:
-    """The sorted image of every slice in G/mG, keyed by length class,
-    from the one pass of ExtRootSystem.slices_mod.  Checks m^n before
-    anything is enumerated."""
-    return {cls: list(image) for cls, (image, _) in ers.slices_mod(m).items()}
-
-
 def closure_letters(ers: ExtRootSystem, m: int) -> list[tuple[tuple, tuple, Vector]]:
     """The letters (pairing row, reflection row, d) that orbit_bruteforce
     closes under: the reflections r_(alpha,d) for each simple root alpha.
@@ -303,12 +296,11 @@ def orbit_classes(
         raise ExtRootError("orbit classification needs a reduced type; trim first")
     m = default_brute_modulus(ers)
     rs = ers.delta
-    residues = slice_residues_by_class(ers, m)
     steps = closure_steps(ers, m)
     n_roots = len(steps)
     classes: dict[OrbitClass, tuple[Vector, int]] = {}
     codes: dict[OrbitClass, set[int]] = {}
-    for cls, ds in residues.items():
+    for cls, (ds, _) in ers.slices_mod(m).items():
         roots = [beta for beta, c in enumerate(rs.lengths) if c == cls]
         for d in ds:
             key = orbit_class(ers, cls, d)

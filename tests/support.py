@@ -14,9 +14,8 @@ pass read through a Hermite basis of each slice's residues, the chains
 and R3' read coset by coset over the common refinement, the checks of
 validate and the per-system caches as they ran before a slice that is
 Z^n was settled from its span's index (R1' folded, R2' by contains, the
-modulus tested per basis vector, R3' and the chains through
-lattice_contains and lattice_subset, the orbit lattice folded and the
-mod-m image walked), seeded re-presentations of a system's JSON,
+modulus tested per basis vector, the chains through lattice_subset,
+the orbit lattice folded and the mod-m image walked), seeded re-presentations of a system's JSON,
 the pairing and the reflection of root-lattice vectors, and the
 paper's symmetric systems with their reflection-group axioms and
 permutation closures for small finite systems (the terminal group).
@@ -328,14 +327,15 @@ def chain_over_refined(ers: ExtRootSystem, lower: str, upper: str, mult: int) ->
     return set(up.cosets) <= set(lo.cosets) and scaled <= set(up.cosets)
 
 
-def reflection_stability_over_refined(ers: ExtRootSystem, spans) -> tuple[bool, str]:
+def reflection_stability_over_refined(ers: ExtRootSystem) -> tuple[bool, str]:
     """R3' as validate reports it, every slice read through its residues
     modulo H* (ExtRootSystem.refined): each pair of length classes is
-    decided at the gcd of its pairings by subtracting g*r, r a row of
-    spans[class of alpha], from every coset of S_beta; on a failing pair
-    the witness is the first triple met by the per-coset scan."""
+    decided at the gcd of its pairings by subtracting g*r, r a row of the
+    span of S_alpha, from every coset of S_beta; on a failing pair the
+    witness is the first triple met by the per-coset scan."""
     delta = ers.delta
     refined = ers.refined
+    spans = {c: s.span for c, s in ers.s_sets.items()}
     hstar = next(iter(refined.values())).h_basis
     coset_sets = {c: set(s.cosets) for c, s in refined.items()}
 
@@ -370,10 +370,9 @@ def reflection_stability_over_refined(ers: ExtRootSystem, spans) -> tuple[bool, 
 def r1_by_fold(ers: ExtRootSystem) -> tuple[bool, str]:
     """R1' as validate reports it, (passed, witness), from one Hermite
     reduction of the rows of every slice span, a span that is Z^n too."""
-    n = ers.n
-    full = hermite_rows(n, sparse_rows(r for s in ers.s_sets.values() for r in s.span))
-    ok = len(full) == n and _index(full) == 1
-    return ok, "" if ok else f"span rank {len(full)}"
+    full = hermite_rows(ers.n, sparse_rows(r for s in ers.s_sets.values() for r in s.span))
+    index = _index(full)
+    return index == 1, "" if index == 1 else f"span index {index}"
 
 
 def r2_by_contains(ers: ExtRootSystem) -> dict[str, bool]:
@@ -395,32 +394,6 @@ def modulus_by_basis_vectors(ers: ExtRootSystem) -> dict[str, bool]:
         )
         for c in ers.classes()
     }
-
-
-def stability_test_through_spans(hstar, coset_sets, spans):
-    """ext_root._stability_test with every lattice slice decided by
-    lattice_contains on its span, a slice that is Z^n too."""
-    lattices = {
-        c for c in spans
-        if c not in coset_sets or len(coset_sets[c]) * _index(spans[c]) == _index(hstar)
-    }
-    stable: dict = {}
-
-    def keeps(cls_b, x):
-        if cls_b in lattices:
-            return lattice_contains(spans[cls_b], x)
-        key = (cls_b, lattice_reduce(hstar, x))
-        if key not in stable:
-            sb = coset_sets[cls_b]
-            stable[key] = all(
-                lattice_reduce(hstar, [a - b for a, b in zip(cb, key[1])]) in sb for cb in sb
-            )
-        return stable[key]
-
-    def holds(cls_a, cls_b, m):
-        return m == 0 or all(keeps(cls_b, vec_scale(m, r)) for r in spans[cls_a])
-
-    return holds
 
 
 def chain_through_spans(ers: ExtRootSystem, lower: str, upper: str, mult: int) -> bool:

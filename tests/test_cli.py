@@ -39,7 +39,6 @@ from support import (
     represent_again,
     slices_mod_by_walk,
     slices_mod_per_coset,
-    stability_test_through_spans,
 )
 from test_ext_root import _broken_variants, _refined_to_k_squared, _untame_b2
 from test_weyl import _d4_as_cosets
@@ -418,9 +417,8 @@ def test_lattice_slices_read_through_their_span_match_the_coset_oracles(
         fresh, oracle = ExtRootSystem.from_json(data), ExtRootSystem.from_json(data)
         m = default_brute_modulus(fresh)
         assert fresh.slices_mod(m) == slices_mod_per_coset(oracle, m), name
-        spans = {c: s.span for c, s in fresh.s_sets.items()}
-        assert ext_root._reflection_stability(fresh, spans) == reflection_stability_over_refined(
-            oracle, spans
+        assert ext_root._reflection_stability(fresh) == reflection_stability_over_refined(
+            oracle
         ), name
         if not fresh.delta.rs_type.is_single_length():
             k = k_delta(fresh.delta.rs_type)
@@ -477,17 +475,18 @@ def _reshaped_systems():
 
 def test_span_shortcuts_match_the_fold_and_contains_oracles(monkeypatch):
     # R1' with no fold when a span is Z^n, R2' true for a lattice slice,
-    # the batched modulus check, R3' and the chains with a slice that is
-    # Z^n taken as keeping and containing everything, orbit_rows with no
-    # fold and slices_mod with no walk when a span is Z^n: each equals
-    # the computation it replaced, witnesses included
+    # the batched modulus check, R3' asked of each slice by SSet.keeps
+    # (a slice that is Z^n keeping everything) against the coset scan
+    # over H*, the chains with a slice that is Z^n containing everything,
+    # orbit_rows with no fold and slices_mod with no walk when a span is
+    # Z^n: each equals the computation it replaced, witnesses included
     failing = set()
     for name, ers in _slice_reading_systems() + _reshaped_systems():
         data = ers.to_json()
         fresh, oracle = ExtRootSystem.from_json(data), ExtRootSystem.from_json(data)
         checks = ext_root.validate(fresh).checks
         with monkeypatch.context() as patched:
-            patched.setattr(ext_root, "_stability_test", stability_test_through_spans)
+            patched.setattr(ext_root, "_reflection_stability", reflection_stability_over_refined)
             patched.setattr(ext_root, "_chain_holds", chain_through_spans)
             assert checks == ext_root.validate(oracle).checks, name
         got = {c.name: (c.passed, c.witness) for c in checks}
@@ -507,10 +506,10 @@ def test_span_shortcuts_match_the_fold_and_contains_oracles(monkeypatch):
 def test_orbits_builds_the_common_refinement_only_for_a_coset_scan(
     capsys, monkeypatch, tmp_path
 ):
-    # an orbits call on a system whose slices are all lattices reads them
-    # through their spans and never builds ExtRootSystem.refined; the
-    # semilattice and the twisted trimmed BC2, whose slices include a
-    # proper union of cosets, are scanned over it
+    # an orbits call builds ExtRootSystem.refined only for a chain into a
+    # slice that is not a lattice: the twisted trimmed BC2, in both forms.
+    # The A1 semilattice, whose one slice is a proper union of cosets, is
+    # asked by SSet.keeps over its own modulus and never builds it
     loaded = []
     real = ExtRootSystem.load
     def load(path):
@@ -518,7 +517,7 @@ def test_orbits_builds_the_common_refinement_only_for_a_coset_scan(
         return loaded[-1]
 
     monkeypatch.setattr(ExtRootSystem, "load", staticmethod(load))
-    scanned = {"A1 n=2 semilattice", "BC2 n=2 twisted trimmed"}
+    scanned = {"BC2 n=2 twisted trimmed"}
     p = tmp_path / "system.json"
     for name, ers in orbit_configurations():
         for system in (ers, _refined_to_k_squared(ers)):
@@ -583,6 +582,21 @@ def test_word_invalid_system(capsys, tmp_path):
     assert main(["word", str(p), str(w)]) == 2
     err = capsys.readouterr().err
     assert err == "error: system invalid: R2' (0 in S_long) 0 not in S_long\n"
+
+
+def test_failing_r1_names_the_index_of_the_slices_span(capsys, tmp_path):
+    # A1 over Z^3 with S = 2Z x 2Z x Z: the one slice spans a sublattice
+    # of index 4, and orbits and word each print one line naming it
+    p = tmp_path / "bad.json"
+    sys_data = fully_extended("A", 1, n=3).to_json()
+    sys_data["s_sets"]["sh"] = {"H": [[2, 0, 0], [0, 2, 0], [0, 0, 1]], "cosets": [[0, 0, 0]]}
+    p.write_text(json.dumps(sys_data))
+    w = tmp_path / "w.json"
+    w.write_text(json.dumps([{"g": [0, 0, 0], "alpha": 0}]))
+    for argv in (["orbits", str(p)], ["word", str(p), str(w)]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == "error: system invalid: R1' (slices generate G) span index 4\n", argv
 
 
 def test_word_alpha_out_of_range(capsys, a1_file, tmp_path):

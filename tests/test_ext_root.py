@@ -593,6 +593,13 @@ def _r3_triple_verdicts(ers):
     return out
 
 
+def _r3_holds(ers, cls_a, cls_b, m):
+    """R3' for one triple as validate decides it: S_beta keeps m*r for
+    each row r of the span of S_alpha (SSet.keeps)."""
+    s_b = ers.s_sets[cls_b]
+    return m == 0 or all(s_b.keeps(vec_scale(m, r)) for r in ers.s_sets[cls_a].span)
+
+
 def test_r3_class_pair_decision_matches_the_triples():
     # R3' decides each pair of length classes once, at the gcd of its
     # pairings: that must hold exactly when every triple of the pair
@@ -604,19 +611,13 @@ def test_r3_class_pair_decision_matches_the_triples():
     assert len(broken) == 37
     failed_pairs = 0
     for ers in coarse + fine + broken:
-        refined = ers.refined
-        holds = ext_root._stability_test(
-            next(iter(refined.values())).h_basis,
-            {c: set(s.cosets) for c, s in refined.items()},
-            {c: s.span for c, s in ers.s_sets.items()},
-        )
         verdicts = _r3_triple_verdicts(ers)
         for (cls_a, cls_b), g in ext_root._class_pair_gcds(ers.delta).items():
             want = all(ok for (a, b, _), ok in verdicts.items() if (a, b) == (cls_a, cls_b))
-            assert holds(cls_a, cls_b, g) == want, (ers, cls_a, cls_b, g)
+            assert _r3_holds(ers, cls_a, cls_b, g) == want, (ers, cls_a, cls_b, g)
             failed_pairs += not want
         r3 = [c for c in validate(ers).checks if c.name.startswith("R3'")]
-        assert [(c.passed, c.witness) for c in r3] == [_r3_all_cosets(ers.delta, refined)]
+        assert [(c.passed, c.witness) for c in r3] == [_r3_all_cosets(ers.delta, ers.refined)]
     assert failed_pairs > 0
 
 
@@ -635,10 +636,11 @@ def _r3_edge_systems():
 
 
 def test_r3_span_decision_matches_the_coset_scan(monkeypatch):
-    # a slice that is the lattice it spans is decided by one
-    # lattice_contains per translation x: each such decision must equal
-    # the scan of x over the slice's cosets; every other slice is
-    # scanned, and each triple and class pair keeps its verdict
+    # a slice that is the lattice it spans keeps a translation x by one
+    # lattice_contains (SSet.keeps): each such decision must equal the
+    # scan of x over the slice's cosets modulo H*; every other slice is
+    # scanned over its own H, and each triple and class pair keeps its
+    # verdict
     coarse = [ers for _, ers in orbit_configurations()]
     fine = [_refined_to_k_squared(ers) for ers in coarse]
     broken = [b for ers in fine for b in _broken_variants(ers)]
@@ -662,12 +664,11 @@ def test_r3_span_decision_matches_the_coset_scan(monkeypatch):
             if coset_residues(hstar, [(0,) * ers.n], spans[c]) == sb
         }
         met.clear()
-        holds = ext_root._stability_test(hstar, coset_sets, spans)
         for (cls_a, cls_b, m), ok in _r3_triple_verdicts(ers).items():
-            assert holds(cls_a, cls_b, m) == ok, (ers, cls_a, cls_b, m)
+            assert _r3_holds(ers, cls_a, cls_b, m) == ok, (ers, cls_a, cls_b, m)
             scanned += bool(m) and cls_b not in lattices
         for (cls_a, cls_b), g in ext_root._class_pair_gcds(ers.delta).items():
-            holds(cls_a, cls_b, g)
+            _r3_holds(ers, cls_a, cls_b, g)
         for hnf, x, got in met:
             cls_b = next(c for c, span in spans.items() if span is hnf)
             sb = coset_sets[cls_b]
@@ -1019,6 +1020,49 @@ def test_span_and_is_lattice_equal_the_fold(case):
     assert (calls == []) == (len(s.cosets) == abs(determinant(h)))
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.integers(1, 3), min_size=n, max_size=n),
+            st.lists(st.integers(-3, 3), min_size=n * n, max_size=n * n),
+            st.sampled_from(["every", "subset", "sublattice", "coset"]),
+            st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n), max_size=2),
+            st.randoms(use_true_random=False),
+        )
+    )
+)
+def test_keeps_equals_the_coset_scan(case):
+    # S - x = S for x over every residue of H, each moved by a random
+    # vector of H: SSet.keeps equals subtracting x from each coset and
+    # reducing each difference alone, on lattices (Z^n among them) and on
+    # other unions of cosets; H is always kept, and a slice that is not
+    # Z^n (SSet.is_whole) rejects some x
+    diag, above, kind, gens, rng = case
+    n = len(diag)
+    h = [[diag[i] if i == j else above[i * n + j] * (j > i) for j in range(n)] for i in range(n)]
+    hnf = hermite_rows(n, intlinalg.sparse_rows(h))
+    residues = sorted(coset_residues(hnf, [(0,) * n], identity(n)))
+    if kind == "every":
+        cosets = residues
+    elif kind == "subset":
+        cosets = rng.sample(residues, rng.randint(1, len(residues)))
+    else:
+        start = (0,) * n if kind == "sublattice" else tuple(rng.randint(-4, 4) for _ in range(n))
+        cosets = coset_residues(hnf, [start], gens)
+    s = SSet(h, cosets)
+    held = set(s.cosets)
+    verdicts = set()
+    for r in residues:
+        coeffs = [rng.randint(-2, 2) for _ in h]
+        x = tuple(v + sum(k * row[j] for k, row in zip(coeffs, h)) for j, v in enumerate(r))
+        want = all(lattice_reduce(hnf, [a - b for a, b in zip(c, x)]) in held for c in held)
+        assert s.keeps(x) == want, (s, x)
+        verdicts.add(want)
+    assert verdicts == ({True} if len(held) == len(residues) else {True, False}), s
+    assert s.is_whole == (len(held) == len(residues)), s
+
+
 def test_span_of_a_slice_holding_every_coset_makes_no_hermite_reduction(monkeypatch):
     # all 64 cosets of 4*Z^3, as listed by a 4*Z^3 form of a standard system
     s = SSet([[4 * (i == j) for j in range(3)] for i in range(3)], itertools.product(range(4), repeat=3))
@@ -1030,8 +1074,8 @@ def test_span_of_a_slice_holding_every_coset_makes_no_hermite_reduction(monkeypa
 
 
 def test_r1_holds_when_the_slices_span_index_one():
-    # R1' reads the Hermite basis of the spans: full rank and index 1,
-    # the identity; its witness is the rank of that span
+    # R1' reads the Hermite basis of the spans, which has full rank: it
+    # holds at index 1, the identity; its witness is the index of the sum
     a1 = fully_extended("A", 1, n=2)
     b2 = span_extended("B", 2, n=2, g1=(0,))
 
@@ -1049,7 +1093,7 @@ def test_r1_holds_when_the_slices_span_index_one():
     ]
     for ers, want in cases:
         r1 = [c for c in validate(ers).checks if c.name.startswith("R1'")]
-        assert [(c.passed, c.witness) for c in r1] == [(want, "" if want else "span rank 2")]
+        assert [(c.passed, c.witness) for c in r1] == [(want, "" if want else "span index 2")]
 
 
 def test_slices_that_are_z_n_settle_validate_and_orbit_classes_with_no_reduction(monkeypatch):

@@ -62,7 +62,6 @@ from extweyl.weyl import (
     random_label,
     relator_word,
     remark_conditions,
-    slice_residues_by_class,
     uab_of_word,
     w_generator,
 )
@@ -367,11 +366,11 @@ def _all_residue_closure(ers, g, root_idx, m):
     per (simple root alpha, residue of S_alpha mod m).  The oracle for the
     generating set of letters."""
     rs = ers.delta
-    residues = slice_residues_by_class(ers, m)
+    images = ers.slices_mod(m)
     letters = [
         (rs.pairing_table[alpha], rs.reflection_table[alpha], d)
         for alpha in rs.basis
-        for d in residues[rs.lengths[alpha]]
+        for d in images[rs.lengths[alpha]][0]
     ]
     return _tuple_closure(g, root_idx, m, letters)
 
@@ -412,8 +411,8 @@ def _closure_grids(max_n=8):
 
 def _starts(ers, m):
     rs = ers.delta
-    residues = slice_residues_by_class(ers, m)
-    return [(d, beta) for beta in range(len(rs.roots)) for d in residues[rs.lengths[beta]]]
+    images = ers.slices_mod(m)
+    return [(d, beta) for beta in range(len(rs.roots)) for d in images[rs.lengths[beta]][0]]
 
 
 def _assert_closures_match(name, ers, starts, m):
@@ -583,20 +582,20 @@ def test_slice_residues_match_the_lattice_oracle():
     for name, ers in systems:
         for m in {default_brute_modulus(ers), 2, 3, 4, 6}:
             if m**ers.n <= 4096:
-                got = slice_residues_by_class(ers, m)
+                got = {cls: list(image) for cls, (image, _) in ers.slices_mod(m).items()}
                 assert got == slice_residues_mod_lattice(ers, m), (name, m)
 
 
 def test_slice_residues_check_the_index_first():
     with pytest.raises(QuotientTooLarge, match="index 8192 exceeds the cap 4096"):
-        slice_residues_by_class(_b2_over(13), 2)
+        _b2_over(13).slices_mod(2)
 
 
 def test_orbit_of_depends_on_root_only_through_length_class():
     # orbit_classes applies the class rule once per (length class, residue) on this
     for name, ers in _closure_grids():
         rs = ers.delta
-        for cls, ds in slice_residues_by_class(ers, default_brute_modulus(ers)).items():
+        for cls, (ds, _) in ers.slices_mod(default_brute_modulus(ers)).items():
             roots = [b for b, c in enumerate(rs.lengths) if c == cls]
             for d in ds:
                 assert len({orbit_of(ers, d, b) for b in roots}) == 1, (name, cls, d)
@@ -608,10 +607,10 @@ def _orbit_partitions_agree(ers):
     closure of its states.  Returns the partition and whether it agrees."""
     m = default_brute_modulus(ers)
     rs = ers.delta
-    residues = slice_residues_by_class(ers, m)
+    images = ers.slices_mod(m)
     steps = closure_steps(ers, m)
     states = [
-        (d, beta) for beta in range(len(rs.roots)) for d in residues[rs.lengths[beta]]
+        (d, beta) for beta in range(len(rs.roots)) for d in images[rs.lengths[beta]][0]
     ]
     by_class = {}
     for d, beta in states:
@@ -647,8 +646,8 @@ def test_orbit_classes_close_each_grid_state_once(monkeypatch):
     systems = list(_closure_grids(max_n=6))
     grid_states = {}
     for name, ers in systems:
-        residues = slice_residues_by_class(ers, default_brute_modulus(ers))
-        grid_states[name] = sum(len(residues[cls]) for cls in ers.delta.lengths)
+        images = ers.slices_mod(default_brute_modulus(ers))
+        grid_states[name] = sum(len(images[cls][0]) for cls in ers.delta.lengths)
     systems = [(name, ers.to_json()) for name, ers in systems]
 
     def refused(*args):
