@@ -82,12 +82,6 @@ class FreeAbelianGroup(_FreeAbelianGroupFields):
     def basis_vector(self, i: int) -> Vector:
         return tuple(int(j == i) for j in range(self.rank))
 
-    def g1_vectors(self) -> list[Vector]:
-        return [self.basis_vector(i) for i in self.g1]
-
-    def g2_vectors(self) -> list[Vector]:
-        return [self.basis_vector(i) for i in self.g2]
-
 
 class SSet:
     """A union of cosets of a full-rank sublattice H of Z^n.
@@ -97,8 +91,9 @@ class SSet:
     H (`lattice_reduce_all`).  A set that holds all |Z^n/H| cosets is Z^n
     itself (`is_whole`): its `span` is the identity, the one Hermite basis
     of index 1, and `validate` and `ExtRootSystem.orbit_rows` and
-    `slices_mod` settle such a slice with no reduction.  `keeps` is the one
-    question R3' and the chains ask of a slice.
+    `slices_mod` settle such a slice with no reduction.  R3' asks a slice
+    whether it `keeps` a translation, and the chains whether it `includes`
+    another slice.
     """
 
     def __init__(self, h_basis, cosets):
@@ -155,6 +150,18 @@ class SSet:
             return self.is_whole or lattice_contains(self.span, x)
         shifted = ([a - b for a, b in zip(c, x)] for c in self.cosets)
         return lattice_reduce_all(self.h_basis, shifted) <= self._set
+
+    def includes(self, other: "SSet", mult: int = 1) -> bool:
+        """Whether mult*other <= S.  A lattice keeps each row of
+        mult*<other>; any other set enumerates the residues of mult*other
+        modulo its own H and looks them up among its cosets."""
+        if self.is_lattice:
+            return all(self.keeps(vec_scale(mult, r)) for r in other.span)
+        return coset_residues(
+            self.h_basis,
+            [vec_scale(mult, c) for c in other.cosets],
+            [vec_scale(mult, h) for h in other.h_basis],
+        ) <= self._set
 
     def rebase(self, h_basis) -> "SSet":
         """Express the same set over a finer modulus (h_basis inside H).
@@ -284,9 +291,9 @@ class ExtRootSystem:
     A slice that is the lattice it spans (`SSet.is_lattice`) is read as
     the one coset 0 over its span: `slices_mod` and a chain into it decide
     it through <S>.  R3' asks each slice whether it keeps a translation
-    (`SSet.keeps`), over its own modulus.  So `refined` is built only by a
-    chain into a slice that is not a lattice, a failing R3' witness and
-    `check_twist`.
+    (`SSet.keeps`), and each chain asks the including slice whether it
+    includes the other (`SSet.includes`), over its own modulus.  So
+    `refined` is built only for a failing R3' witness and by `check_twist`.
     """
 
     def __init__(
@@ -540,11 +547,13 @@ def span_extended(
 def validate(ers: ExtRootSystem) -> ValidationReport:
     """Check the slice axioms and the derived inclusion chains.
 
+    R0' (each slice is nonempty) is enforced on construction, since
+    `SSet` refuses an empty coset list, so it is not reported here.
     Reflection stability is decided exactly by asking each slice whether
-    it keeps a translation (`SSet.keeps`).  The chains are decided
-    through the span of a slice that is a lattice, and otherwise
-    exhaustively in the finite quotient of G by the common refinement of
-    all slice moduli.
+    it keeps a translation (`SSet.keeps`).  Each chain inclusion is asked
+    of the including slice (`SSet.includes`): through its span when it
+    is a lattice, and otherwise exhaustively in the finite quotient of G
+    by its own modulus.
     Simple roots suffice on the reflecting side because every reflection
     label is a conjugate of one over a simple root by zero-section
     elements.
@@ -564,9 +573,6 @@ def validate(ers: ExtRootSystem) -> ValidationReport:
     rep = ValidationReport()
     delta = ers.delta
     n = ers.n
-
-    for cls in ers.classes():
-        rep.add(f"R0' ({cls} nonempty)", len(ers.s_sets[cls].cosets) > 0)
 
     # every span holds its slice's full-rank H, so their sum has full rank
     index = _index(_lattice_sum(n, [(1, s.span) for s in ers.s_sets.values()]))
@@ -619,29 +625,10 @@ def validate(ers: ExtRootSystem) -> ValidationReport:
 
 
 def _chain_holds(ers: ExtRootSystem, lower: str, upper: str, mult: int) -> bool:
-    """mult*S_lower <= S_upper <= S_lower.
-
-    An inclusion into a slice that is a lattice is one of spans: a set
-    lies in a lattice exactly when the rows of its span do (`SSet.keeps`).
-    An inclusion into any other slice is decided in G/H* on `refined`,
-    where both slices live, so mult*S_lower is enumerated modulo H* and
-    not over mult*H*.
-    """
+    """mult*S_lower <= S_upper <= S_lower, each inclusion asked of the
+    including slice over its own modulus (`SSet.includes`)."""
     lo, up = ers.s_sets[lower], ers.s_sets[upper]
-    if up.is_lattice:
-        scaled = all(up.keeps(vec_scale(mult, r)) for r in lo.span)
-    else:
-        fine_lo, fine_up = ers.refined[lower], ers.refined[upper]
-        scaled = coset_residues(
-            fine_up.h_basis,
-            [vec_scale(mult, c) for c in fine_lo.cosets],
-            [vec_scale(mult, h) for h in fine_lo.h_basis],
-        ) <= set(fine_up.cosets)
-    if lo.is_lattice:
-        inside = all(lo.keeps(r) for r in up.span)
-    else:
-        inside = set(ers.refined[upper].cosets) <= set(ers.refined[lower].cosets)
-    return inside and scaled
+    return up.includes(lo, mult) and lo.includes(up)
 
 
 def _reflection_stability(ers: ExtRootSystem) -> tuple[bool, str]:
@@ -657,8 +644,8 @@ def _reflection_stability(ers: ExtRootSystem) -> tuple[bool, str]:
     is decided once per class pair, at that gcd (g = 0 holds trivially).
     Only when a pair fails is each triple decided, to find the witness:
     the first one met by scanning every simple alpha, every root beta,
-    then the cosets of S_beta and S_alpha over H*, the one place where
-    `refined` is read.
+    then the cosets of S_beta and S_alpha over H*, the one place in
+    `validate` where `refined` is read.
     """
     delta, s_sets = ers.delta, ers.s_sets
 
@@ -769,8 +756,8 @@ def check_twist(ers: ExtRootSystem) -> ValidationReport:
 
     sh_cap_g1, span_sh_cap_g1 = _members_in_subspace(refined[SHORT], g1_idx, n)
     lg_cap_g2, span_lg_cap_g2 = _members_in_subspace(refined[LONG], g2_idx, n)
-    g1_gens = grp.g1_vectors()
-    g2_gens = grp.g2_vectors()
+    g1_gens = [grp.basis_vector(i) for i in grp.g1]
+    g2_gens = [grp.basis_vector(i) for i in grp.g2]
     k_g1 = [vec_scale(k, v) for v in g1_gens]
 
     def set_eq(name: str, got: set, want: set):

@@ -7,8 +7,8 @@ box quotient additionally kills the tensors of perpendicular reflection
 pairs; it is infinite cyclic for every type, and its projection to Z is
 the bilinear form that powers the Weyl-group cocycle.  That form needs
 no reduction: it is the primitive integral multiple of the invariant
-form ( | ) on the two lattices (see `BoxForm`), so Smith reduction here
-only classifies the quotients.
+form ( | ) on the two lattices (see `boxtimes_form`), so Smith
+reduction here only classifies the quotients.
 
 Presentations use the simple reflections only: they generate the Weyl
 group, and the relation subgroup they span is the full one because it
@@ -29,7 +29,6 @@ from typing import Iterator
 from extweyl.intlinalg import (
     FPAbelianGroup,
     Matrix,
-    Vector,
     dot,
     freeze,
     mat_mul,
@@ -40,7 +39,6 @@ from extweyl.root_core import (
     SHORT,
     FiniteRootSystem,
     RootSystemError,
-    build,
     k_delta,
 )
 
@@ -233,17 +231,19 @@ def _basis_denominators(rs: FiniteRootSystem, side: str) -> list[int]:
     return [rs._gram[k][k] // 2 * coroots[b][k] for k, b in enumerate(rs.basis)]
 
 
-class BoxForm:
-    """The projection of L [x] L' onto its infinite cyclic quotient.
+@lru_cache(maxsize=None)
+def boxtimes_form(rs: FiniteRootSystem, left: str = COROOT, right: str = COROOT) -> Matrix:
+    """The projection of L [x] L' onto its infinite cyclic quotient, as a
+    Gram matrix over basis coordinates: x^T gram y is the image of
+    x (x) y under the canonical generator.  The coroot form is the
+    scalar form behind the cocycle.
 
-    Carries a Gram matrix over basis coordinates: value(x, y) is the
-    image of x (x) y under the canonical generator.  The projection is a
-    W-invariant bilinear form (the box quotient is one of the
-    coinvariants) and W acts irreducibly, so it is a rational multiple of
-    the invariant form ( | ) (Bourbaki, Lie Groups and Lie Algebras,
-    Ch. VI, par. 1); being onto Z, it is the primitive integral multiple
-    up to sign.  So gram[i][j] is (alpha_i | alpha_j) / (d_i d'_j) (see
-    `_basis_denominators`) scaled to coprime integers, that is
+    The projection is a W-invariant bilinear form (the box quotient is
+    one of the coinvariants) and W acts irreducibly, so it is a rational
+    multiple of the invariant form ( | ) (Bourbaki, Lie Groups and Lie
+    Algebras, Ch. VI, par. 1); being onto Z, it is the primitive integral
+    multiple up to sign.  So gram[i][j] is (alpha_i | alpha_j) / (d_i d'_j)
+    (see `_basis_denominators`) scaled to coprime integers, that is
       root, root: `_gram`[i][j];
       root, coroot: `pairing_matrix`[j][i] = <m_j, alpha_i>;
       coroot, coroot: cartan[i][j] / (sym_j s_i s_j).
@@ -251,41 +251,15 @@ class BoxForm:
     only) simple root positive: the multiple taken is the positive
     definite one.
     """
-
-    def __init__(self, rs: FiniteRootSystem, left: str, right: str):
-        d_left = _basis_denominators(rs, left)
-        d_right = _basis_denominators(rs, right)
-        common = lcm(*(x * y for x in d_left for y in d_right))
-        gram = [
-            [g * (common // (x * y)) for g, y in zip(row, d_right)]
-            for row, x in zip(rs._gram, d_left)
-        ]
-        unit = gcd(*chain.from_iterable(gram))
-        self.rs = rs
-        self.left = left
-        self.right = right
-        self.gram: Matrix = freeze([[g // unit for g in row] for row in gram])
-
-    def value(self, x: Vector, y: Vector) -> int:
-        return dot(x, mat_vec(self.gram, y))
-
-
-@lru_cache(maxsize=None)
-def _box_form_cached(family: str, rank: int, left: str, right: str) -> BoxForm:
-    return BoxForm(build(family, rank), left, right)
-
-
-def boxtimes_form(rs: FiniteRootSystem) -> BoxForm:
-    """The coroot-side box form, the scalar form behind the cocycle."""
-    return _box_form_cached(rs.rs_type.family, rs.rs_type.rank, COROOT, COROOT)
-
-
-def root_box_form(rs: FiniteRootSystem) -> BoxForm:
-    return _box_form_cached(rs.rs_type.family, rs.rs_type.rank, ROOT, ROOT)
-
-
-def mixed_box_form(rs: FiniteRootSystem) -> BoxForm:
-    return _box_form_cached(rs.rs_type.family, rs.rs_type.rank, ROOT, COROOT)
+    d_left = _basis_denominators(rs, left)
+    d_right = _basis_denominators(rs, right)
+    common = lcm(*(x * y for x in d_left for y in d_right))
+    gram = [
+        [g * (common // (x * y)) for g, y in zip(row, d_right)]
+        for row, x in zip(rs._gram, d_left)
+    ]
+    unit = gcd(*chain.from_iterable(gram))
+    return freeze([[g // unit for g in row] for row in gram])
 
 
 def lattice_embedding_matrix(rs: FiniteRootSystem) -> Matrix:
@@ -371,11 +345,11 @@ def inclusion_indices(rs: FiniteRootSystem) -> tuple[int, int]:
     signs they come out positive.
     """
     phi = lattice_embedding_matrix(rs)
-    f_ll = root_box_form(rs)
-    f_lc = mixed_box_form(rs)
-    f_cc = boxtimes_form(rs)
-    index_phi = _multiple(mat_mul(f_lc.gram, phi), f_ll.gram)
-    index_psi = _multiple(mat_mul(transpose(phi), f_cc.gram), f_lc.gram)
+    f_ll = boxtimes_form(rs, ROOT, ROOT)
+    f_lc = boxtimes_form(rs, ROOT, COROOT)
+    f_cc = boxtimes_form(rs, COROOT, COROOT)
+    index_phi = _multiple(mat_mul(f_lc, phi), f_ll)
+    index_psi = _multiple(mat_mul(transpose(phi), f_cc), f_lc)
     return index_phi, index_psi
 
 

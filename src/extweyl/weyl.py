@@ -55,7 +55,7 @@ def cocycle(ers: ExtRootSystem, k1: Matrix, k2: Matrix) -> Matrix:
     n = ers.n
     if len(k1) != n or len(k2) != n:
         raise ExtRootError("K-matrix rows must match the group rank")
-    gram = boxtimes_form(ers.delta).gram
+    gram = boxtimes_form(ers.delta)
     x = mat_mul(mat_mul(k1, gram), transpose(k2))
     return freeze(
         [[x[a][b] - x[b][a] for b in range(n)] for a in range(n)]

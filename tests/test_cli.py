@@ -506,10 +506,10 @@ def test_span_shortcuts_match_the_fold_and_contains_oracles(monkeypatch):
 def test_orbits_builds_the_common_refinement_only_for_a_coset_scan(
     capsys, monkeypatch, tmp_path
 ):
-    # an orbits call builds ExtRootSystem.refined only for a chain into a
-    # slice that is not a lattice: the twisted trimmed BC2, in both forms.
-    # The A1 semilattice, whose one slice is a proper union of cosets, is
-    # asked by SSet.keeps over its own modulus and never builds it
+    # an orbits call on a valid system never builds ExtRootSystem.refined:
+    # R3' asks each slice SSet.keeps and the chains SSet.includes, over its
+    # own modulus, even where the slice is a proper union of cosets (the A1
+    # semilattice, and the twisted trimmed BC2 in both forms)
     loaded = []
     real = ExtRootSystem.load
     def load(path):
@@ -517,14 +517,13 @@ def test_orbits_builds_the_common_refinement_only_for_a_coset_scan(
         return loaded[-1]
 
     monkeypatch.setattr(ExtRootSystem, "load", staticmethod(load))
-    scanned = {"BC2 n=2 twisted trimmed"}
     p = tmp_path / "system.json"
     for name, ers in orbit_configurations():
         for system in (ers, _refined_to_k_squared(ers)):
             p.write_text(json.dumps(system.to_json()))
             assert main(["orbits", str(p), "--format", "json"]) == 0, name
             capsys.readouterr()
-            assert ("refined" in loaded[-1].__dict__) == (name in scanned), name
+            assert "refined" not in loaded[-1].__dict__, name
 
 
 def test_orbits_reads_lattice_slices_past_the_cap_of_their_refinement(capsys, tmp_path):

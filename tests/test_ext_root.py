@@ -1004,11 +1004,14 @@ def test_span_and_is_lattice_equal_the_fold(case):
     elif kind == "sublattice":
         residues = sorted(coset_residues(hnf, [(0,) * n], gens))
     listed = residues + (rng.choices(residues, k=2) if twice else [])
-    cosets = [
-        tuple(x + sum(rng.randint(-2, 2) * r[j] for r in h) for j, x in enumerate(c))
-        for c in listed
-    ]
+    cosets = []
+    for c in listed:
+        coeffs = [rng.randint(-2, 2) for _ in h]
+        cosets.append(tuple(x + sum(k * r[j] for k, r in zip(coeffs, h)) for j, x in enumerate(c)))
     s = SSet(h, cosets)
+    assert set(s.cosets) == set(residues)
+    if kind == "every":
+        assert s.is_whole
     calls = []
     with pytest.MonkeyPatch.context() as patched:
         real = ext_root.hermite_rows

@@ -6,16 +6,21 @@ import time
 import pytest
 
 from extweyl import intlinalg, lattice_algebra
-from extweyl.intlinalg import lattice_contains, hermite_rows, mat_mul, sparse_rows, transpose
+from extweyl.intlinalg import (
+    dot,
+    hermite_rows,
+    lattice_contains,
+    mat_mul,
+    mat_vec,
+    sparse_rows,
+    transpose,
+)
 from extweyl.lattice_algebra import (
-    BoxForm,
     box_quotient,
     boxtimes_form,
     coinvariants,
     inclusion_indices,
     lattice_embedding_matrix,
-    mixed_box_form,
-    root_box_form,
     _tensor_of,
 )
 from extweyl.root_core import (
@@ -35,11 +40,16 @@ from test_intlinalg import dense, hermite_of, projects_to_zero
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "tensor_types.json"
 
 
-def value_roots(form, i, j):
+def value(gram, x, y):
+    """The box-form value x^T gram y of the tensor x (x) y."""
+    return dot(x, mat_vec(gram, y))
+
+
+def value_roots(rs, left, right, i, j):
     """The box-form value of the tensor of root i (left) and root j (right)."""
-    vecs_l, _ = lattice_algebra._side_data(form.rs, form.left)
-    vecs_r, _ = lattice_algebra._side_data(form.rs, form.right)
-    return form.value(vecs_l[i], vecs_r[j])
+    vecs_l, _ = lattice_algebra._side_data(rs, left)
+    vecs_r, _ = lattice_algebra._side_data(rs, right)
+    return value(boxtimes_form(rs, left, right), vecs_l[i], vecs_r[j])
 
 
 def test_coinvariants_examples():
@@ -129,11 +139,13 @@ def test_box_form_kills_perpendicular_pairs():
     # left root is not its length class's representative
     for fam, rk in [("D", 4), ("B", 3), ("A", 3)] + EXTRA_TYPES:
         rs = build(fam, rk)
-        for f in (root_box_form(rs), mixed_box_form(rs), boxtimes_form(rs)):
+        for left, right in SIDES:
             for i in range(len(rs.roots)):
                 for j in range(len(rs.roots)):
                     if rs.perpendicular(i, j):
-                        assert value_roots(f, i, j) == 0, (fam, rk, f.left, f.right, i, j)
+                        assert value_roots(rs, left, right, i, j) == 0, (
+                            fam, rk, left, right, i, j
+                        )
 
 
 def _pool(rs, left, right):
@@ -175,7 +187,7 @@ def test_class_representative_pairs_match_all_pairs(monkeypatch):
             # relations are the Hermite normal form of the relation rows
             got = box_quotient(rs, left, right).relations
             assert got == oracle, (fam, rk, left, right)
-            assert BoxForm(rs, left, right).gram == box_form_smith(rs, left, right), (
+            assert boxtimes_form(rs, left, right) == box_form_smith(rs, left, right), (
                 fam, rk, left, right
             )
 
@@ -191,7 +203,7 @@ def test_stabilizer_orbit_pairs_match_first_root_pairs(monkeypatch):
             oracle = box_quotient(rs, left, right).relations
         got = box_quotient(rs, left, right).relations
         assert got == oracle, (fam, rk, left, right)
-        assert BoxForm(rs, left, right).gram == box_form_smith(rs, left, right), (
+        assert boxtimes_form(rs, left, right) == box_form_smith(rs, left, right), (
             fam, rk, left, right
         )
 
@@ -348,13 +360,13 @@ def test_box_form_invariance():
     for fam, rk in sweep_types(8):
         rs = build(fam, rk)
         for left, right in SIDES:
-            f = BoxForm(rs, left, right)
+            f = boxtimes_form(rs, left, right)
             _, moves_left = lattice_algebra._side_data(rs, left)
             _, moves_right = lattice_algebra._side_data(rs, right)
             for k in range(rs.rank):
                 a = _move_matrix(moves_left, k)
                 b = _move_matrix(moves_right, k)
-                assert mat_mul(mat_mul(transpose(a), f.gram), b) == f.gram, (
+                assert mat_mul(mat_mul(transpose(a), f), b) == f, (
                     fam, rk, left, right, k
                 )
 
@@ -364,7 +376,7 @@ def test_box_form_matches_the_smith_oracle_at_rank_24():
     for fam in ("B", "C", "D", "BC"):
         rs = build(fam, 24)
         for left, right in SIDES:
-            assert BoxForm(rs, left, right).gram == box_form_smith(rs, left, right), (
+            assert boxtimes_form(rs, left, right) == box_form_smith(rs, left, right), (
                 fam, left, right
             )
 
@@ -372,9 +384,9 @@ def test_box_form_matches_the_smith_oracle_at_rank_24():
 def test_box_form_rejects_an_unknown_side():
     rs = build("B", 3)
     with pytest.raises(ValueError, match="'weight'"):
-        BoxForm(rs, "root", "weight")
+        boxtimes_form(rs, "root", "weight")
     with pytest.raises(ValueError, match="'weight'"):
-        BoxForm(rs, "weight", "coroot")
+        boxtimes_form(rs, "weight", "coroot")
 
 
 def test_box_forms_build_no_presentation(monkeypatch):
@@ -392,10 +404,10 @@ def test_box_forms_build_no_presentation(monkeypatch):
 
     monkeypatch.setattr(intlinalg, "smith_normal_form", refuse)
     monkeypatch.setattr(lattice_algebra, "box_quotient", refuse)
-    lattice_algebra._box_form_cached.cache_clear()
+    boxtimes_form.cache_clear()
     for ers, want, words in cases:
         rs = ers.delta
-        got = [root_box_form(rs).gram, mixed_box_form(rs).gram, boxtimes_form(rs).gram]
+        got = [boxtimes_form(rs, *pair) for pair in SIDES]
         assert got == want, rs.rs_type
         if rs.rs_type.is_reduced() and not rs.rs_type.is_single_length():
             phi, psi = inclusion_indices(rs)
@@ -408,7 +420,7 @@ def test_cold_box_form_at_rank_24_is_fast():
     rs = build("B", 24)
     best = float("inf")
     for _ in range(3):
-        lattice_algebra._box_form_cached.cache_clear()
+        boxtimes_form.cache_clear()
         start = time.perf_counter()
         boxtimes_form(rs)
         best = min(best, time.perf_counter() - start)
@@ -421,25 +433,24 @@ def test_box_form_symmetric_and_gcd_one():
     for fam, rk in [("A", 1), ("B", 2), ("C", 3), ("G", 2)]:
         f = boxtimes_form(build(fam, rk))
         g = 0
-        for i, row in enumerate(f.gram):
+        for i, row in enumerate(f):
             for j, x in enumerate(row):
-                assert x == f.gram[j][i]
+                assert x == f[j][i]
                 g = gcd(g, x)
         assert g == 1
 
 
 def test_a1_box_generator():
     rs = build("A", 1)
-    f = root_box_form(rs)
     # single generator a x a with unit projection, positive by convention
-    assert value_roots(f, rs.basis[0], rs.basis[0]) == 1
+    assert value_roots(rs, "root", "root", rs.basis[0], rs.basis[0]) == 1
 
 
 def test_box_anchor_sign():
     for fam, rk in [("B", 2), ("C", 3), ("F", 4), ("G", 2)]:
         rs = build(fam, rk)
         anchor = next(b for b in rs.basis if rs.lengths[b] == LONG)
-        assert boxtimes_form(rs).value(rs.coroots[anchor], rs.coroots[anchor]) > 0
+        assert value(boxtimes_form(rs), rs.coroots[anchor], rs.coroots[anchor]) > 0
 
 
 def test_lattice_embedding_chain():
@@ -488,6 +499,6 @@ def test_golden_tensor_types():
         anchor = next(
             (b for b in rs.basis if rs.lengths[b] == LONG), rs.basis[0]
         )
-        assert f.value(rs.coroots[anchor], rs.coroots[anchor]) == entry["value"]
+        assert value(f, rs.coroots[anchor], rs.coroots[anchor]) == entry["value"]
     for entry in data["inclusion_indices"]:
         assert list(inclusion_indices(build(entry["family"], entry["rank"]))) == entry["indices"]
